@@ -127,9 +127,13 @@ def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the file the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -206,8 +210,10 @@ def _compute_spectrum(cfg: dict, model: str, grid: FrequencyGrid,
 
 def _layout_from(cfg: dict, args) -> HilbertLayout:
     opts = cfg.get("me_options", {})
-    nb = getattr(args, "n_max_b", None) or opts.get("n_max_bright", 4)
-    nd = getattr(args, "n_max_d", None) or opts.get("n_max_dark", 4)
+    nb = getattr(args, "n_max_b", None)
+    nd = getattr(args, "n_max_d", None)
+    nb = opts.get("n_max_bright", 4) if nb is None else nb
+    nd = opts.get("n_max_dark", 4) if nd is None else nd
     try:
         return HilbertLayout(nb, nd)
     except ValueError as exc:
@@ -274,6 +280,8 @@ def cmd_sweep(args) -> int:
 def cmd_eigen(args) -> int:
     cfg = load_config(args.config)
     params = _build_system(cfg)
+    if args.n_deltas < 1:
+        raise ConfigError(f"--n-deltas must be >= 1, got {args.n_deltas}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.n_deltas)
     lines = ["delta_mhz,e_left,e_middle,e_right,"
              "w0_left,w0_middle,w0_right"]
@@ -351,6 +359,9 @@ def cmd_sweep_power(args) -> int:
     lambdas = _parse_floats(args.lambdas)
     if not lambdas:
         raise ConfigError("sweep-power requires at least one lambda")
+    if not all(0.0 < lam < float("inf") for lam in lambdas):
+        raise ConfigError(
+            f"drive amplitudes must be finite and > 0, got {lambdas}")
     params = _build_system(cfg)
     grid = _build_grid(cfg)
     kwargs = {}

@@ -169,10 +169,7 @@ def fwhm_vs_power(params: SystemParams, lambdas, grid: FrequencyGrid,
             fn = lambda ws: thom.thom_excitation(p, ws)
         elif model.upper() == "ME":
             layout = model_kwargs.get("layout") or master_eq.HilbertLayout(4, 4)
-            ops = master_eq.build_operators(layout)
-            fn = lambda ws: np.array(
-                [master_eq.me_excitation(p, w, layout, ops) for w in ws]
-            )
+            fn = master_eq.HermitianGenerator(p, layout).excitation
         elif model.upper() == "MHOM":
             packets = model_kwargs["packets"]
             mparams = model_kwargs["mhom_params"].with_(lam=lam)

@@ -154,7 +154,6 @@ LAMBDAS = (1.0, 5.0, 10.0, 20.0)
 def test_criterion_6_power_broadening(capsys):
     t0 = time.time()
     layout = HilbertLayout(4, 4)
-    ops = build_operators(layout)
     n_points = 81
 
     # fixed fit window inside the inter-peak minima (around +-5 at the
@@ -163,16 +162,9 @@ def test_criterion_6_power_broadening(capsys):
     grid = FrequencyGrid(OMEGA_NV - 4.5, OMEGA_NV + 4.5, 121)
     me_fwhm = []
     for lam in LAMBDAS:
-        p = REFERENCE_PARAMS.with_(lam=lam)
-        vals = np.empty(grid.n_points)
-        for i, w in enumerate(grid.points()):
-            h = build_rotating_hamiltonian(p, w, layout, ops)
-            rho = steady_state(build_liouvillian(h, p, layout, ops))
-            vals[i] = np.real(np.trace(
-                ops.sigma_plus @ ops.sigma_minus @ rho))
-        fit = fit_lorentzian(Spectrum(grid=grid, values=vals,
-                                      model_tag="ME"),
-                             (grid.start, grid.stop))
+        spec = me_spectrum(REFERENCE_PARAMS.with_(lam=lam), grid, layout,
+                           check_unique=True)
+        fit = fit_lorentzian(spec, (grid.start, grid.stop))
         me_fwhm.append(fit.fwhm)
 
     increasing = all(a < b for a, b in zip(me_fwhm, me_fwhm[1:]))

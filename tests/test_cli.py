@@ -106,6 +106,27 @@ class TestSimulate:
                            bogus=1)
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("flag", ["--n-max-b", "--n-max-d"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_truncation_flag_exits_2(self, tmp_path, flag, value):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="me")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     flag, value]) == 2
+        assert not out.exists()
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom")
+        out = tmp_path / "run"
+        old = os.umask(0o022)
+        try:
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("spectrum.csv", "spectrum_meta.json"):
+            assert os.stat(out / name).st_mode & 0o777 == 0o644
+
 
 class TestSweep:
     def test_power_sweep_long_format(self, tmp_path):
@@ -156,6 +177,14 @@ class TestEigen:
         assert np.all(np.diff(data[:, 0]) > 0)
         # weights are a probability decomposition at every detuning
         assert np.allclose(data[:, 4:].sum(axis=1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_count_exits_2(self, tmp_path, count):
+        cfg = write_config(tmp_path, system=SYSTEM)
+        out = tmp_path / "run"
+        assert main(["eigen", "--config", cfg, "--out", str(out),
+                     "--n-deltas", count]) == 2
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -228,6 +257,25 @@ class TestSweepPower:
         assert data.shape[0] == 3
         widths = data[:, 1]
         assert np.max(widths) - np.min(widths) < 1e-6 * widths[0]
+
+    @pytest.mark.parametrize("lambdas", ["0,1", "1,-2", "1,nan"])
+    def test_non_positive_drive_exits_2(self, tmp_path, lambdas):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom")
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config", cfg, "--out", str(out),
+                     "--lambdas", lambdas]) == 2
+        assert not out.exists()
+
+    def test_master_equation_fwhm_csv(self, tmp_path):
+        grid = {"start_mhz": OMEGA_NV - 3, "stop_mhz": OMEGA_NV + 3,
+                "n_points": 161}
+        cfg = write_config(tmp_path, system=SYSTEM, grid=grid, model="me",
+                           me_options={"n_max_bright": 2, "n_max_dark": 2})
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config", cfg, "--out", str(out),
+                     "--lambdas", "1,10"]) == 0
+        _, data = read_csv(out / "fwhm.csv")
+        assert data[1, 1] > data[0, 1] > 0.0
 
 
 class TestPlotScript:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridspec import (
     FrequencyGrid,
     HilbertLayout,
+    NonUniqueSteadyState,
+    SolverFailure,
     SystemParams,
     build_h1,
     build_liouvillian,
@@ -15,6 +18,11 @@ from hybridspec import (
     steady_state,
     thom_excitation,
     truncation_convergence,
+)
+from hybridspec.master_eq import (
+    HermitianGenerator,
+    _hermitian_basis,
+    real_liouvillian,
 )
 
 from conftest import OMEGA_NV
@@ -197,3 +205,125 @@ class TestTruncation:
         grid = FrequencyGrid(OMEGA_NV - 5, OMEGA_NV + 5, 5)
         vals = me_spectrum(p, grid, HilbertLayout(2, 2)).values
         assert np.max(np.abs(vals)) < 1e-12
+
+
+def direct_excitation(params, omega, layout):
+    """Per-point oracle: column-stacked complex generator, dense solve."""
+    ops = build_operators(layout)
+    h = build_rotating_hamiltonian(params, omega, layout, ops)
+    rho = steady_state(build_liouvillian(h, params, layout, ops),
+                       check_unique=False)
+    return qubit_excitation(rho, layout, ops)
+
+
+def basis_change(n):
+    """Dense unitary T with vec-index columns and Hermitian-basis rows."""
+    u_slot, v_slot, cu, cv = _hermitian_basis(n)
+    t = np.zeros((n * n, n * n), dtype=complex)
+    cols = np.arange(n * n)
+    np.add.at(t, (u_slot, cols), cu)
+    np.add.at(t, (v_slot, cols), cv)
+    return t
+
+
+# truncations with n_max_bright != n_max_dark, a tilted coupling phase and
+# a detuned qubit, at weak and strong drive
+ORACLE_LAYOUTS = [(1, 1), (2, 3), (3, 2), (5, 2)]
+
+
+def oracle_params(lam):
+    return small_params(lam=lam, theta=0.7, omega_fq=OMEGA_NV + 3.0)
+
+
+class TestHermitianGenerator:
+    def test_basis_change_is_unitary(self):
+        t = basis_change(6)
+        assert np.max(np.abs(t @ t.conj().T - np.eye(36))) < 1e-15
+
+    @pytest.mark.parametrize("nb,nd", [(1, 2), (2, 1)])
+    def test_matches_transformed_column_stacked_generator(self, nb, nd):
+        layout = HilbertLayout(nb, nd)
+        p = oracle_params(lam=2.0)
+        gen = HermitianGenerator(p, layout)
+        t = basis_change(layout.dim)
+        for w in (OMEGA_NV - 17.0, OMEGA_NV + 0.3, OMEGA_NV + 40.0):
+            h = build_rotating_hamiltonian(p, w, layout)
+            liou = build_liouvillian(h, p, layout)
+            expected = t @ liou @ t.conj().T
+            assert np.max(np.abs(expected.imag)) < 1e-12
+            assert np.max(np.abs(gen.liouvillian(w) - expected.real)) < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0])
+    @pytest.mark.parametrize("nb,nd", ORACLE_LAYOUTS)
+    def test_spectrum_matches_per_point_solve(self, nb, nd, lam):
+        layout = HilbertLayout(nb, nd)
+        p = oracle_params(lam)
+        grid = FrequencyGrid(OMEGA_NV - 20.0, OMEGA_NV + 20.0, 9)
+        fast = me_spectrum(p, grid, layout).values
+        slow = np.array([direct_excitation(p, w, layout)
+                         for w in grid.points()])
+        assert np.max(np.abs(fast - slow) / np.abs(slow)) <= 1e-10
+        w = OMEGA_NV - 13.4
+        assert me_excitation(p, w, layout) == pytest.approx(
+            direct_excitation(p, w, layout), rel=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nb=st.integers(1, 3), nd=st.integers(1, 3),
+           theta=st.floats(0.0, 2.0 * np.pi),
+           detuning=st.floats(-15.0, 15.0), lam=st.floats(0.05, 20.0),
+           offset=st.floats(-25.0, 25.0))
+    def test_property_matches_per_point_solve(self, nb, nd, theta, detuning,
+                                              lam, offset):
+        layout = HilbertLayout(nb, nd)
+        p = small_params(lam=lam, theta=theta,
+                         omega_fq=OMEGA_NV + detuning)
+        w = OMEGA_NV + offset
+        assert me_excitation(p, w, layout) == pytest.approx(
+            direct_excitation(p, w, layout), rel=1e-10)
+
+    def test_check_unique_runs_a_second_solve(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(b.argmax())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        grid = FrequencyGrid(OMEGA_NV - 5.0, OMEGA_NV + 5.0, 3)
+        me_spectrum(small_params(lam=1.0), grid, LAYOUT)
+        assert len(calls) == 3
+        calls.clear()
+        me_spectrum(small_params(lam=1.0), grid, LAYOUT, check_unique=True)
+        # each point replaces the rho_00 row, then the last row
+        assert calls == [0, LAYOUT.dim ** 2 - 1] * 3
+
+    def test_check_unique_rejects_a_disagreeing_second_solve(self,
+                                                             monkeypatch):
+        solve = np.linalg.solve
+
+        def disagreeing(a, b):
+            x = solve(a, b)
+            return x + 1e-3 if b[-1] else x
+
+        monkeypatch.setattr(np.linalg, "solve", disagreeing)
+        p = small_params(lam=1.0)
+        assert me_excitation(p, OMEGA_NV, LAYOUT) > 0.0
+        with pytest.raises(NonUniqueSteadyState):
+            me_excitation(p, OMEGA_NV, LAYOUT, check_unique=True)
+
+    def test_rejects_generator_that_breaks_hermiticity(self):
+        # an anti-Hermitian "Hamiltonian" turns Hermitian rho anti-Hermitian
+        h = 1j * np.diag([0.0, 1.0, 2.0])
+        with pytest.raises(SolverFailure):
+            real_liouvillian(h, [])
+        c = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        assert np.isrealobj(real_liouvillian(h.imag.astype(complex),
+                                             [(0.5, c)]))
+
+    def test_residual_bound_is_enforced(self, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(a, b) + 1e-6 * b[::-1])
+        with pytest.raises(SolverFailure, match="residual"):
+            me_excitation(small_params(lam=1.0), OMEGA_NV, LAYOUT)
