@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -31,9 +32,13 @@ from .errors import HybridSpecError
 from .eigen import eigen_numeric
 from .estimate import run_pipeline
 from .fitting import fit_lorentzian, fwhm_vs_power
-from .master_eq import HilbertLayout, me_spectrum, truncation_convergence
-from .mhom import EnsembleSpec, MhomParams, mhom_spectrum, sample_ensemble
-from .thom import thom_spectrum
+from .master_eq import (
+    HermitianGenerator,
+    HilbertLayout,
+    truncation_convergence,
+)
+from .mhom import EnsembleSpec, MhomParams, mhom_response, sample_ensemble
+from .thom import thom_excitation
 
 
 class ConfigError(Exception):
@@ -172,13 +177,10 @@ def _write_spectrum_csv(path: str, spec: Spectrum, mapped=None) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _compute_spectrum(cfg: dict, model: str, grid: FrequencyGrid,
-                      args) -> Spectrum:
-    if model == "thom":
-        params = _build_system(cfg)
-        if args.drive is not None:
-            params = params.with_(lam=args.drive)
-        return thom_spectrum(params, grid)
+def _excitation(cfg: dict, model: str, args):
+    """Build the chosen model: lam -> (omegas -> excitation), where lam=None
+    keeps the config's drive.  MHOM packets are damped by system.gamma_b and
+    gamma_d when given, else by ensemble.fwhm_zfs."""
     if model == "mhom":
         ens = _build_ensemble(cfg, seed_override=args.seed)
         sys_cfg = cfg.get("system", {})
@@ -187,8 +189,7 @@ def _compute_spectrum(cfg: dict, model: str, grid: FrequencyGrid,
             gamma_fq=sys_cfg.get("gamma_fq", 0.0),
             gamma_b=sys_cfg.get("gamma_b", ens.fwhm_zfs),
             gamma_d=sys_cfg.get("gamma_d", ens.fwhm_zfs),
-            lam=args.drive if args.drive is not None
-            else sys_cfg.get("lam", 1.0),
+            lam=sys_cfg.get("lam", 1.0),
         )
         packets = sample_ensemble(ens)
         if getattr(args, "dump_packets", None):
@@ -198,14 +199,16 @@ def _compute_spectrum(cfg: dict, model: str, grid: FrequencyGrid,
                     packets.zeta, packets.omega_b, packets.omega_d,
                     packets.j_zeeman, packets.j_strain)))
             _atomic_write(args.dump_packets, "\n".join(lines) + "\n")
-        return mhom_spectrum(packets, params, grid)
-    if model == "me":
+        model_at = lambda p: partial(mhom_response, packets, p)
+    else:
         params = _build_system(cfg)
-        if args.drive is not None:
-            params = params.with_(lam=args.drive)
-        layout = _layout_from(cfg, args)
-        return me_spectrum(params, grid, layout)
-    raise ConfigError(f"unknown model {model!r}")
+        if model == "thom":
+            model_at = lambda p: partial(thom_excitation, p)
+        else:
+            layout = _layout_from(cfg, args)
+            model_at = lambda p: HermitianGenerator(p, layout).excitation
+    return lambda lam: model_at(params if lam is None
+                                else params.with_(lam=lam))
 
 
 def _layout_from(cfg: dict, args) -> HilbertLayout:
@@ -214,6 +217,9 @@ def _layout_from(cfg: dict, args) -> HilbertLayout:
     nd = getattr(args, "n_max_d", None)
     nb = opts.get("n_max_bright", 4) if nb is None else nb
     nd = opts.get("n_max_dark", 4) if nd is None else nd
+    for n in (nb, nd):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ConfigError(f"Fock truncations must be integers, got {n!r}")
     try:
         return HilbertLayout(nb, nd)
     except ValueError as exc:
@@ -226,7 +232,8 @@ def cmd_simulate(args) -> int:
     if model not in _MODELS:
         raise ConfigError("no model selected (config 'model' or --model)")
     grid = _build_grid(cfg)
-    spec = _compute_spectrum(cfg, model, grid, args)
+    values = _excitation(cfg, model, args)(args.drive)(grid.points())
+    spec = Spectrum(grid=grid, values=values, model_tag=model.upper())
     mapped = None
     if "signal_map" in cfg:
         sm = cfg["signal_map"]
@@ -251,18 +258,18 @@ def cmd_sweep(args) -> int:
     lines = ["axis_value,frequency_mhz,excitation"]
     failures = []
     for v in values:
-        sweep_args = argparse.Namespace(**vars(args))
         if args.axis == "power":
-            sweep_args.drive = v
-            sweep_cfg = cfg
+            sweep_cfg, drive = cfg, v
         else:
-            sweep_cfg = dict(cfg)
+            sweep_cfg, drive = dict(cfg), None
             sweep_cfg["system"] = dict(cfg.get("system", {}))
             base = sweep_cfg["system"].get(
                 "omega_nv", cfg.get("ensemble", {}).get("omega_nv", 0.0))
             sweep_cfg["system"]["omega_fq"] = base + v
         try:
-            spec = _compute_spectrum(sweep_cfg, model, grid, sweep_args)
+            excitation = _excitation(sweep_cfg, model, args)(drive)
+            spec = Spectrum(grid=grid, values=excitation(grid.points()),
+                            model_tag=model.upper())
         except HybridSpecError as exc:
             failures.append({"axis_value": v, "error": str(exc)})
             continue
@@ -324,6 +331,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_fit_lorentzian(args) -> int:
+    window = _parse_floats(args.window)
+    if len(window) != 2:
+        raise ConfigError(f"--window needs lo,hi, got {args.window!r}")
     try:
         rows = np.genfromtxt(args.input, delimiter=",", names=True)
     except OSError as exc:
@@ -335,10 +345,17 @@ def cmd_fit_lorentzian(args) -> int:
         )
     freqs = np.atleast_1d(rows["frequency_mhz"])
     vals = np.atleast_1d(rows["excitation"])
-    grid = FrequencyGrid(float(freqs[0]), float(freqs[-1]), len(freqs))
-    spec = Spectrum(grid=grid, values=vals, model_tag="CSV")
-    lo, hi = _parse_floats(args.window)
-    fit = fit_lorentzian(spec, (lo, hi))
+    if len(freqs) < 2:
+        raise ConfigError(f"{args.input} has {len(freqs)} rows, need >= 2")
+    try:
+        grid = FrequencyGrid(float(freqs[0]), float(freqs[-1]), len(freqs))
+        spec = Spectrum(grid=grid, values=vals, model_tag="CSV")
+    except ValueError as exc:
+        raise ConfigError(f"invalid spectrum in {args.input}: {exc}") from exc
+    # the CSV's 13 significant digits leave a few 1e-6 of a step
+    if not np.max(np.abs(freqs - grid.points())) <= 0.01 * grid.step:
+        raise ConfigError(f"{args.input} frequencies are not uniform")
+    fit = fit_lorentzian(spec, window)
     payload = {
         "a": fit.a, "gamma": fit.gamma, "omega_center": fit.omega_center,
         "c": fit.c, "fwhm": fit.fwhm, "residual_norm": fit.residual_norm,
@@ -364,17 +381,8 @@ def cmd_sweep_power(args) -> int:
             f"drive amplitudes must be finite and > 0, got {lambdas}")
     params = _build_system(cfg)
     grid = _build_grid(cfg)
-    kwargs = {}
-    if model == "me":
-        kwargs["layout"] = _layout_from(cfg, args)
-    elif model == "mhom":
-        ens = _build_ensemble(cfg, seed_override=args.seed)
-        kwargs["packets"] = sample_ensemble(ens)
-        kwargs["mhom_params"] = MhomParams(
-            omega_fq=params.omega_fq, gamma_fq=params.gamma_fq,
-            gamma_b=ens.fwhm_zfs, gamma_d=ens.fwhm_zfs,
-        )
-    rows = fwhm_vs_power(params, lambdas, grid, model, **kwargs)
+    rows = fwhm_vs_power(_excitation(cfg, model, args), lambdas,
+                         params.omega_nv, max(params.gamma_d, grid.step))
     lines = ["lambda,fwhm,converged"]
     for lam, fwhm, converged in rows:
         fw = _fmt(fwhm) if fwhm is not None else "nan"
@@ -479,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the ensemble seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; evaluation is sequential")
 
     p = sub.add_parser("simulate", help="one spectrum under one model")
     common(p)
@@ -500,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--n-max-b", type=int, default=None)
     p.add_argument("--n-max-d", type=int, default=None)
-    p.set_defaults(func=cmd_sweep, drive=None)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eigen", help="single-excitation eigenstructure sweep")
     common(p)

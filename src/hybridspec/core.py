@@ -79,11 +79,6 @@ class FrequencyGrid:
         return (self.stop - self.start) / (self.n_points - 1)
 
 
-def freq_linspace(grid: FrequencyGrid) -> np.ndarray:
-    """Uniform frequency samples of a grid (first = start, last = stop)."""
-    return grid.points()
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Per-frequency response values plus provenance.

@@ -70,7 +70,7 @@ def estimate_separation(spec: EnsembleSpec, params: MhomParams,
 
 
 def estimate_ratio(spec: EnsembleSpec, params: MhomParams,
-                   deltas=DEFAULT_DELTAS) -> tuple:
+                   deltas=DEFAULT_DELTAS, packets=None) -> tuple:
     """Middle-peak shift slope through the origin, an estimate of
     j^2/(g^2+j^2).
 
@@ -80,7 +80,7 @@ def estimate_ratio(spec: EnsembleSpec, params: MhomParams,
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) < 3:
         raise ValueError("need at least 3 detunings for the slope fit")
-    shifts = mhom_middle_peak_shift(spec, params, deltas)
+    shifts = mhom_middle_peak_shift(spec, params, deltas, packets=packets)
     d = np.array([p[0] for p in shifts])
     s = np.array([p[1] for p in shifts])
     slope = float(d @ s / (d @ d))
@@ -119,7 +119,7 @@ def fit_gammas(spec: EnsembleSpec, fixed: dict, grid: FrequencyGrid,
         gamma_b=gamma_nv, gamma_d=gamma_nv,
     )
     omegas = grid.points()
-    ref = np.array([mhom_response(packets, mparams, w) for w in omegas])
+    ref = mhom_response(packets, mparams, omegas)
     peak = ref.max()
     if peak <= 0:
         raise NonPositiveGamma("reference spectrum is identically zero")
@@ -178,7 +178,7 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
     separation = stage("separation", estimate_separation, spec, params,
                        packets=packets)
     ratio, slope_residual = stage("ratio", estimate_ratio, spec, params,
-                                  deltas=deltas)
+                                  deltas=deltas, packets=packets)
     g, j = stage("solve_g_j", solve_g_j, separation, ratio)
     gamma_b, gamma_d, gamma_residual = stage(
         "fit_gammas", fit_gammas, spec,

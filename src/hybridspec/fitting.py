@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum, SystemParams
+from .core import FrequencyGrid, Spectrum
 from .errors import NoInteriorPeak, NotConverged
 from .numerics import damped_least_squares
 
@@ -151,37 +151,21 @@ def middle_peak_fwhm(spectrum_fn, omega_nv: float, gamma_guess: float,
     return result
 
 
-def fwhm_vs_power(params: SystemParams, lambdas, grid: FrequencyGrid,
-                  model: str, **model_kwargs) -> list:
-    """Middle-peak FWHM for each drive amplitude under the chosen model.
+def fwhm_vs_power(excitation_at, lambdas, omega_nv: float,
+                  gamma_guess: float) -> list:
+    """Middle-peak FWHM for each drive amplitude.
 
-    Returns (lambda, fwhm, converged) triples; per-lambda fit errors are
-    recorded as (lambda, None, False) without aborting the sweep.
+    ``excitation_at(lam)`` returns the model's excitation at that drive, a
+    callable omegas -> values.  Returns (lambda, fwhm, converged) triples;
+    per-lambda fit errors are recorded as (lambda, None, False) without
+    aborting the sweep.
     """
-    from . import master_eq, thom  # local import to avoid cycles
-
     results = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("drive amplitudes must be > 0")
-        p = params.with_(lam=lam)
-        if model.upper() == "THOM":
-            fn = lambda ws: thom.thom_excitation(p, ws)
-        elif model.upper() == "ME":
-            layout = model_kwargs.get("layout") or master_eq.HilbertLayout(4, 4)
-            fn = master_eq.HermitianGenerator(p, layout).excitation
-        elif model.upper() == "MHOM":
-            packets = model_kwargs["packets"]
-            mparams = model_kwargs["mhom_params"].with_(lam=lam)
-            from . import mhom
-            fn = lambda ws: np.array(
-                [mhom.mhom_response(packets, mparams, w) for w in ws]
-            )
-        else:
-            raise ValueError(f"unknown model {model!r}")
         try:
-            fit = middle_peak_fwhm(fn, params.omega_nv,
-                                   max(params.gamma_d, grid.step))
+            fit = middle_peak_fwhm(excitation_at(lam), omega_nv, gamma_guess)
             results.append((lam, fit.fwhm, fit.converged))
         except (NoInteriorPeak, NotConverged):
             results.append((lam, None, False))

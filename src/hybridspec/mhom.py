@@ -19,6 +19,9 @@ from .numerics import golden_section_max
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
+# complex elements in one (frequency x packet) block of the response (1 MB)
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -109,42 +112,51 @@ def sample_ensemble(spec: EnsembleSpec) -> Packets:
                    j_zeeman=j_zeeman, j_strain=e2)
 
 
-def mhom_amplitude(packets: Packets, params: MhomParams, omega: float) -> complex:
-    """Complex steady-state qubit amplitude c at one drive frequency."""
+def mhom_amplitude(packets: Packets, params: MhomParams, omega):
+    """Complex steady-state qubit amplitude c at scalar or array omega."""
     if len(packets) == 0:
         raise ValueError("packets must be nonempty")
-    num = omega - packets.omega_d + 1j * params.gamma_d
-    den = (omega - packets.omega_b + 1j * params.gamma_b) * num - (
-        packets.j_zeeman ** 2 + packets.j_strain ** 2
-    )
-    if np.any(np.abs(den) < 1e-300):
-        raise DivergentResponse("packet denominator vanished")
-    self_energy = np.sum(packets.zeta ** 2 * num / den)
-    w = omega - params.omega_fq + 1j * params.gamma_fq - self_energy
-    if abs(w) < 1e-300:
+    omegas = np.asarray(omega, dtype=float)
+    flat = omegas.reshape(-1)
+    j2 = packets.j_zeeman ** 2 + packets.j_strain ** 2
+    zeta2 = packets.zeta ** 2
+    self_energy = np.empty(flat.shape, dtype=complex)
+    rows = max(1, _BLOCK // len(packets))
+    for k in range(0, len(flat), rows):
+        w = flat[k:k + rows, None]
+        num = w - packets.omega_d + 1j * params.gamma_d
+        den = (w - packets.omega_b + 1j * params.gamma_b) * num - j2
+        if np.any(np.abs(den) < 1e-300):
+            raise DivergentResponse("packet denominator vanished")
+        self_energy[k:k + rows] = np.sum(zeta2 * num / den, axis=1)
+    w = flat - params.omega_fq + 1j * params.gamma_fq - self_energy
+    if np.any(np.abs(w) < 1e-300):
         raise DivergentResponse("qubit response denominator vanished")
-    return (params.lam / 2.0) / w
+    c = (params.lam / 2.0) / w
+    return complex(c[0]) if omegas.ndim == 0 else c.reshape(omegas.shape)
 
 
-def mhom_response(packets: Packets, params: MhomParams, omega: float) -> float:
-    """Qubit excitation |c|^2 at one drive frequency."""
-    return abs(mhom_amplitude(packets, params, omega)) ** 2
+def mhom_response(packets: Packets, params: MhomParams, omega):
+    """Qubit excitation |c|^2 at scalar or array omega."""
+    c = np.asarray(mhom_amplitude(packets, params, omega))
+    # the scalar path's modulus and square: np.abs on a complex array takes
+    # a SIMD path and ** 2 on an array multiplies, each moving the last bit
+    out = np.float_power(np.hypot(c.real, c.imag), 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def mhom_spectrum(packets: Packets, params: MhomParams,
                   grid: FrequencyGrid) -> Spectrum:
-    values = np.array(
-        [mhom_response(packets, params, w) for w in grid.points()]
-    )
-    return Spectrum(grid=grid, values=values, model_tag="MHOM",
-                    params_snapshot=params)
+    return Spectrum(grid=grid, values=mhom_response(packets, params,
+                                                    grid.points()),
+                    model_tag="MHOM", params_snapshot=params)
 
 
 def locate_peak(packets: Packets, params: MhomParams, lo: float, hi: float,
                 n_scan: int = 401, require_interior: bool = True) -> float:
     """Coarse scan plus golden-section refinement of one local maximum."""
     omegas = np.linspace(lo, hi, n_scan)
-    vals = np.array([mhom_response(packets, params, w) for w in omegas])
+    vals = mhom_response(packets, params, omegas)
     i = int(np.argmax(vals))
     if require_interior and (i == 0 or i == len(omegas) - 1):
         raise PeaksNotResolved(f"no interior maximum in [{lo}, {hi}]")
@@ -154,12 +166,13 @@ def locate_peak(packets: Packets, params: MhomParams, lo: float, hi: float,
 
 
 def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
-                           delta_list) -> list:
+                           delta_list, packets: Packets = None) -> list:
     """Middle-peak frequency shift versus qubit detuning.
 
     For each detuning the qubit is set to omega_nv + delta and the middle
     peak is tracked near omega_nv.  Detunings must stay within
     |delta| <= 0.8*collective_g, inside which the shift is still linear.
+    ``packets`` is the realization of ``spec``; it is sampled when omitted.
     """
     guard = 0.8 * spec.collective_g
     for d in delta_list:
@@ -167,7 +180,8 @@ def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
             raise PeaksNotResolved(
                 f"detuning {d} outside perturbative range (guard {guard})"
             )
-    packets = sample_ensemble(spec)
+    if packets is None:
+        packets = sample_ensemble(spec)
     out = []
     for d in delta_list:
         p = params.with_(omega_fq=spec.omega_nv + d)

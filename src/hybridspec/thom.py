@@ -19,12 +19,11 @@ _POLE_TOL = 1e-300
 def thom_amplitude(params: SystemParams, omega) -> np.ndarray:
     """Complex steady-state amplitude of the qubit mode divided by (lambda/2)."""
     omega = np.asarray(omega, dtype=float)
-    wpb = params.omega_nv - omega
-    wpd = params.omega_nv - omega
+    wpn = params.omega_nv - omega
     wpc = params.omega_fq - omega
-    num = (1j * params.gamma_b - wpb) * (1j * params.gamma_d - wpd) - params.j ** 2
+    num = (1j * params.gamma_b - wpn) * (1j * params.gamma_d - wpn) - params.j ** 2
     den = (1j * params.gamma_fq - wpc) * num - params.g ** 2 * (
-        1j * params.gamma_d - wpd
+        1j * params.gamma_d - wpn
     )
     if np.any(np.abs(den) < _POLE_TOL):
         raise PoleAtRealAxis("drive frequency sits on a lossless eigenfrequency")

@@ -1,9 +1,17 @@
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
+from hybridspec import (
+    EnsembleSpec,
+    MhomParams,
+    fwhm_vs_power,
+    mhom_response,
+    sample_ensemble,
+)
 from hybridspec.cli import ConfigError, load_config, main
 
 from conftest import OMEGA_NV
@@ -14,6 +22,10 @@ SYSTEM = {
 }
 GRID = {"start_mhz": OMEGA_NV - 25, "stop_mhz": OMEGA_NV + 25,
         "n_points": 201}
+ENSEMBLE = {"n_packets": 200, "mean_zeeman": 0.0, "fwhm_zeeman": 3.1,
+            "fwhm_strain": 4.4, "fwhm_zfs": 0.2, "collective_g": 13.0,
+            "omega_nv": OMEGA_NV, "seed": 1,
+            "distribution": "lorentzian", "hyperfine": 2.16}
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -83,12 +95,15 @@ class TestSimulate:
         assert header == ["frequency_mhz", "excitation", "switching_prob"]
         assert np.allclose(data[:, 2], 1.0 - 2.0 * data[:, 1])
 
-    def test_byte_determinism(self, tmp_path):
-        ens = {"n_packets": 200, "mean_zeeman": 0.0, "fwhm_zeeman": 3.1,
-               "fwhm_strain": 4.4, "fwhm_zfs": 0.2, "collective_g": 13.0,
-               "omega_nv": OMEGA_NV, "seed": 1,
-               "distribution": "lorentzian", "hyperfine": 2.16}
-        cfg = write_config(tmp_path, ensemble=ens, grid=GRID, model="mhom")
+    @pytest.mark.parametrize("model", ["thom", "mhom", "me"])
+    def test_byte_determinism(self, tmp_path, model):
+        cfg = {
+            "thom": dict(system=SYSTEM, grid=GRID),
+            "mhom": dict(ensemble=ENSEMBLE, grid=GRID),
+            "me": dict(system=SYSTEM, grid=dict(GRID, n_points=21),
+                       me_options={"n_max_bright": 2, "n_max_dark": 2}),
+        }[model]
+        cfg = write_config(tmp_path, model=model, **cfg)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
@@ -113,6 +128,14 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--out", str(out),
                      flag, value]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["2", 2.5, True])
+    def test_non_integer_truncation_exits_2(self, tmp_path, value):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="me",
+                           me_options={"n_max_bright": value})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_outputs_follow_the_umask(self, tmp_path):
@@ -235,6 +258,30 @@ class TestFitLorentzian:
         assert fit["omega_center"] == pytest.approx(OMEGA_NV, abs=1e-3)
         assert 0.3 < fit["fwhm"] < 1.5
 
+    def test_accepts_rounded_uniform_grid(self, tmp_path):
+        # 200,001 points: the CSV's rounding is a few 1e-6 of a step
+        cfg = write_config(tmp_path, system=SYSTEM, grid=dict(
+            GRID, n_points=200001), model="thom")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["fit-lorentzian", "--input", str(out / "spectrum.csv"),
+                     "--window", f"{OMEGA_NV - 1.5},{OMEGA_NV + 1.5}"]) == 0
+
+    @pytest.mark.parametrize("omegas, window", [
+        (np.linspace(-1.0, 1.0, 41), "2876"),
+        (np.linspace(-1.0, 1.0, 41), "2876,2878,2880"),
+        (np.zeros(1), "2876,2880"),
+        (np.linspace(-1.0, 1.0, 41) ** 3, "2876,2880"),  # non-uniform
+    ], ids=["one-value-window", "three-value-window", "one-row",
+            "non-uniform"])
+    def test_invalid_input_exits_2(self, tmp_path, omegas, window):
+        csv = tmp_path / "s.csv"
+        csv.write_text("frequency_mhz,excitation\n" + "".join(
+            f"{OMEGA_NV + x:.12e},{1.0 / (1.0 + x ** 2):.12e}\n"
+            for x in omegas))
+        assert main(["fit-lorentzian", "--input", str(csv),
+                     "--window", window]) == 2
+
     def test_missing_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n3,4\n")
@@ -276,6 +323,36 @@ class TestSweepPower:
                      "--lambdas", "1,10"]) == 0
         _, data = read_csv(out / "fwhm.csv")
         assert data[1, 1] > data[0, 1] > 0.0
+
+
+    def test_mhom_damping_follows_system_rates(self, tmp_path):
+        # like simulate: system.gamma_b/gamma_d when given, else fwhm_zfs;
+        # the grid step 0.3 is the initial width guess without gamma_d
+        grid = {"start_mhz": OMEGA_NV - 3, "stop_mhz": OMEGA_NV + 3,
+                "n_points": 21}
+        system = dict(SYSTEM, gamma_b=0.3, gamma_d=0.3)
+        ensemble = dict(ENSEMBLE, mean_zeeman=3.5, distribution="gaussian",
+                        hyperfine=0.0)
+        widths = {}
+        for tag, sys_cfg in (("rates", system),
+                             ("zfs", {k: v for k, v in system.items()
+                                      if k not in ("gamma_b", "gamma_d")})):
+            cfg = write_config(tmp_path, name=f"{tag}.json", system=sys_cfg,
+                               ensemble=ensemble, grid=grid, model="mhom")
+            assert main(["sweep-power", "--config", cfg, "--out",
+                         str(tmp_path / tag), "--lambdas", "1,4"]) == 0
+            widths[tag] = read_csv(tmp_path / tag / "fwhm.csv")[1][:, 1]
+        packets = sample_ensemble(EnsembleSpec(**ensemble))
+        for tag, rate in (("rates", 0.3), ("zfs", 0.2)):
+            params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.3,
+                                gamma_b=rate, gamma_d=rate)
+            rows = fwhm_vs_power(
+                lambda lam: partial(mhom_response, packets,
+                                    params.with_(lam=lam)),
+                [1.0, 4.0], OMEGA_NV, 0.3)
+            expected = [float(f"{r[1]:.12e}") for r in rows]
+            assert list(widths[tag]) == expected
+        assert widths["rates"][0] > widths["zfs"][0]
 
 
 class TestPlotScript:

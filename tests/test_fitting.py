@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from hybridspec import (
     HilbertLayout,
     NoInteriorPeak,
     Spectrum,
-    SystemParams,
     find_peaks,
     fit_lorentzian,
     fwhm_vs_power,
@@ -15,6 +16,7 @@ from hybridspec import (
     thom_excitation,
     thom_spectrum,
 )
+from hybridspec.master_eq import HermitianGenerator
 
 from conftest import REFERENCE_PARAMS, OMEGA_NV
 
@@ -142,34 +144,36 @@ class TestMiddlePeakFwhm:
         assert fit.fwhm == pytest.approx(0.8, rel=1e-6)
 
 
+def thom_at(lam):
+    return partial(thom_excitation, REFERENCE_PARAMS.with_(lam=lam))
+
+
+def me_at(layout):
+    return lambda lam: HermitianGenerator(REFERENCE_PARAMS.with_(lam=lam),
+                                          layout).excitation
+
+
 class TestFwhmVsPower:
     def test_oscillator_width_independent_of_drive(self):
-        grid = FrequencyGrid(OMEGA_NV - 3, OMEGA_NV + 3, 241)
-        rows = fwhm_vs_power(REFERENCE_PARAMS, [0.5, 2.0, 8.0], grid, "THOM")
+        rows = fwhm_vs_power(thom_at, [0.5, 2.0, 8.0], OMEGA_NV,
+                             REFERENCE_PARAMS.gamma_d)
         widths = [r[1] for r in rows]
         assert all(r[2] for r in rows)
         assert max(widths) - min(widths) < 1e-6 * widths[0]
 
     def test_master_equation_broadens_with_drive(self):
-        grid = FrequencyGrid(OMEGA_NV - 3, OMEGA_NV + 3, 161)
-        rows = fwhm_vs_power(REFERENCE_PARAMS, [1.0, 10.0], grid, "ME",
-                             layout=HilbertLayout(3, 3))
+        rows = fwhm_vs_power(me_at(HilbertLayout(3, 3)), [1.0, 10.0],
+                             OMEGA_NV, REFERENCE_PARAMS.gamma_d)
         assert rows[0][1] is not None and rows[1][1] is not None
         assert rows[1][1] > rows[0][1]
 
     def test_master_equation_weak_drive_matches_oscillator_width(self):
-        grid = FrequencyGrid(OMEGA_NV - 3, OMEGA_NV + 3, 161)
-        me_rows = fwhm_vs_power(REFERENCE_PARAMS, [0.1], grid, "ME",
-                                layout=HilbertLayout(3, 3))
-        thom_rows = fwhm_vs_power(REFERENCE_PARAMS, [0.1], grid, "THOM")
+        me_rows = fwhm_vs_power(me_at(HilbertLayout(3, 3)), [0.1], OMEGA_NV,
+                                REFERENCE_PARAMS.gamma_d)
+        thom_rows = fwhm_vs_power(thom_at, [0.1], OMEGA_NV,
+                                  REFERENCE_PARAMS.gamma_d)
         assert me_rows[0][1] == pytest.approx(thom_rows[0][1], rel=0.05)
 
     def test_rejects_non_positive_drive(self):
-        grid = FrequencyGrid(OMEGA_NV - 3, OMEGA_NV + 3, 81)
         with pytest.raises(ValueError):
-            fwhm_vs_power(REFERENCE_PARAMS, [0.0], grid, "THOM")
-
-    def test_rejects_unknown_model(self):
-        grid = FrequencyGrid(OMEGA_NV - 3, OMEGA_NV + 3, 81)
-        with pytest.raises(ValueError):
-            fwhm_vs_power(REFERENCE_PARAMS, [1.0], grid, "NOPE")
+            fwhm_vs_power(thom_at, [0.0], OMEGA_NV, REFERENCE_PARAMS.gamma_d)

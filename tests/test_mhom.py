@@ -15,6 +15,7 @@ from hybridspec import (
     sample_ensemble,
     thom_excitation,
 )
+from hybridspec.mhom import _BLOCK
 
 from conftest import (
     OMEGA_NV,
@@ -24,6 +25,34 @@ from conftest import (
 )
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+
+def dense_response(packets, params, omegas):
+    """|c|^2 from a dense solve of the qubit + 2N oscillator equations
+    (omega - H) x = (lam/2) e_0, x = (c, b_1..b_N, d_1..d_N)."""
+    n = len(packets)
+    b = 1 + np.arange(n)
+    d = b + n
+    h = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    h[0, 0] = params.omega_fq - 1j * params.gamma_fq
+    h[b, b] = packets.omega_b - 1j * params.gamma_b
+    h[d, d] = packets.omega_d - 1j * params.gamma_d
+    h[0, b] = h[b, 0] = packets.zeta
+    h[b, d] = packets.j_zeeman + 1j * packets.j_strain
+    h[d, b] = np.conj(h[b, d])
+    rhs = np.zeros(2 * n + 1, dtype=complex)
+    rhs[0] = params.lam / 2.0
+    eye = np.eye(2 * n + 1)
+    return np.array([abs(np.linalg.solve(w * eye - h, rhs)[0]) ** 2
+                     for w in omegas])
+
+
+SMALL_ENSEMBLES = {
+    "gaussian": REFERENCE_ENSEMBLE.with_(n_packets=12, mean_zeeman=2.0,
+                                         distribution="gaussian",
+                                         hyperfine=0.0, seed=4),
+    "lorentzian-hyperfine": REFERENCE_ENSEMBLE.with_(n_packets=12, seed=4),
+}
 
 
 class TestSampling:
@@ -83,10 +112,9 @@ class TestResponse:
             omega_fq=OMEGA_NV, omega_nv=OMEGA_NV, g=12.95, j=3.46,
             gamma_fq=0.300, gamma_b=6.433, gamma_d=0.493,
         )
-        for w in np.linspace(OMEGA_NV - 30, OMEGA_NV + 30, 101):
-            a = mhom_response(pk, params, w)
-            b = thom_excitation(sys_params, w)
-            assert a == pytest.approx(b, rel=1e-10)
+        omegas = np.linspace(OMEGA_NV - 30, OMEGA_NV + 30, 101)
+        assert mhom_response(pk, params, omegas) == pytest.approx(
+            thom_excitation(sys_params, omegas), rel=1e-10)
 
     def test_zero_drive(self):
         pk = sample_ensemble(homogeneous_ensemble())
@@ -122,6 +150,33 @@ class TestResponse:
         peaks = find_peaks(spec, min_prominence=0.1 * spec.values.max())
         assert len(peaks) == 3
         assert peaks[1].omega == pytest.approx(OMEGA_NV, abs=0.5)
+
+
+class TestArrayResponse:
+    @pytest.mark.parametrize("name", sorted(SMALL_ENSEMBLES))
+    def test_matches_dense_linear_solve(self, name):
+        pk = sample_ensemble(SMALL_ENSEMBLES[name])
+        params = REFERENCE_MHOM_PARAMS.with_(lam=0.7,
+                                             omega_fq=OMEGA_NV + 1.5)
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 301)
+        got = mhom_response(pk, params, omegas)
+        ref = dense_response(pk, params, omegas)
+        assert np.max(np.abs(got - ref) / ref) < 1e-10
+
+    def test_matches_scalar_calls_across_blocks(self):
+        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=200))
+        rows = _BLOCK // len(pk)
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 2 * rows + 7)
+        got = mhom_response(pk, REFERENCE_MHOM_PARAMS, omegas)
+        ref = np.array([mhom_response(pk, REFERENCE_MHOM_PARAMS, w)
+                        for w in omegas])
+        assert got.shape == omegas.shape
+        assert np.max(np.abs(got - ref) / ref) <= 2.3e-16
+
+    def test_scalar_in_gives_python_scalar_out(self):
+        pk = sample_ensemble(SMALL_ENSEMBLES["gaussian"])
+        assert type(mhom_response(pk, REFERENCE_MHOM_PARAMS, OMEGA_NV)) \
+            is float
 
 
 class TestSpectrum:
