@@ -207,8 +207,18 @@ def _excitation(cfg: dict, model: str, args):
         else:
             layout = _layout_from(cfg, args)
             model_at = lambda p: HermitianGenerator(p, layout).excitation
-    return lambda lam: model_at(params if lam is None
-                                else params.with_(lam=lam))
+    return lambda lam: model_at(_with_drive(params, lam))
+
+
+def _with_drive(params, lam):
+    """params at the drive amplitude lam from the command line (None keeps
+    the config's); a drive that is not finite and >= 0 is a config error."""
+    if lam is None:
+        return params
+    if not 0.0 <= lam < float("inf"):
+        raise ConfigError(f"drive amplitude must be finite and >= 0, "
+                          f"got {lam!r}")
+    return params.with_(lam=lam)
 
 
 def _layout_from(cfg: dict, args) -> HilbertLayout:
@@ -396,9 +406,7 @@ def cmd_sweep_power(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    params = _build_system(cfg)
-    if args.drive is not None:
-        params = params.with_(lam=args.drive)
+    params = _with_drive(_build_system(cfg), args.drive)
     grid = _build_grid(cfg)
     layout = _layout_from(cfg, args)
     report = truncation_convergence(params, grid, layout)

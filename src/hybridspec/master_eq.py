@@ -9,9 +9,11 @@ vec(A rho B) = (B^T kron A) vec(rho).
 Spectra are solved with ``HermitianGenerator``: the generator written in a
 unitary basis of Hermitian matrices, where it is real, assembled once per
 (params, layout) from the nonzeros of the Hamiltonian and the collapse
-operators.  The drive frequency enters only through the rotating frame, so
+operators into blocks of coherence order, where it is block tridiagonal.
+The drive frequency enters only through the rotating frame, so
 L(omega) = A + (omega - omega_nv) * D with D coupling each off-diagonal
-pair; one real solve per frequency remains.  ``build_liouvillian`` and
+pair; a block factorization per frequency interval and a certified Krylov
+reduced model give every point of it.  ``build_liouvillian`` and
 ``steady_state`` are the direct complex construction it is tested against.
 """
 
@@ -30,6 +32,16 @@ from .errors import NonUniqueSteadyState, SolverFailure
 # replaced by the trace functional
 RESIDUAL_TOL = 1e-10
 UNIQUENESS_TOL = 1e-7
+
+# reduced models of a spectrum: at most KRYLOV_MAX Arnoldi steps per model,
+# stopping once the a-posteriori estimate is below KRYLOV_TOL relative at
+# every point (checked every _KRYLOV_CHECK steps); an interval of fewer
+# than MIN_MODEL_POINTS points is solved point by point
+KRYLOV_MAX = 160
+KRYLOV_TOL = 1e-14
+_KRYLOV_CHECK = 5
+_CHUNK = 32
+MIN_MODEL_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -228,14 +240,18 @@ def _hermitian_basis(n: int) -> tuple:
     return u_slot, v_slot, cu, cv
 
 
-def real_liouvillian(h: np.ndarray, collapse) -> np.ndarray:
+def real_liouvillian(h: np.ndarray, collapse,
+                     number: np.ndarray) -> "CoherenceBlocks":
     """Generator of -i[H, rho] + sum rate*(2 C rho C' - C'C rho - rho C'C)
-    in the Hermitian basis of ``_hermitian_basis``.
+    in the Hermitian basis of ``_hermitian_basis``, as coherence-order
+    blocks.
 
-    ``collapse`` is a sequence of (rate, C).  The basis is unitary, so norms
-    and residuals equal those of the column-stacked generator.  The result
-    is real exactly when the map preserves Hermiticity; an imaginary part
-    above 1e-12 of the largest entry raises SolverFailure.
+    ``collapse`` is a sequence of (rate, C); ``number`` is the diagonal of
+    an excitation number N that only the drive changes, and only by one.
+    The basis is unitary, so norms and residuals equal those of the
+    column-stacked generator.  The result is real exactly when the map
+    preserves Hermiticity; an imaginary part above 1e-12 of the largest
+    entry raises SolverFailure.
     """
     n = h.shape[0]
     eye = (np.arange(n), np.arange(n), np.ones(n, dtype=complex))
@@ -254,18 +270,155 @@ def real_liouvillian(h: np.ndarray, collapse) -> np.ndarray:
     u_slot, v_slot, cu, cv = _hermitian_basis(n)
     to_p = (u_slot[rows], cu[rows]), (v_slot[rows], cv[rows])
     to_q = (u_slot[cols], cu[cols].conj()), (v_slot[cols], cv[cols].conj())
-    n2 = n * n
-    flat = np.concatenate([p * n2 + q for p, _ in to_p for q, _ in to_q])
+    p = np.concatenate([p for p, _ in to_p for _ in to_q])
+    q = np.concatenate([q for _ in to_p for q, _ in to_q])
     weights = np.concatenate([tp * vals * tq for _, tp in to_p
                               for _, tq in to_q])
-    real = np.bincount(flat, weights=weights.real, minlength=n2 * n2)
-    imag = np.bincount(flat, weights=weights.imag, minlength=n2 * n2)
-    scale = np.max(np.abs(real))
-    if np.max(np.abs(imag)) > 1e-12 * scale:
-        raise SolverFailure(
-            "generator does not preserve Hermiticity: imaginary part "
-            f"{np.max(np.abs(imag)):.3e} against scale {scale:.3e}")
-    return real.reshape(n2, n2)
+    return CoherenceBlocks(number, p, q, weights)
+
+
+class CoherenceBlocks:
+    """A real generator on the Hermitian-basis slots of an n x n density
+    matrix, with the slots grouped by coherence order m = |N_i - N_j|.
+
+    Only the drive changes N, by one, so the generator is block tridiagonal
+    in m: ``diag[m]`` is block (m, m), ``upper[m]`` block (m - 1, m) and
+    ``lower[m]`` block (m, m - 1).  Vectors in this order are slot vectors
+    permuted by ``perm``; ``pos`` is its inverse.  Nothing of size
+    n^2 x n^2 is formed.
+    """
+
+    def __init__(self, number: np.ndarray, p: np.ndarray, q: np.ndarray,
+                 weights: np.ndarray):
+        n = len(number)
+        i, j = np.divmod(np.arange(n * n), n)[::-1]  # slot s = i + j*n
+        order = np.rint(np.abs(number[i] - number[j])).astype(int)
+        self.perm = np.argsort(order, kind="stable")
+        self.pos = np.empty_like(self.perm)
+        self.pos[self.perm] = np.arange(n * n)
+        self.sizes = np.bincount(order)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        local = self.pos - self.offsets[order]
+
+        mp, mq = order[p], order[q]
+        if np.any(np.abs(mp - mq) > 1):
+            raise ValueError("generator couples coherence orders more than "
+                             "one apart")
+        # every block's entries, one after the other in one flat buffer
+        k = len(self.sizes)
+        keys = [(m + a, m + b) for m in range(k)
+                for a, b in ((0, 0), (0, 1), (1, 0)) if m + max(a, b) < k]
+        start = np.zeros((k, k), dtype=int)
+        total = 0
+        for a, b in keys:
+            start[a, b] = total
+            total += self.sizes[a] * self.sizes[b]
+        flat, at = np.unique(start[mp, mq] + local[p] * self.sizes[mq]
+                             + local[q], return_inverse=True)
+        sums = np.bincount(at, weights=weights.real, minlength=len(flat))
+        imag = np.bincount(at, weights=weights.imag, minlength=len(flat))
+        scale = np.max(np.abs(sums))
+        if np.max(np.abs(imag)) > 1e-12 * scale:
+            raise SolverFailure(
+                "generator does not preserve Hermiticity: imaginary part "
+                f"{np.max(np.abs(imag)):.3e} against scale {scale:.3e}")
+        self.norm2 = float(np.dot(sums, sums))  # squared Frobenius norm
+        real = np.zeros(total)
+        real[flat] = sums
+        block = {(a, b): real[start[a, b]: start[a, b]
+                              + self.sizes[a] * self.sizes[b]].reshape(
+                                  self.sizes[a], self.sizes[b])
+                 for a, b in keys}
+        self.diag = [block[m, m] for m in range(k)]
+        self.upper = [None] + [block[m - 1, m] for m in range(1, k)]
+        self.lower = [None] + [block[m, m - 1] for m in range(1, k)]
+
+    def split(self, x: np.ndarray) -> list:
+        """Views of the per-order parts of x (slots in block order)."""
+        return [x[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Generator times x, for x of shape (n^2,) or (n^2, k)."""
+        xs = self.split(x)
+        out = np.empty_like(x)
+        for m, part in enumerate(self.split(out)):
+            part[...] = self.diag[m] @ xs[m]
+            if m > 0:
+                part += self.lower[m] @ xs[m - 1]
+            if m + 1 < len(xs):
+                part += self.upper[m + 1] @ xs[m + 1]
+        return out
+
+
+def _inverse(block: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(block)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"steady-state solve failed: {exc}") from exc
+
+
+class _BlockFactor:
+    """M(s) = A + s*D with one row of the m = 0 block replaced by the trace
+    functional, factored by block elimination from the highest coherence
+    order down to m = 0.
+
+    D is block diagonal and zero on m = 0, and the trace row couples to no
+    other order, so only the m = 0 Schur complement depends on which row
+    holds the trace: both rows share the higher orders' inverses.
+    """
+
+    def __init__(self, gen: "HermitianGenerator", s: float):
+        a = gen.a
+        k = len(a.sizes)
+        self.gen = gen
+        self.inv = [None] * k
+        self.w = [None] * k  # upper[m] @ inv[m]
+        schur = gen.diag_block(k - 1, s)
+        for m in range(k - 1, 0, -1):
+            self.inv[m] = _inverse(schur)
+            self.w[m] = a.upper[m] @ self.inv[m]
+            schur = gen.diag_block(m - 1, s) - self.w[m] @ a.lower[m]
+        self._schur0 = schur
+        self._inv0 = {}
+
+    def _inverse0(self, row: int) -> np.ndarray:
+        if row not in self._inv0:
+            s0 = self._schur0.copy()
+            s0[row] = self.gen.trace0
+            self._inv0[row] = _inverse(s0)
+        return self._inv0[row]
+
+    def solve(self, rhs: np.ndarray, row: int) -> np.ndarray:
+        """M(s)^-1 rhs with the trace functional in ``row`` of m = 0."""
+        a = self.gen.a
+        y = [part.copy() for part in a.split(rhs)]
+        for m in range(len(y) - 1, 0, -1):
+            y[m - 1] -= self.w[m] @ y[m]
+        y[0][row] = rhs[row]
+        x = [self._inverse0(row) @ y[0]]
+        for m in range(1, len(y)):
+            x.append(self.inv[m] @ (y[m] - a.lower[m] @ x[-1]))
+        return np.concatenate(x)
+
+
+def _reduced(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
+    """Reduced-model solutions (I + sigma H_k) y = beta e_1, one row per
+    sigma, and their a-posteriori estimates |sigma h_{k+1,k} y_k| / |y|;
+    ``hess`` is the (k + 1) x k Arnoldi matrix."""
+    k = hess.shape[1]
+    y = np.empty((len(sigmas), k))
+    for c in range(0, len(sigmas), _CHUNK):  # bounded (chunk, k, k) stack
+        sig = sigmas[c: c + _CHUNK]
+        rhs = np.zeros((len(sig), k, 1))
+        rhs[:, 0] = beta
+        try:
+            y[c: c + _CHUNK] = np.linalg.solve(
+                np.eye(k) + sig[:, None, None] * hess[None, :k], rhs)[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"reduced model singular: {exc}") from exc
+    estimate = (np.abs(sigmas) * hess[k, k - 1] * np.abs(y[:, -1])
+                / np.linalg.norm(y, axis=1))
+    return y, estimate
 
 
 class HermitianGenerator:
@@ -274,117 +427,260 @@ class HermitianGenerator:
 
     In the rotating frame H(omega) = H(omega_nv) - (omega - omega_nv) * N
     with N = sigma_z/2 + n_b + n_d diagonal, so D only rotates each (u, v)
-    pair by delta = N_i - N_j: du/dt = -delta v, dv/dt = +delta u.  D
-    vanishes on the diagonal slots, so the trace functional can replace
-    the rho_00 row (or the last diagonal row) at every frequency.
+    pair by delta = N_i - N_j: du/dt = -delta v, dv/dt = +delta u.  A is
+    held as coherence-order blocks (``CoherenceBlocks``); D is block
+    diagonal and vanishes on the diagonal slots, so the trace functional
+    can replace the rho_00 row (or the last diagonal row) at every
+    frequency.
 
-    ``ops`` takes the operators of ``layout`` if the caller has them, as
-    ``me_excitation`` does; they are built when omitted.
+    A spectrum is solved interval by interval: B = M(omega_c) is factored
+    once by block elimination (``_BlockFactor``) and shift-invert Arnoldi
+    on B^-1 D gives x(s) ~ V_k (I + s H_k)^-1 |b| e_1 at every point of the
+    interval.  Every point is certified against the true generator; an
+    interval with a failing point is split in two, and an interval of fewer
+    than ``MIN_MODEL_POINTS`` points is solved point by point.
     """
 
-    def __init__(self, params: SystemParams, layout: HilbertLayout,
-                 ops: ModeOperators = None):
-        o = ops if ops is not None else build_operators(layout)
+    def __init__(self, params: SystemParams, layout: HilbertLayout):
+        o = build_operators(layout)
         self.layout = layout
         self.ops = o
         self.omega_ref = params.omega_nv
         h = build_rotating_hamiltonian(params, self.omega_ref, layout, o)
-        self.a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
-                                      (params.gamma_b, o.b),
-                                      (params.gamma_d, o.d)])
         n = layout.dim
         number = np.real(np.diag(0.5 * o.sigma_z + o.b.conj().T @ o.b
                                  + o.d.conj().T @ o.d))
+        self.a = a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
+                                          (params.gamma_b, o.b),
+                                          (params.gamma_d, o.d)], number)
         i, j = np.triu_indices(n, 1)
         delta = number[i] - number[j]
         keep = delta != 0.0
-        self._u = (i + n * j)[keep]
-        self._v = (j + n * i)[keep]
+        self._u = a.pos[(i + n * j)[keep]]
+        self._v = a.pos[(j + n * i)[keep]]
         self._delta = delta[keep]
-        self._basis = _hermitian_basis(n)
-        self._trace_row = np.zeros(n * n)
-        self._trace_row[:: n + 1] = 1.0
-        # reused by every point: a fresh 8 MB (4x4) copy per point is
-        # mapped and faulted in anew
-        self._work = np.empty_like(self.a)
+        # per order m = |delta|: the pairs' positions in its diagonal block
+        m = np.rint(np.abs(self._delta)).astype(int)
+        self._pairs = [(self._u[m == k] - a.offsets[k],
+                        self._v[m == k] - a.offsets[k], self._delta[m == k])
+                       for k in range(len(a.sizes))]
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]
+        ad = sum(np.dot(dl, blk[lv, lu] - blk[lu, lv])
+                 for blk, (lu, lv, dl) in zip(a.diag, self._pairs))
+        self._norm2 = (a.norm2, 2.0 * ad,
+                       2.0 * np.dot(self._delta, self._delta))
+        diag_slots = a.pos[:: n + 1]
+        self.trace0 = np.zeros(a.sizes[0])
+        self.trace0[diag_slots] = 1.0
+        self.rows = (a.pos[0], a.pos[n * n - 1])  # rho_00 and rho_last
+        u_slot, v_slot, cu, cv = _hermitian_basis(n)
+        self._basis = a.pos[u_slot], a.pos[v_slot], cu.conj(), cv.conj()
 
-    def liouvillian(self, omega: float) -> np.ndarray:
-        """Real generator at drive frequency omega, in the work buffer that
-        the next call overwrites."""
-        out = self._work
-        np.copyto(out, self.a)
-        shift = (omega - self.omega_ref) * self._delta
-        out[self._u, self._v] -= shift
-        out[self._v, self._u] += shift
+    def diag_block(self, m: int, s: float) -> np.ndarray:
+        """Diagonal block m of A + s*D, a fresh array."""
+        out = self.a.diag[m].copy()
+        lu, lv, delta = self._pairs[m]
+        out[lu, lv] -= s * delta
+        out[lv, lu] += s * delta
         return out
 
-    def _solve_with_trace_row(self, liou: np.ndarray, row: int) -> np.ndarray:
-        saved = liou[row].copy()
-        liou[row] = self._trace_row
-        rhs = np.zeros(liou.shape[0])
-        rhs[row] = 1.0
-        try:
-            return np.linalg.solve(liou, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"steady-state solve failed: {exc}") from exc
-        finally:
-            liou[row] = saved
+    def apply_d(self, x: np.ndarray) -> np.ndarray:
+        """D x, for x of shape (n^2,) or (n^2, k) in block order."""
+        delta = self._delta.reshape((-1,) + (1,) * (x.ndim - 1))
+        out = np.zeros_like(x)
+        out[self._u] = -delta * x[self._v]
+        out[self._v] = delta * x[self._u]
+        return out
+
+    def _residuals(self, x: np.ndarray, s) -> np.ndarray:
+        """||L x|| / ||L||_F of each column of x (block order), column p
+        against the generator at shift s[p]."""
+        r = self.a.matvec(x) + self.apply_d(x) * s
+        a2, ad, d2 = self._norm2
+        return np.linalg.norm(r, axis=0) / np.sqrt(a2 + s * (ad + s * d2))
 
     def _density_matrix(self, x: np.ndarray) -> np.ndarray:
-        # vec(rho) = T' x, T being unitary
-        u_slot, v_slot, cu, cv = self._basis
-        vec = cu.conj() * x[u_slot] + cv.conj() * x[v_slot]
+        # vec(rho) = T' x (T unitary), x in block order
+        gu, gv, cu, cv = self._basis
         n = self.layout.dim
-        return vec.reshape((n, n), order="F")
+        return (cu * x[gu] + cv * x[gv]).reshape((n, n), order="F")
 
-    def steady_state(self, omega: float,
-                     check_unique: bool = False) -> np.ndarray:
-        """Validated steady state at omega, with the checks of the
-        module-level ``steady_state``: residual, optional second solve with
-        the last row replaced, trace, Hermiticity and positivity."""
-        liou = self.liouvillian(omega)
-        x = self._solve_with_trace_row(liou, 0)
-        residual = np.linalg.norm(liou @ x) / np.linalg.norm(liou)
+    def _unit(self, row: int) -> np.ndarray:
+        e = np.zeros(self.a.offsets[-1])
+        e[row] = 1.0
+        return e
+
+    def _point(self, omega: float, check_unique: bool) -> tuple:
+        """Validated steady state at omega from one block elimination, and
+        its residual, with the checks of the module-level ``steady_state``:
+        residual, optional second solve with the last row replaced, trace,
+        Hermiticity and positivity."""
+        s = omega - self.omega_ref
+        factor = _BlockFactor(self, s)
+        first, last = self.rows
+        x = factor.solve(self._unit(first), first)
+        residual = self._residuals(x[:, None], s)[0]
         if residual > RESIDUAL_TOL:
             raise SolverFailure(
                 f"steady-state residual {residual:.3e} too large")
         rho = self._density_matrix(x)
         if check_unique:
-            rho2 = self._density_matrix(
-                self._solve_with_trace_row(liou, liou.shape[0] - 1))
+            rho2 = self._density_matrix(factor.solve(self._unit(last), last))
             if np.max(np.abs(rho2 - rho)) > UNIQUENESS_TOL:
                 raise NonUniqueSteadyState("second kernel candidate found")
         _validate_density_matrix(rho)
-        return rho
+        return rho, residual
 
-    def excitation(self, omegas, check_unique: bool = False) -> np.ndarray:
+    def _krylov(self, factor: _BlockFactor, row: int,
+                sigmas: np.ndarray) -> tuple:
+        """Shift-invert Arnoldi on K = B^-1 D from b = B^-1 e_row, for the
+        sorted shifts sigmas from B's expansion point.
+
+        (I + sigma K) x = b holds for x = V_k y up to sigma h_{k+1,k} y_k
+        v_{k+1}, with (I + sigma H_k) y = |b| e_1.  Every ``_KRYLOV_CHECK``
+        steps that estimate is checked at the two end shifts, and when both
+        are below ``KRYLOV_TOL`` |y|, at every shift; the run stops when all
+        are, or at ``KRYLOV_MAX`` steps.  Returns the columns x(sigma),
+        whether each met the tolerance, and k.
+        """
+        dim = self.a.offsets[-1]
+        basis = np.empty((dim, KRYLOV_MAX + 1))
+        hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
+        b = factor.solve(self._unit(row), row)
+        beta = np.linalg.norm(b)
+        basis[:, 0] = b / beta
+        ends = sigmas[[0, -1]]
+        for k in range(1, KRYLOV_MAX + 1):
+            w = factor.solve(self.apply_d(basis[:, k - 1]), row)
+            size = np.linalg.norm(w)
+            for _ in range(2):  # full reorthogonalization, twice
+                c = basis[:, :k].T @ w
+                w -= basis[:, :k] @ c
+                hess[:k, k - 1] += c
+            hess[k, k - 1] = np.linalg.norm(w)
+            # an invariant subspace: the model is exact
+            if hess[k, k - 1] <= 1e-12 * size:
+                hess[k, k - 1] = 0.0
+            elif k < KRYLOV_MAX and (k % _KRYLOV_CHECK or np.any(
+                    _reduced(hess[:k + 1, :k], beta, ends)[1] > KRYLOV_TOL)):
+                basis[:, k] = w / hess[k, k - 1]
+                continue
+            y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
+            met = estimate <= KRYLOV_TOL
+            if met.all() or k == KRYLOV_MAX or hess[k, k - 1] == 0.0:
+                return basis[:, :k] @ y.T, met, k
+            basis[:, k] = w / hess[k, k - 1]
+
+    def _interval(self, omegas: np.ndarray, check_unique: bool,
+                  report: dict):
+        """Certified steady states at the sorted omegas from reduced models
+        expanded at the interval's centre, as columns x (block order) and
+        their residuals; None if any point fails a check."""
+        s = omegas - self.omega_ref
+        centre = 0.5 * (s[0] + s[-1])
+        rows = self.rows[: 2 if check_unique else 1]
+        try:
+            factor = _BlockFactor(self, centre)
+            models = [self._krylov(factor, row, s - centre) for row in rows]
+        except SolverFailure:  # singular at the centre or in the model
+            report["rejected_models"] += len(rows)
+            return None
+        residuals = [self._residuals(x, s) for x, _, _ in models]
+        good = np.logical_and.reduce(
+            [met & (r <= RESIDUAL_TOL) for (_, met, _), r in
+             zip(models, residuals)])
+        x = models[0][0]
+        for p in np.flatnonzero(good):
+            try:
+                _validate_density_matrix(self._density_matrix(x[:, p]))
+            except SolverFailure:
+                good[p] = False
+        if not good.all():
+            report["rejected_models"] += len(models)
+            return None
+        if check_unique:
+            x2 = models[1][0]
+            for p, w in enumerate(omegas):
+                if np.max(np.abs(self._density_matrix(x2[:, p])
+                                 - self._density_matrix(x[:, p]))) \
+                        > UNIQUENESS_TOL:
+                    raise NonUniqueSteadyState(
+                        f"at omega={w}: second kernel candidate found")
+        report["krylov_dims"] += [k for _, _, k in models]
+        return x, residuals[0]
+
+    def states(self, omegas, check_unique: bool = False,
+               report: dict = None):
+        """Yield (index, rho) for the validated steady state at each drive
+        frequency, in no fixed order.
+
+        ``report``, a dict updated in place, receives ``krylov_dims`` (the
+        Krylov dimension of every reduced model whose points were
+        returned), ``rejected_models`` (models with a failing point, whose
+        interval was split), ``points_solved_per_point`` and
+        ``worst_residual`` (the largest certified residual returned).
+        """
+        if report is None:
+            report = {}
+        report.update(krylov_dims=[], rejected_models=0,
+                      points_solved_per_point=0, worst_residual=0.0)
+        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        pending = [np.argsort(omegas, kind="stable")]
+        while pending:
+            idx = pending.pop()
+            if len(idx) < MIN_MODEL_POINTS:
+                for k in idx:
+                    try:
+                        rho, residual = self._point(omegas[k], check_unique)
+                    except (SolverFailure, NonUniqueSteadyState) as exc:
+                        raise type(exc)(f"at omega={omegas[k]}: {exc}") \
+                            from exc
+                    report["points_solved_per_point"] += 1
+                    report["worst_residual"] = max(report["worst_residual"],
+                                                   float(residual))
+                    yield k, rho
+                continue
+            solved = self._interval(omegas[idx], check_unique, report)
+            if solved is None:
+                half = len(idx) // 2
+                pending += [idx[half:], idx[:half]]  # left half first
+                continue
+            x, residuals = solved
+            report["worst_residual"] = max(report["worst_residual"],
+                                           float(residuals.max()))
+            for p, k in enumerate(idx):
+                yield k, self._density_matrix(x[:, p])
+
+    def excitation(self, omegas, check_unique: bool = False,
+                   report: dict = None) -> np.ndarray:
         """<sigma+ sigma-> in the steady state at each drive frequency."""
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         values = np.empty(len(omegas))
-        for k, w in enumerate(omegas):
+        for k, rho in self.states(omegas, check_unique, report):
             try:
-                rho = self.steady_state(w, check_unique)
                 values[k] = qubit_excitation(rho, self.layout, self.ops)
-            except (SolverFailure, NonUniqueSteadyState) as exc:
-                raise type(exc)(f"at omega={w}: {exc}") from exc
+            except SolverFailure as exc:
+                raise SolverFailure(f"at omega={omegas[k]}: {exc}") from exc
         return values
 
 
 def me_excitation(params: SystemParams, omega: float, layout: HilbertLayout,
-                  ops: ModeOperators = None, check_unique: bool = False) -> float:
-    gen = HermitianGenerator(params, layout, ops)
+                  check_unique: bool = False) -> float:
+    gen = HermitianGenerator(params, layout)
     return float(gen.excitation(omega, check_unique=check_unique)[0])
 
 
 def me_spectrum(params: SystemParams, grid: FrequencyGrid,
                 layout: HilbertLayout, check_unique: bool = False) -> Spectrum:
-    """Steady-state excitation at every grid frequency."""
+    """Steady-state excitation at every grid frequency; ``metadata`` also
+    holds the solver's run report (see ``HermitianGenerator.states``)."""
+    report = {}
     values = HermitianGenerator(params, layout).excitation(
-        grid.points(), check_unique=check_unique)
+        grid.points(), check_unique=check_unique, report=report)
     return Spectrum(grid=grid, values=values, model_tag="ME",
                     params_snapshot=params,
                     metadata={"n_max_bright": layout.n_max_bright,
-                              "n_max_dark": layout.n_max_dark})
+                              "n_max_dark": layout.n_max_dark, **report})
 
 
 def truncation_convergence(params: SystemParams, grid: FrequencyGrid,

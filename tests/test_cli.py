@@ -138,6 +138,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["thom", "mhom", "me"])
+    @pytest.mark.parametrize("drive", ["nan", "inf", "-1"])
+    def test_invalid_drive_exits_2(self, tmp_path, model, drive):
+        cfg = write_config(tmp_path, system=SYSTEM, ensemble=ENSEMBLE,
+                           grid=GRID, model=model)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     f"--lambda={drive}"]) == 2
+        assert not out.exists()
+
     def test_outputs_follow_the_umask(self, tmp_path):
         cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom")
         out = tmp_path / "run"
@@ -171,6 +181,16 @@ class TestSweep:
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),
                    "--axis", "power", "--values", "1.0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("model", ["thom", "mhom"])
+    @pytest.mark.parametrize("values", ["1,-2", "1,inf", "1,nan"])
+    def test_invalid_drive_exits_2(self, tmp_path, model, values):
+        cfg = write_config(tmp_path, system=SYSTEM, ensemble=ENSEMBLE,
+                           grid=GRID, model=model)
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--axis", "power", f"--values={values}"]) == 2
+        assert not out.exists()
 
     def test_detuning_sweep_moves_qubit(self, tmp_path):
         grid = dict(GRID, n_points=81)
@@ -388,3 +408,11 @@ class TestConvergence:
         assert report["n_b"] == 2 and report["n_d"] == 2
         assert report["max_rel_dev"] >= 0.0
         assert isinstance(report["pass"], bool)
+
+    def test_invalid_drive_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="me",
+                           me_options={"n_max_bright": 2, "n_max_dark": 2})
+        out = tmp_path / "run"
+        assert main(["convergence", "--config", cfg, "--out", str(out),
+                     "--lambda", "nan"]) == 2
+        assert not out.exists()

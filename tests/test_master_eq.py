@@ -19,7 +19,9 @@ from hybridspec import (
     thom_excitation,
     truncation_convergence,
 )
+from hybridspec import master_eq
 from hybridspec.master_eq import (
+    MIN_MODEL_POINTS,
     HermitianGenerator,
     _hermitian_basis,
     real_liouvillian,
@@ -235,6 +237,25 @@ def oracle_params(lam):
     return small_params(lam=lam, theta=0.7, omega_fq=OMEGA_NV + 3.0)
 
 
+def dense_generator(gen, omega):
+    """L(omega) of a HermitianGenerator as a dense matrix in slot order,
+    column by column from its block matvecs."""
+    eye = np.eye(gen.a.offsets[-1])
+    s = omega - gen.omega_ref
+    block = gen.a.matvec(eye) + s * gen.apply_d(eye)
+    return block[np.ix_(gen.a.pos, gen.a.pos)]
+
+
+def coherence_order(layout):
+    """m = |N_i - N_j| of every column-stacked slot s = i + j*n."""
+    ops = build_operators(layout)
+    number = np.real(np.diag(0.5 * ops.sigma_z + ops.b.conj().T @ ops.b
+                             + ops.d.conj().T @ ops.d))
+    n = layout.dim
+    i, j = np.divmod(np.arange(n * n), n)[::-1]
+    return np.rint(np.abs(number[i] - number[j])).astype(int)
+
+
 class TestHermitianGenerator:
     def test_basis_change_is_unitary(self):
         t = basis_change(6)
@@ -251,7 +272,14 @@ class TestHermitianGenerator:
             liou = build_liouvillian(h, p, layout)
             expected = t @ liou @ t.conj().T
             assert np.max(np.abs(expected.imag)) < 1e-12
-            assert np.max(np.abs(gen.liouvillian(w) - expected.real)) < 1e-12
+            assert np.max(np.abs(dense_generator(gen, w)
+                                 - expected.real)) < 1e-12
+            # the certified residual, with its closed-form ||L(omega)||_F
+            x = np.linspace(-1.0, 1.0, layout.dim ** 2)  # block order
+            residual = gen._residuals(x[:, None], w - gen.omega_ref)[0]
+            assert residual == pytest.approx(
+                np.linalg.norm(expected.real @ x[gen.a.pos])
+                / np.linalg.norm(expected), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.1, 10.0])
     @pytest.mark.parametrize("nb,nd", ORACLE_LAYOUTS)
@@ -283,13 +311,13 @@ class TestHermitianGenerator:
 
     def test_check_unique_runs_a_second_solve(self, monkeypatch):
         calls = []
-        solve = np.linalg.solve
+        solve = master_eq._BlockFactor.solve
 
-        def counting(a, b):
-            calls.append(b.argmax())
-            return solve(a, b)
+        def counting(factor, rhs, row):
+            calls.append(factor.gen.a.perm[row])  # the replaced slot
+            return solve(factor, rhs, row)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(master_eq._BlockFactor, "solve", counting)
         grid = FrequencyGrid(OMEGA_NV - 5.0, OMEGA_NV + 5.0, 3)
         me_spectrum(small_params(lam=1.0), grid, LAYOUT)
         assert len(calls) == 3
@@ -300,13 +328,13 @@ class TestHermitianGenerator:
 
     def test_check_unique_rejects_a_disagreeing_second_solve(self,
                                                              monkeypatch):
-        solve = np.linalg.solve
+        solve = master_eq._BlockFactor.solve
 
-        def disagreeing(a, b):
-            x = solve(a, b)
-            return x + 1e-3 if b[-1] else x
+        def disagreeing(factor, rhs, row):
+            x = solve(factor, rhs, row)
+            return x + 1e-3 if row == factor.gen.rows[1] else x
 
-        monkeypatch.setattr(np.linalg, "solve", disagreeing)
+        monkeypatch.setattr(master_eq._BlockFactor, "solve", disagreeing)
         p = small_params(lam=1.0)
         assert me_excitation(p, OMEGA_NV, LAYOUT) > 0.0
         with pytest.raises(NonUniqueSteadyState):
@@ -315,15 +343,201 @@ class TestHermitianGenerator:
     def test_rejects_generator_that_breaks_hermiticity(self):
         # an anti-Hermitian "Hamiltonian" turns Hermitian rho anti-Hermitian
         h = 1j * np.diag([0.0, 1.0, 2.0])
+        number = np.zeros(3)
         with pytest.raises(SolverFailure):
-            real_liouvillian(h, [])
+            real_liouvillian(h, [], number)
         c = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert np.isrealobj(real_liouvillian(h.imag.astype(complex),
-                                             [(0.5, c)]))
+        blocks = real_liouvillian(h.imag.astype(complex), [(0.5, c)], number)
+        assert np.isrealobj(blocks.diag[0])
 
     def test_residual_bound_is_enforced(self, monkeypatch):
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: solve(a, b) + 1e-6 * b[::-1])
+        solve = master_eq._BlockFactor.solve
+        monkeypatch.setattr(
+            master_eq._BlockFactor, "solve",
+            lambda factor, rhs, row: solve(factor, rhs, row) + 1e-6 * rhs[::-1])
         with pytest.raises(SolverFailure, match="residual"):
             me_excitation(small_params(lam=1.0), OMEGA_NV, LAYOUT)
+
+
+STRUCTURE_LAYOUTS = [(1, 1), (2, 3), (3, 2), (5, 2), (1, 6), (3, 3)]
+
+
+class TestCoherenceOrder:
+    """The structure the solver rests on, checked on the column-stacked
+    generator of ``build_liouvillian``: only the drive changes the
+    excitation number N, by one."""
+
+    @pytest.mark.parametrize("theta,detuning", [(0.0, 0.0), (0.7, 3.0)])
+    @pytest.mark.parametrize("nb,nd", STRUCTURE_LAYOUTS)
+    def test_generator_is_block_tridiagonal(self, nb, nd, theta, detuning):
+        layout = HilbertLayout(nb, nd)
+        p = small_params(lam=2.0, theta=theta, omega_fq=OMEGA_NV + detuning)
+        t = basis_change(layout.dim)
+        m = coherence_order(layout)
+        gap = np.abs(m[:, None] - m[None, :])
+
+        def real_generator(w):
+            h = build_rotating_hamiltonian(p, w, layout)
+            return (t @ build_liouvillian(h, p, layout) @ t.conj().T).real
+
+        w = OMEGA_NV - 7.0
+        liou = real_generator(w)
+        assert np.all(liou[gap > 1] == 0.0)
+        # the drive frequency enters block diagonally, not on m = 0
+        d = real_generator(w + 1.0) - liou
+        scale = np.max(np.abs(liou))
+        assert np.max(np.abs(d[gap > 0])) <= 1e-12 * scale
+        assert np.max(np.abs(d[np.ix_(m == 0, m == 0)])) <= 1e-12 * scale
+        # the trace functional and both replaced rows live on m = 0
+        n = layout.dim
+        assert np.all(m[:: n + 1] == 0)
+        assert m[0] == 0 and m[n * n - 1] == 0
+
+    def test_assembly_rejects_a_coupling_across_two_orders(self):
+        h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="coherence orders"):
+            real_liouvillian(h, [], np.array([0.0, 2.0]))
+
+    def test_block_sizes_at_four_by_four(self):
+        gen = HermitianGenerator(small_params(lam=1.0), HilbertLayout(4, 4))
+        assert list(gen.a.sizes) == [168, 310, 244, 162, 88, 38, 12, 2]
+
+
+def per_point_excitation(gen, omegas, check_unique=False):
+    """One block elimination per point (the solver's fallback path)."""
+    return np.array([qubit_excitation(gen._point(w, check_unique)[0],
+                                      gen.layout) for w in omegas])
+
+
+class TestReducedModel:
+    def test_matches_per_point_and_dense_solves(self):
+        layout = HilbertLayout(4, 4)
+        p = small_params(lam=10.0)
+        grid = FrequencyGrid(OMEGA_NV - 4.5, OMEGA_NV + 4.5, 21)
+        spec = me_spectrum(p, grid, layout, check_unique=True)
+        meta = spec.metadata
+        assert len(meta["krylov_dims"]) == 2  # one model per trace row
+        assert meta["rejected_models"] == 0
+        assert meta["points_solved_per_point"] == 0
+        assert 0.0 < meta["worst_residual"] <= master_eq.RESIDUAL_TOL
+        block = per_point_excitation(HermitianGenerator(p, layout),
+                                     grid.points(), check_unique=True)
+        assert np.max(np.abs(spec.values - block) / block) <= 1e-10
+        for w, v in zip(grid.points()[::10], spec.values[::10]):
+            assert v == pytest.approx(direct_excitation(p, w, layout),
+                                      rel=1e-10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(nb=st.integers(1, 3), nd=st.integers(1, 3),
+           theta=st.floats(0.0, 2.0 * np.pi),
+           detuning=st.floats(-15.0, 15.0), lam=st.floats(0.05, 20.0),
+           centre=st.floats(-20.0, 20.0), half=st.floats(0.5, 20.0))
+    def test_property_matches_dense_solve(self, nb, nd, theta, detuning,
+                                          lam, centre, half):
+        layout = HilbertLayout(nb, nd)
+        p = small_params(lam=lam, theta=theta, omega_fq=OMEGA_NV + detuning)
+        grid = FrequencyGrid(OMEGA_NV + centre - half,
+                             OMEGA_NV + centre + half, MIN_MODEL_POINTS + 1)
+        values = me_spectrum(p, grid, layout).values
+        dense = np.array([direct_excitation(p, w, layout)
+                          for w in grid.points()])
+        assert np.max(np.abs(values - dense) / dense) <= 1e-10
+
+    def test_wide_strong_drive_window_splits_and_falls_back(self):
+        # one expansion point does not certify +-25 at lambda = 20: the
+        # window is split, and the smallest pieces are solved point by point
+        layout = HilbertLayout(4, 4)
+        p = small_params(lam=20.0)
+        grid = FrequencyGrid(OMEGA_NV - 25.0, OMEGA_NV + 25.0, 31)
+        spec = me_spectrum(p, grid, layout, check_unique=True)
+        meta = spec.metadata
+        assert meta["rejected_models"] > 0
+        assert meta["krylov_dims"] and meta["points_solved_per_point"] > 0
+        assert meta["worst_residual"] <= master_eq.RESIDUAL_TOL
+        block = per_point_excitation(HermitianGenerator(p, layout),
+                                     grid.points())
+        assert np.max(np.abs(spec.values - block) / block) <= 1e-10
+        for w, v in zip(grid.points()[::6], spec.values[::6]):
+            assert v == pytest.approx(direct_excitation(p, w, layout),
+                                      rel=1e-10)
+
+    def test_undamped_modes_give_the_dense_outcome(self):
+        # gamma_b = gamma_d = 0: the qubit still damps every mode, and the
+        # dense per-point solve gives a value at every point
+        layout = HilbertLayout(3, 3)
+        p = small_params(lam=2.0, gamma_b=0.0, gamma_d=0.0)
+        grid = FrequencyGrid(OMEGA_NV - 10.0, OMEGA_NV + 10.0, 21)
+        dense = np.array([direct_excitation(p, w, layout)
+                          for w in grid.points()])
+        values = me_spectrum(p, grid, layout).values
+        assert np.max(np.abs(values - dense) / dense) <= 1e-10
+
+    def test_no_damping_fails_as_the_dense_solve_does(self):
+        # with no damping at all the trace-row system is singular
+        layout = HilbertLayout(2, 2)
+        p = small_params(lam=2.0, gamma_fq=0.0, gamma_b=0.0, gamma_d=0.0)
+        grid = FrequencyGrid(OMEGA_NV - 10.0, OMEGA_NV + 10.0, 21)
+        with pytest.raises(SolverFailure):
+            direct_excitation(p, grid.start, layout)
+        with pytest.raises(SolverFailure, match="at omega="):
+            me_spectrum(p, grid, layout)
+
+
+# criterion 7's cases: (params, drive frequencies, layout)
+VALIDITY_CASES = (
+    [(small_params(lam=0.1), np.linspace(OMEGA_NV - 20, OMEGA_NV + 20, 9),
+      HilbertLayout(3, 3))]
+    + [(small_params(lam=lam), [OMEGA_NV - 13.4, OMEGA_NV, OMEGA_NV + 13.4],
+        HilbertLayout(4, 4)) for lam in (1.0, 5.0, 10.0, 20.0)])
+
+
+class TestProductionPathValidity:
+    """Criterion 7's four metrics on the states ``HermitianGenerator``
+    returns, through the reduced models and through the per-point path."""
+
+    @staticmethod
+    def reduced_states(gen, omegas):
+        # each point off the centre of a model of its own neighbourhood when
+        # the case alone is too small for one
+        if len(omegas) >= MIN_MODEL_POINTS:
+            groups = [(np.asarray(omegas), np.arange(len(omegas)))]
+        else:
+            groups = [(np.linspace(w - 2.0, w + 2.5, 10), [4])
+                      for w in omegas]
+        for grid, keep in groups:
+            report = {}
+            rhos = dict(gen.states(grid, check_unique=True, report=report))
+            assert report["krylov_dims"]
+            assert report["points_solved_per_point"] == 0
+            yield from (rhos[k] for k in keep)
+
+    @staticmethod
+    def per_point_states(gen, omegas):
+        for w in omegas:
+            report = {}
+            [(_, rho)] = gen.states([w], check_unique=True, report=report)
+            assert report["points_solved_per_point"] == 1
+            yield rho
+
+    @pytest.mark.parametrize("path", ["reduced", "per_point"])
+    def test_criterion_7_metrics(self, path):
+        worst = {"trace": 0.0, "herm": 0.0, "neg": 0.0, "residual": 0.0}
+        states = getattr(self, f"{path}_states")
+        for p, omegas, layout in VALIDITY_CASES:
+            gen = HermitianGenerator(p, layout)
+            for w, rho in zip(omegas, states(gen, omegas)):
+                h = build_rotating_hamiltonian(p, w, layout)
+                liou = build_liouvillian(h, p, layout)
+                worst["trace"] = max(worst["trace"],
+                                     abs(np.trace(rho).real - 1.0))
+                worst["herm"] = max(worst["herm"],
+                                    np.max(np.abs(rho - rho.conj().T)))
+                worst["neg"] = max(worst["neg"],
+                                   -np.linalg.eigvalsh(rho).min())
+                res = np.linalg.norm(liou @ rho.reshape(-1, order="F"))
+                worst["residual"] = max(worst["residual"],
+                                        res / np.linalg.norm(liou))
+        assert worst["trace"] < 1e-8
+        assert worst["herm"] < 1e-10
+        assert worst["neg"] < 1e-8
+        assert worst["residual"] < 1e-10
