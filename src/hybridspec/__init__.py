@@ -68,6 +68,7 @@ from .mhom import (
     EnsembleSpec,
     MhomParams,
     Packets,
+    SelfEnergy,
     mhom_middle_peak_shift,
     mhom_response,
     mhom_spectrum,

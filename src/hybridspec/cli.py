@@ -37,7 +37,8 @@ from .master_eq import (
     HilbertLayout,
     truncation_convergence,
 )
-from .mhom import EnsembleSpec, MhomParams, mhom_response, sample_ensemble
+from .mhom import (EnsembleSpec, MhomParams, SelfEnergy, mhom_response,
+                   sample_ensemble)
 from .thom import thom_excitation
 
 
@@ -199,7 +200,8 @@ def _excitation(cfg: dict, model: str, args):
                     packets.zeta, packets.omega_b, packets.omega_d,
                     packets.j_zeeman, packets.j_strain)))
             _atomic_write(args.dump_packets, "\n".join(lines) + "\n")
-        model_at = lambda p: partial(mhom_response, packets, p)
+        sigma = SelfEnergy(packets, params.gamma_b, params.gamma_d)
+        model_at = lambda p: partial(mhom_response, sigma, p)
     else:
         params = _build_system(cfg)
         if model == "thom":
@@ -302,11 +304,9 @@ def cmd_eigen(args) -> int:
     deltas = np.linspace(args.delta_min, args.delta_max, args.n_deltas)
     lines = ["delta_mhz,e_left,e_middle,e_right,"
              "w0_left,w0_middle,w0_right"]
-    for d in deltas:
-        r = eigen_numeric(params, float(d))
-        row = [d, r.values[0], r.values[1], r.values[2],
-               r.qubit_weights[0], r.qubit_weights[1], r.qubit_weights[2]]
-        lines.append(",".join(_fmt(x) for x in row))
+    r = eigen_numeric(params, deltas)
+    for d, values, weights in zip(deltas, r.values, r.qubit_weights):
+        lines.append(",".join(_fmt(x) for x in (d, *values, *weights)))
     out = args.out or "."
     _atomic_write(os.path.join(out, "eigen.csv"), "\n".join(lines) + "\n")
     _write_metadata(os.path.join(out, "eigen_meta.json"), cfg, "eigen")

@@ -20,32 +20,32 @@ class EigenResult:
     values: np.ndarray       # ascending, shape (3,)
     vectors: np.ndarray      # columns are unit eigenvectors, shape (3, 3)
     qubit_weights: np.ndarray  # |<0,up | v_k>|^2, shape (3,)
+    # (eigen_numeric on n detunings stacks these: (n, 3), (n, 3, 3), (n, 3))
 
 
-def build_h1(params: SystemParams, delta: float) -> np.ndarray:
-    """3x3 single-excitation Hamiltonian with qubit detuned by delta."""
+def build_h1(params: SystemParams, delta) -> np.ndarray:
+    """3x3 single-excitation Hamiltonian with qubit detuned by delta; an
+    array of detunings gives a stack of them."""
     w = params.omega_nv
-    g = params.g
     jc = params.j * np.exp(1j * params.theta)
-    h = np.array(
-        [
-            [w + delta, g, 0.0],
-            [g, w, jc],
-            [0.0, np.conj(jc), w],
-        ],
-        dtype=complex,
-    )
+    delta = np.asarray(delta, dtype=float)
+    h = np.zeros(delta.shape + (3, 3), dtype=complex)
+    h[..., 0, 0] = w + delta
+    h[..., 1, 1] = h[..., 2, 2] = w
+    h[..., 0, 1] = h[..., 1, 0] = params.g
+    h[..., 1, 2] = jc
+    h[..., 2, 1] = np.conj(jc)
     return h
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, k])))
-        phase = out[i, k] / abs(out[i, k])
-        out[:, k] = out[:, k] / phase
-    return out
+    """Make the largest-magnitude component of each column real positive,
+    for one matrix or a stack."""
+    i = np.argmax(np.abs(vectors), axis=-2)
+    big = np.take_along_axis(vectors, i[..., None, :], axis=-2)
+    # np.hypot is the modulus of a complex scalar; np.abs on a complex
+    # array takes another path and moves the last bit
+    return vectors / (big / np.hypot(big.real, big.imag))
 
 
 def eigen_exact_resonant(params: SystemParams) -> EigenResult:
@@ -124,10 +124,11 @@ def eigen_perturbative(params: SystemParams, delta: float) -> EigenResult:
     return EigenResult(values, vectors, weights)
 
 
-def eigen_numeric(params: SystemParams, delta: float) -> EigenResult:
-    """Dense Hermitian diagonalization of build_h1, ascending order."""
-    h = build_h1(params, delta)
-    values, vectors = np.linalg.eigh(h)
+def eigen_numeric(params: SystemParams, delta) -> EigenResult:
+    """Dense Hermitian diagonalization of build_h1, ascending order.  An
+    array of detunings is diagonalized as one stack, each matrix
+    bit-identical to its own call."""
+    values, vectors = np.linalg.eigh(build_h1(params, delta))
     vectors = _fix_phase(vectors)
-    weights = np.abs(vectors[0, :]) ** 2
+    weights = np.abs(vectors[..., 0, :]) ** 2
     return EigenResult(values, vectors, weights)

@@ -22,6 +22,8 @@ from .errors import (
 from .mhom import (
     EnsembleSpec,
     MhomParams,
+    SelfEnergy,
+    as_self_energy,
     locate_peak,
     mhom_middle_peak_shift,
     mhom_response,
@@ -57,14 +59,16 @@ def estimate_separation(spec: EnsembleSpec, params: MhomParams,
 
     Locates the left and right peaks in windows scaled by the collective
     coupling; the separation estimates twice the total coupling
-    sqrt(g^2 + j^2).
+    sqrt(g^2 + j^2).  ``packets`` is the realization of ``spec``, or a
+    SelfEnergy built from it at params' damping.
     """
     if packets is None:
         packets = sample_ensemble(spec)
+    sigma = as_self_energy(packets, params)
     cg = spec.collective_g
-    w_left = locate_peak(packets, params,
+    w_left = locate_peak(sigma, params,
                          spec.omega_nv - 2.0 * cg, spec.omega_nv - 0.4 * cg)
-    w_right = locate_peak(packets, params,
+    w_right = locate_peak(sigma, params,
                           spec.omega_nv + 0.4 * cg, spec.omega_nv + 2.0 * cg)
     return w_right - w_left
 
@@ -99,7 +103,8 @@ def solve_g_j(separation: float, ratio: float) -> tuple:
 
 
 def fit_gammas(spec: EnsembleSpec, fixed: dict, grid: FrequencyGrid,
-               packets=None, gamma_nv: float = None) -> tuple:
+               packets=None, gamma_nv: float = None,
+               report: dict = None) -> tuple:
     """Fit (gamma_b, gamma_d) of the three-oscillator lineshape to the
     sampled-ensemble spectrum.
 
@@ -108,7 +113,10 @@ def fit_gammas(spec: EnsembleSpec, fixed: dict, grid: FrequencyGrid,
     gamma_fq.  Initial guess: the strain and zero-field FWHM widths.
     ``gamma_nv`` is the per-packet damping rate of the reference model;
     it defaults to the zero-field width, which doubles as the intrinsic
-    linewidth.  Returns (gamma_b, gamma_d, residual_norm).
+    linewidth.  ``packets`` may also be a SelfEnergy built at that
+    damping.  Returns (gamma_b, gamma_d, residual_norm); ``report``, a dict
+    updated in place, receives the fit's ``lm_iterations`` and
+    ``converged`` flag.
     """
     if packets is None:
         packets = sample_ensemble(spec)
@@ -138,7 +146,9 @@ def fit_gammas(spec: EnsembleSpec, fixed: dict, grid: FrequencyGrid,
 
     x0 = np.array([max(spec.fwhm_strain, gamma_nv),
                    max(spec.fwhm_zfs, gamma_nv)])
-    x, cost, _, _ = damped_least_squares(residual, x0)
+    x, cost, n_iter, converged = damped_least_squares(residual, x0)
+    if report is not None:
+        report.update(lm_iterations=n_iter, converged=converged)
     gamma_b, gamma_d = abs(float(x[0])), abs(float(x[1]))
     if gamma_b <= 0 or gamma_d <= 0:
         raise NonPositiveGamma(
@@ -155,7 +165,10 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
 
     ``gamma_nv`` overrides the per-packet damping rate (default: the
     zero-field width).  The default fitting grid spans
-    omega_nv +- 2.3*collective_g.
+    omega_nv +- 2.3*collective_g.  The ensemble's SelfEnergy is built once
+    and serves every stage; ``provenance["stages"]`` counts, per stage, the
+    MHOM frequencies evaluated and the golden-section evaluations (the
+    scalar ones), and for fit_gammas the fit's iterations and convergence.
     """
     if gamma_nv is None:
         gamma_nv = spec.fwhm_zfs
@@ -169,21 +182,33 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
         except (HybridSpecError, ValueError, np.linalg.LinAlgError) as exc:
             raise PipelineStageError(tag, exc) from exc
 
+    stages = {tag: {} for tag in ("separation", "ratio", "fit_gammas")}
+
+    def counted(tag, fn, *args, **kwargs):
+        """stage(), recording the MHOM evaluations it made."""
+        before = sigma.n_frequencies, sigma.n_scalar_calls
+        out = stage(tag, fn, *args, **kwargs)
+        stages[tag].update(
+            mhom_frequencies=sigma.n_frequencies - before[0],
+            golden_section_evaluations=sigma.n_scalar_calls - before[1])
+        return out
+
     gamma_fq = stage("gamma_fq", gamma_fq_from_t1, t1_us)
     packets = stage("sampling", sample_ensemble, spec)
+    sigma = stage("sampling", SelfEnergy, packets, gamma_nv, gamma_nv)
     params = MhomParams(
         omega_fq=spec.omega_nv, gamma_fq=gamma_fq,
         gamma_b=gamma_nv, gamma_d=gamma_nv,
     )
-    separation = stage("separation", estimate_separation, spec, params,
-                       packets=packets)
-    ratio, slope_residual = stage("ratio", estimate_ratio, spec, params,
-                                  deltas=deltas, packets=packets)
+    separation = counted("separation", estimate_separation, spec, params,
+                         packets=sigma)
+    ratio, slope_residual = counted("ratio", estimate_ratio, spec, params,
+                                    deltas=deltas, packets=sigma)
     g, j = stage("solve_g_j", solve_g_j, separation, ratio)
-    gamma_b, gamma_d, gamma_residual = stage(
+    gamma_b, gamma_d, gamma_residual = counted(
         "fit_gammas", fit_gammas, spec,
-        {"g": g, "j": j, "gamma_fq": gamma_fq}, grid, packets=packets,
-        gamma_nv=gamma_nv,
+        {"g": g, "j": j, "gamma_fq": gamma_fq}, grid, packets=sigma,
+        gamma_nv=gamma_nv, report=stages["fit_gammas"],
     )
     return PipelineResult(
         g=g, j=j, gamma_fq=gamma_fq, gamma_b=gamma_b, gamma_d=gamma_d,
@@ -200,5 +225,6 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
             "grid": {"start": grid.start, "stop": grid.stop,
                      "n_points": grid.n_points},
             "t1_us": t1_us,
+            "stages": stages,
         },
     )

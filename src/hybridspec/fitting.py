@@ -96,6 +96,37 @@ def fit_lorentzian(spec: Spectrum, window: tuple) -> LorentzianFitResult:
     )
 
 
+def _flank_minima(v: list) -> list:
+    """For each i, the minimum of v from the nearest earlier point higher
+    than v[i] up to i (that point included, i excluded), or of all of v[:i]
+    when no earlier point is higher.  One pass over a stack of [value,
+    minimum from that point up to the next entry], each entry higher than
+    the ones above it, on an unbeatable bottom entry for the prefix."""
+    out = []
+    stack = [[float("inf"), float("inf")]]
+    for x in v:
+        low = float("inf")
+        while stack[-1][0] <= x:
+            low = min(low, stack.pop()[1])
+        stack[-1][1] = min(stack[-1][1], low)
+        out.append(stack[-1][1])
+        stack.append([x, x])
+    return out
+
+
+def _prominences(values) -> list:
+    """(index, prominence) of each strict local maximum (3-point test).
+
+    Prominence is the height above the higher of the two flanking minima,
+    each the lowest point between the peak and its nearest strictly higher
+    point on that side (that point included), or the array's end."""
+    v = [float(x) for x in values]
+    left = _flank_minima(v)
+    right = _flank_minima(v[::-1])[::-1]
+    return [(i, v[i] - max(left[i], right[i])) for i in range(1, len(v) - 1)
+            if v[i] > v[i - 1] and v[i] > v[i + 1]]
+
+
 def find_peaks(spec: Spectrum, min_prominence: float = None) -> list:
     """Local maxima (3-point test) filtered by prominence.
 
@@ -109,21 +140,9 @@ def find_peaks(spec: Spectrum, min_prominence: float = None) -> list:
     if min_prominence is None:
         min_prominence = 0.02 * float(v.max())
     omegas = spec.frequencies()
-    idx = [i for i in range(1, len(v) - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
-    peaks = []
-    for i in idx:
-        left_min = v[:i].min()
-        right_min = v[i + 1:].min()
-        # walk only to the nearest higher point on each side, if any
-        higher_left = [j for j in range(i) if v[j] > v[i]]
-        if higher_left:
-            left_min = v[higher_left[-1]: i].min()
-        higher_right = [j for j in range(i + 1, len(v)) if v[j] > v[i]]
-        if higher_right:
-            right_min = v[i + 1: higher_right[0] + 1].min()
-        prominence = v[i] - max(left_min, right_min)
-        if prominence >= min_prominence:
-            peaks.append(Peak(omega=float(omegas[i]), height=float(v[i])))
+    peaks = [Peak(omega=float(omegas[i]), height=float(v[i]))
+             for i, prominence in _prominences(v)
+             if prominence >= min_prominence]
     if len(peaks) == 3:
         labels = ("LEFT", "MIDDLE", "RIGHT")
         peaks = [

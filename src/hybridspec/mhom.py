@@ -10,6 +10,7 @@ broadening, by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
@@ -19,8 +20,21 @@ from .numerics import golden_section_max
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
-# complex elements in one (frequency x packet) block of the response (1 MB)
-_BLOCK = 1 << 16
+# Treecode of SelfEnergy.  A box of poles within radius h of its centre c,
+# expanded in _TERMS moments, is taken at a target t with h < _THETA |t - c|;
+# the truncation error is then below _THETA**_TERMS / (1 - _THETA) =
+# 4**-26 / 0.75 = 3.0e-16 of sum|a_m| / |t - c|, under double rounding.
+# Leaves hold at most _LEAF poles.
+_LEAF = 32
+_THETA = 0.25
+_TERMS = 26
+# frequencies per tree traversal: holds its (frequency, box) lists to a few
+# MB (about 60 accepted boxes per frequency at 36,000 packets)
+_CHUNK = 256
+# pole-form residues of a packet near a double root grow as |e|/|r| and
+# would cancel to that factor; above _PAIR_GAIN zeta^2 (only possible with
+# gamma_b != gamma_d) the packet is summed in its rational form
+_PAIR_GAIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -112,56 +126,267 @@ def sample_ensemble(spec: EnsembleSpec) -> Packets:
                    j_zeeman=j_zeeman, j_strain=e2)
 
 
-def mhom_amplitude(packets: Packets, params: MhomParams, omega):
-    """Complex steady-state qubit amplitude c at scalar or array omega."""
-    if len(packets) == 0:
-        raise ValueError("packets must be nonempty")
-    omegas = np.asarray(omega, dtype=float)
-    flat = omegas.reshape(-1)
+def _pole_form(packets: Packets, gamma_b: float, gamma_d: float,
+               origin: float) -> tuple:
+    """(poles, residues) of the packets' terms, frequencies from
+    ``origin``, and (zeta^2, beta, delta, j^2) of the packets left in
+    rational form."""
+    beta = (packets.omega_b - origin) - 1j * gamma_b
+    delta = (packets.omega_d - origin) - 1j * gamma_d
     j2 = packets.j_zeeman ** 2 + packets.j_strain ** 2
     zeta2 = packets.zeta ** 2
-    self_energy = np.empty(flat.shape, dtype=complex)
-    rows = max(1, _BLOCK // len(packets))
-    for k in range(0, len(flat), rows):
-        w = flat[k:k + rows, None]
-        num = w - packets.omega_d + 1j * params.gamma_d
-        den = (w - packets.omega_b + 1j * params.gamma_b) * num - j2
-        if np.any(np.abs(den) < 1e-300):
-            raise DivergentResponse("packet denominator vanished")
-        self_energy[k:k + rows] = np.sum(zeta2 * num / den, axis=1)
-    w = flat - params.omega_fq + 1j * params.gamma_fq - self_energy
+    mid = 0.5 * (beta + delta)
+    e = 0.5 * (delta - beta)
+    r = np.sqrt(e * e + j2)
+    # the root aligned with e, so that r + e does not cancel and the small
+    # residue zeta^2 (r - e)/(2r) = zeta^2 j^2/((r + e) 2r) is exact
+    r = np.where((r * np.conj(e)).real < 0, -r, r)
+    s = r + e
+    pair = np.abs(s) > 2.0 * _PAIR_GAIN * np.abs(r)
+    single = r == 0  # omega_b = omega_d, gamma_b = gamma_d, j = 0
+    two_r = np.where(single, 1.0, 2.0 * r)
+    large = np.where(single, 0.5 * zeta2, zeta2 * s / two_r)
+    small = np.where(single, 0.5 * zeta2,
+                     zeta2 * j2 / (np.where(single, 1.0, s) * two_r))
+    keep = ~pair
+    return (np.concatenate([(mid + r)[keep], (mid - r)[keep]]),
+            np.concatenate([small[keep], large[keep]]),
+            (zeta2[pair], beta[pair], delta[pair], j2[pair]))
+
+
+class SelfEnergy:
+    """The ensemble's self-energy sigma(omega) at packet damping gamma_b,
+    gamma_d, built once and evaluated at any number of frequencies.
+
+    Packet k contributes zeta^2 (z_d - omega_d) / ((z_b - omega_b)
+    (z_d - omega_d) - j^2), z_b,d = omega + i gamma_b,d, which has two
+    poles p = m +- r, m = (beta + delta)/2, e = (delta - beta)/2,
+    r = sqrt(e^2 + j^2), beta = omega_b - i gamma_b, delta = omega_d -
+    i gamma_d, and residues zeta^2 (r -+ e)/(2r).  So sigma(omega) =
+    sum_m a_m/(omega - p_m), a Cauchy sum over 2N poles below the real
+    axis (on the line Im p = -gamma when gamma_b = gamma_d, with real
+    residues in [0, zeta^2]).  The poles are sorted and split into a
+    binary tree of equal-count boxes; each box stores _TERMS moments about
+    its centre, and a target takes a box's expansion when it lies more
+    than radius/_THETA from the centre, opens its children otherwise, and
+    sums the leaves it never accepts directly.  A packet near a double
+    root, whose residues would exceed _PAIR_GAIN zeta^2, is summed in its
+    rational form at every target instead.
+
+    Each frequency's terms are accumulated in an order fixed by the
+    frequency alone, so a scalar call gives the bit pattern of the same
+    frequency in an array call.  ``n_frequencies`` and ``n_scalar_calls``
+    count the frequencies evaluated and the calls made with a scalar.
+    """
+
+    def __init__(self, packets: Packets, gamma_b: float, gamma_d: float):
+        if len(packets) == 0:
+            raise ValueError("packets must be nonempty")
+        self.gamma_b, self.gamma_d = gamma_b, gamma_d
+        self.n_frequencies = self.n_scalar_calls = 0
+        # frequencies are taken from an origin among the packets: t - p then
+        # keeps the precision of t - omega_b, which is exact near the
+        # packets, where a pole rounded at |p| ~ omega_nv would lose
+        # ulp(omega_nv)/gamma (1e-12 at gamma = 0.2)
+        self._origin = float(np.median(packets.omega_b))
+        poles, residues, self._pairs = _pole_form(packets, gamma_b, gamma_d,
+                                                  self._origin)
+        order = np.argsort(poles, kind="stable")
+        poles, residues = poles[order], residues[order]
+        self._build(poles, residues)
+
+    def _build(self, poles, residues):
+        n = len(poles)
+        if not n:  # every packet in rational form
+            self._levels = None
+            return
+        levels = 0
+        while _LEAF << levels < n:
+            levels += 1
+        self._levels = levels
+        # leaves: equal-count ranges of the sorted poles, padded to one
+        # width with zero residues at a pole of the same leaf
+        # (one column per leaf)
+        n_leaf = 1 << levels
+        bounds = np.arange(n_leaf + 1) * n // n_leaf
+        idx = bounds[:-1] + np.arange(np.max(np.diff(bounds)))[:, None]
+        pad = idx >= bounds[1:]
+        idx = np.where(pad, bounds[:-1], idx)
+        self._leaf_p = leaf_p = poles[idx]
+        self._leaf_a = leaf_a = np.where(pad, 0.0, residues[idx])
+        self._first_leaf = n_leaf - 1
+
+        # boxes in heap order: node b has children 2b+1 and 2b+2, the
+        # leaves are the last level.  A box's centre is the middle of the
+        # rectangle around its poles, and its radius reaches over its
+        # children's discs, so the moment shift below never amplifies.
+        n_node = 2 * n_leaf - 1
+        leaves = slice(n_leaf - 1, n_node)
+        rect = np.empty((n_node, 4))  # min Re, max Re, min Im, max Im
+        rect[leaves] = np.stack([leaf_p.real.min(0), leaf_p.real.max(0),
+                                 leaf_p.imag.min(0), leaf_p.imag.max(0)], 1)
+        centre = np.empty(n_node, dtype=complex)
+        radius = np.empty(n_node)
+        centre[leaves] = (0.5 * (rect[leaves, 0] + rect[leaves, 1])
+                          + 0.5j * (rect[leaves, 2] + rect[leaves, 3]))
+        u = leaf_p - centre[leaves]
+        radius[leaves] = np.max(np.hypot(u.real, u.imag), axis=0)
+        parents = [np.arange((1 << level) - 1, (2 << level) - 1)
+                   for level in range(levels)]
+        for par in reversed(parents):
+            kids = (2 * par + 1, 2 * par + 2)
+            rect[par, ::2] = np.minimum(rect[kids[0], ::2],
+                                        rect[kids[1], ::2])
+            rect[par, 1::2] = np.maximum(rect[kids[0], 1::2],
+                                         rect[kids[1], 1::2])
+            centre[par] = (0.5 * (rect[par, 0] + rect[par, 1])
+                           + 0.5j * (rect[par, 2] + rect[par, 3]))
+            radius[par] = np.maximum(
+                *(np.abs(centre[kid] - centre[par]) + radius[kid]
+                  for kid in kids))
+        scale = np.where(radius > 0, radius, 1.0)
+
+        # moments M_k = sum a ((p - c)/scale)^k: the leaves' from their
+        # poles, a parent's from its children's by the binomial shift
+        # M_k = sum_i C(k, i) u^(k-i) (s'/s)^i M'_i, u = (c' - c)/s
+        moments = np.empty((_TERMS, n_node), dtype=complex)
+        u /= scale[leaves]
+        term = leaf_a.copy()
+        for k in range(_TERMS):
+            moments[k, leaves] = term.sum(axis=0)
+            term *= u
+        power = np.arange(_TERMS)[:, None]
+        # C(i + d, i), i = 0 .. _TERMS - d - 1, as a column for each d
+        binom = [np.array([[comb(i + d, i)] for i in range(_TERMS - d)],
+                          dtype=float) for d in range(_TERMS)]
+        for par in reversed(parents):
+            shifted = np.zeros((_TERMS, len(par)), dtype=complex)
+            for kid in (2 * par + 1, 2 * par + 2):
+                m = moments[:, kid] * (scale[kid] / scale[par]) ** power
+                u = (centre[kid] - centre[par]) / scale[par]
+                u_pow = np.ones(len(par), dtype=complex)
+                for d in range(_TERMS):
+                    shifted[d:] += binom[d] * u_pow * m[:_TERMS - d]
+                    u_pow = u_pow * u
+            moments[:, par] = shifted
+        self._centre, self._radius = centre, radius
+        self._scale, self._moments = scale, moments
+
+    def __call__(self, omega) -> np.ndarray:
+        """sigma at scalar or array omega, as a complex array of its shape
+        (a 0-d array for a scalar)."""
+        omegas = np.asarray(omega, dtype=float)
+        t = omegas.reshape(-1) - self._origin
+        self.n_frequencies += t.size
+        self.n_scalar_calls += omegas.ndim == 0
+        total = np.zeros(t.shape, dtype=complex)
+        if self._levels is not None:
+            for k in range(0, len(t), _CHUNK):
+                part = total[k:k + _CHUNK]
+                part.real, part.imag = self._tree_sum(t[k:k + _CHUNK])
+        zeta2, beta, delta, j2 = self._pairs
+        for k in range(len(zeta2)):
+            num = t - delta[k]
+            den = (t - beta[k]) * num - j2[k]
+            if np.any(np.abs(den) < 1e-300):
+                raise DivergentResponse("packet denominator vanished")
+            total += zeta2[k] * num / den
+        return total.reshape(omegas.shape)
+
+    def _tree_sum(self, t):
+        """(Re, Im) of the pole sum at the real targets t."""
+        n = len(t)
+        tgt = np.arange(n)
+        node = np.zeros(n, dtype=np.intp)
+        far_t, far_node = [], []
+        for level in range(self._levels + 1):
+            d = t[tgt] - self._centre[node]
+            accept = self._radius[node] < _THETA * np.hypot(d.real, d.imag)
+            far_t.append(tgt[accept])
+            far_node.append(node[accept])
+            tgt, node = tgt[~accept], node[~accept]
+            if level < self._levels:
+                tgt = np.repeat(tgt, 2)
+                node = np.stack([2 * node + 1, 2 * node + 2], axis=1).ravel()
+        far_t = np.concatenate(far_t)
+        far_node = np.concatenate(far_node)
+        d = t[far_t] - self._centre[far_node]
+        ratio = self._scale[far_node] / d
+        acc = self._moments[_TERMS - 1, far_node]
+        for k in range(_TERMS - 2, -1, -1):
+            acc = acc * ratio + self._moments[k, far_node]
+        acc /= d
+        re = np.bincount(far_t, acc.real, n)
+        im = np.bincount(far_t, acc.imag, n)
+
+        leaf = node - self._first_leaf
+        near = np.zeros(len(tgt), dtype=complex)
+        for p, a in zip(self._leaf_p, self._leaf_a):
+            d = t[tgt] - p[leaf]
+            if np.any(np.abs(d) < 1e-300):
+                raise DivergentResponse("packet denominator vanished")
+            near += a[leaf] / d
+        return (re + np.bincount(tgt, near.real, n),
+                im + np.bincount(tgt, near.imag, n))
+
+
+def as_self_energy(ensemble, params: MhomParams) -> SelfEnergy:
+    """The SelfEnergy of ``ensemble`` (Packets, or a SelfEnergy built from
+    them) at the packet damping of ``params``."""
+    if not isinstance(ensemble, SelfEnergy):
+        return SelfEnergy(ensemble, params.gamma_b, params.gamma_d)
+    if (ensemble.gamma_b, ensemble.gamma_d) != (params.gamma_b,
+                                                params.gamma_d):
+        raise ValueError(
+            f"self-energy built at gamma_b={ensemble.gamma_b}, gamma_d="
+            f"{ensemble.gamma_d}, params give {params.gamma_b}, "
+            f"{params.gamma_d}")
+    return ensemble
+
+
+def mhom_amplitude(ensemble, params: MhomParams, omega):
+    """Complex steady-state qubit amplitude c at scalar or array omega.
+
+    ``ensemble`` is the Packets, or a SelfEnergy built from them once at
+    params' packet damping for repeated calls."""
+    omegas = np.asarray(omega, dtype=float)
+    sigma = as_self_energy(ensemble, params)(omegas).reshape(-1)
+    w = omegas.reshape(-1) - params.omega_fq + 1j * params.gamma_fq - sigma
     if np.any(np.abs(w) < 1e-300):
         raise DivergentResponse("qubit response denominator vanished")
     c = (params.lam / 2.0) / w
     return complex(c[0]) if omegas.ndim == 0 else c.reshape(omegas.shape)
 
 
-def mhom_response(packets: Packets, params: MhomParams, omega):
-    """Qubit excitation |c|^2 at scalar or array omega."""
-    c = np.asarray(mhom_amplitude(packets, params, omega))
+def mhom_response(ensemble, params: MhomParams, omega):
+    """Qubit excitation |c|^2 at scalar or array omega; ``ensemble`` as in
+    mhom_amplitude."""
+    c = np.asarray(mhom_amplitude(ensemble, params, omega))
     # the scalar path's modulus and square: np.abs on a complex array takes
     # a SIMD path and ** 2 on an array multiplies, each moving the last bit
     out = np.float_power(np.hypot(c.real, c.imag), 2)
     return float(out) if out.ndim == 0 else out
 
 
-def mhom_spectrum(packets: Packets, params: MhomParams,
+def mhom_spectrum(ensemble, params: MhomParams,
                   grid: FrequencyGrid) -> Spectrum:
-    return Spectrum(grid=grid, values=mhom_response(packets, params,
+    return Spectrum(grid=grid, values=mhom_response(ensemble, params,
                                                     grid.points()),
                     model_tag="MHOM", params_snapshot=params)
 
 
-def locate_peak(packets: Packets, params: MhomParams, lo: float, hi: float,
+def locate_peak(ensemble, params: MhomParams, lo: float, hi: float,
                 n_scan: int = 401, require_interior: bool = True) -> float:
-    """Coarse scan plus golden-section refinement of one local maximum."""
+    """Coarse scan plus golden-section refinement of one local maximum;
+    ``ensemble`` as in mhom_amplitude."""
+    sigma = as_self_energy(ensemble, params)
     omegas = np.linspace(lo, hi, n_scan)
-    vals = mhom_response(packets, params, omegas)
+    vals = mhom_response(sigma, params, omegas)
     i = int(np.argmax(vals))
     if require_interior and (i == 0 or i == len(omegas) - 1):
         raise PeaksNotResolved(f"no interior maximum in [{lo}, {hi}]")
     h = omegas[1] - omegas[0]
-    f = lambda w: mhom_response(packets, params, w)
+    f = lambda w: mhom_response(sigma, params, w)
     return golden_section_max(f, omegas[i] - h, omegas[i] + h)
 
 
@@ -172,7 +397,8 @@ def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
     For each detuning the qubit is set to omega_nv + delta and the middle
     peak is tracked near omega_nv.  Detunings must stay within
     |delta| <= 0.8*collective_g, inside which the shift is still linear.
-    ``packets`` is the realization of ``spec``; it is sampled when omitted.
+    ``packets`` is the realization of ``spec`` (or a SelfEnergy built from
+    it at params' damping); it is sampled when omitted.
     """
     guard = 0.8 * spec.collective_g
     for d in delta_list:
@@ -182,11 +408,12 @@ def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
             )
     if packets is None:
         packets = sample_ensemble(spec)
+    sigma = as_self_energy(packets, params)
     out = []
     for d in delta_list:
         p = params.with_(omega_fq=spec.omega_nv + d)
         lo = spec.omega_nv - 0.3 * abs(d) - 0.5
         hi = spec.omega_nv + 0.3 * abs(d) + 0.5
-        w_mid = locate_peak(packets, p, lo, hi)
+        w_mid = locate_peak(sigma, p, lo, hi)
         out.append((d, w_mid - spec.omega_nv))
     return out

@@ -8,6 +8,8 @@ import pytest
 from hybridspec import (
     EnsembleSpec,
     MhomParams,
+    SystemParams,
+    eigen_numeric,
     fwhm_vs_power,
     mhom_response,
     sample_ensemble,
@@ -220,6 +222,25 @@ class TestEigen:
         assert np.all(np.diff(data[:, 0]) > 0)
         # weights are a probability decomposition at every detuning
         assert np.allclose(data[:, 4:].sum(axis=1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.9])
+    def test_rows_match_one_matrix_calls(self, tmp_path, theta):
+        # the stacked diagonalization writes the bytes of one eigen_numeric
+        # call per detuning
+        system = dict(SYSTEM, theta=theta)
+        cfg = write_config(tmp_path, system=system)
+        out = tmp_path / "run"
+        assert main(["eigen", "--config", cfg, "--out", str(out),
+                     "--delta-min", "-30", "--delta-max", "30",
+                     "--n-deltas", "601"]) == 0
+        params = SystemParams(**system)
+        lines = []
+        for d in np.linspace(-30.0, 30.0, 601):
+            r = eigen_numeric(params, float(d))
+            lines.append(",".join(f"{x:.12e}" for x in (
+                d, *r.values, *r.qubit_weights)))
+        rows = (out / "eigen.csv").read_text().splitlines()[1:]
+        assert rows == lines
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_non_positive_count_exits_2(self, tmp_path, count):

@@ -110,6 +110,18 @@ class TestNumeric:
         for v in vals[1:]:
             assert np.allclose(v, vals[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.9])
+    def test_stack_matches_one_matrix_calls(self, theta):
+        p = params(theta=theta)
+        deltas = np.linspace(-30.0, 30.0, 2001)
+        stack = eigen_numeric(p, deltas)
+        assert stack.values.shape == stack.qubit_weights.shape == (2001, 3)
+        for k, d in enumerate(deltas):
+            one = eigen_numeric(p, float(d))
+            assert np.array_equal(stack.values[k], one.values)
+            assert np.array_equal(stack.vectors[k], one.vectors)
+            assert np.array_equal(stack.qubit_weights[k], one.qubit_weights)
+
     def test_phase_convention(self):
         r = eigen_numeric(params(theta=0.9), 4.0)
         for k in range(3):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,23 @@ class TestRunPipeline:
         assert res.j == pytest.approx(j, rel=0.05)
         assert res.gamma_b == pytest.approx(0.1, abs=0.02)
         assert res.gamma_d == pytest.approx(0.1, abs=0.02)
+
+    def test_run_report_counts_evaluations(self):
+        res = run_pipeline(homogeneous_ensemble(g=10.0, j=2.0), t1_us=10.0,
+                           deltas=(0.5, 1.0, 1.5), gamma_nv=0.1)
+        stages = res.provenance["stages"]
+        json.dumps(stages)  # estimate.json carries it
+        # two 401-point scans for the side peaks, three for the middle one,
+        # each refined by golden section; then the 1201-point fit grid
+        for tag, scans in (("separation", 2), ("ratio", 3)):
+            s = stages[tag]
+            assert s["golden_section_evaluations"] > 0
+            assert s["mhom_frequencies"] == (401 * scans
+                                             + s["golden_section_evaluations"])
+        fit = stages["fit_gammas"]
+        assert fit["mhom_frequencies"] == 1201
+        assert fit["golden_section_evaluations"] == 0
+        assert fit["lm_iterations"] >= 1 and fit["converged"] is True
 
     def test_stage_error_tags_bad_t1(self):
         ens = homogeneous_ensemble()

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridspec import (
     FrequencyGrid,
@@ -16,6 +17,7 @@ from hybridspec import (
     thom_excitation,
     thom_spectrum,
 )
+from hybridspec.fitting import _prominences
 from hybridspec.master_eq import HermitianGenerator
 
 from conftest import REFERENCE_PARAMS, OMEGA_NV
@@ -128,6 +130,56 @@ class TestFindPeaks:
         peaks = find_peaks(make_spectrum(omegas, data), min_prominence=0.05)
         assert len(peaks) == 1
         assert peaks[0].omega == pytest.approx(5.0, abs=0.1)
+
+
+def rescan_prominences(v):
+    """find_peaks' former O(n^2) prominence scan, the oracle of the one-pass
+    version: (index, prominence) of each strict local maximum."""
+    idx = [i for i in range(1, len(v) - 1)
+           if v[i] > v[i - 1] and v[i] > v[i + 1]]
+    out = []
+    for i in idx:
+        left_min = v[:i].min()
+        right_min = v[i + 1:].min()
+        higher_left = [j for j in range(i) if v[j] > v[i]]
+        if higher_left:
+            left_min = v[higher_left[-1]: i].min()
+        higher_right = [j for j in range(i + 1, len(v)) if v[j] > v[i]]
+        if higher_right:
+            right_min = v[i + 1: higher_right[0] + 1].min()
+        out.append((i, v[i] - max(left_min, right_min)))
+    return out
+
+
+class TestOnePassProminence:
+    # small integers give plateaus, ties and equal flanking minima
+    values = st.one_of(
+        st.lists(st.integers(0, 4), min_size=3, max_size=60),
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=60))
+
+    @settings(max_examples=300)
+    @given(values=values)
+    def test_matches_rescan(self, values):
+        v = np.array(values, dtype=float)
+        assert _prominences(v) == rescan_prominences(v)
+
+    @settings(max_examples=200)
+    @given(values=values, pick=st.integers(0, 5))
+    def test_same_peaks_and_labels(self, values, pick):
+        v = np.array(values, dtype=float)
+        spec = make_spectrum(np.arange(len(v)), v)
+        proms = sorted({p for _, p in rescan_prominences(v)}, reverse=True)
+        # thresholds that keep each number of peaks, three among them
+        for threshold in proms[pick:pick + 3] + [None]:
+            expected = [(float(i), float(v[i]))
+                        for i, p in rescan_prominences(v)
+                        if p >= (0.02 * v.max() if threshold is None
+                                 else threshold)]
+            peaks = find_peaks(spec, min_prominence=threshold)
+            assert [(p.omega, p.height) for p in peaks] == expected
+            labels = [p.classification for p in peaks]
+            assert labels == (["LEFT", "MIDDLE", "RIGHT"]
+                              if len(peaks) == 3 else [None] * len(peaks))
 
 
 class TestMiddlePeakFwhm:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridspec import (
+    DivergentResponse,
     EnsembleSpec,
     FrequencyGrid,
     MhomParams,
     Packets,
     PeaksNotResolved,
+    SelfEnergy,
     SystemParams,
     find_peaks,
     mhom_middle_peak_shift,
@@ -15,7 +18,7 @@ from hybridspec import (
     sample_ensemble,
     thom_excitation,
 )
-from hybridspec.mhom import _BLOCK
+from hybridspec.estimate import DEFAULT_DELTAS
 
 from conftest import (
     OMEGA_NV,
@@ -45,6 +48,34 @@ def dense_response(packets, params, omegas):
     eye = np.eye(2 * n + 1)
     return np.array([abs(np.linalg.solve(w * eye - h, rhs)[0]) ** 2
                      for w in omegas])
+
+
+def blocked_self_energy(packets, gamma_b, gamma_d, omegas):
+    """The self-energy as a (frequency x packet) sum of each packet's
+    rational term, in row blocks of 2^16 elements: the oracle of the pole
+    form."""
+    j2 = packets.j_zeeman ** 2 + packets.j_strain ** 2
+    zeta2 = packets.zeta ** 2
+    out = np.empty(len(omegas), dtype=complex)
+    rows = max(1, (1 << 16) // len(packets))
+    for k in range(0, len(omegas), rows):
+        w = omegas[k:k + rows, None]
+        num = w - packets.omega_d + 1j * gamma_d
+        den = (w - packets.omega_b + 1j * gamma_b) * num - j2
+        out[k:k + rows] = np.sum(zeta2 * num / den, axis=1)
+    return out
+
+
+def blocked_response(packets, params, omegas):
+    sigma = blocked_self_energy(packets, params.gamma_b, params.gamma_d,
+                                omegas)
+    c = (params.lam / 2.0) / (omegas - params.omega_fq
+                              + 1j * params.gamma_fq - sigma)
+    return np.abs(c) ** 2
+
+
+def max_rel(got, ref):
+    return np.max(np.abs(got - ref) / ref)
 
 
 SMALL_ENSEMBLES = {
@@ -164,19 +195,151 @@ class TestArrayResponse:
         assert np.max(np.abs(got - ref) / ref) < 1e-10
 
     def test_matches_scalar_calls_across_blocks(self):
-        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=200))
-        rows = _BLOCK // len(pk)
-        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 2 * rows + 7)
-        got = mhom_response(pk, REFERENCE_MHOM_PARAMS, omegas)
-        ref = np.array([mhom_response(pk, REFERENCE_MHOM_PARAMS, w)
-                        for w in omegas])
-        assert got.shape == omegas.shape
-        assert np.max(np.abs(got - ref) / ref) <= 2.3e-16
+        # frequencies that open different boxes of the tree and span two
+        # traversal chunks, in one array call and one call each: same bits
+        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=2000))
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 333)
+        for gammas in ((0.2, 0.2), (6.433, 0.493)):
+            params = REFERENCE_MHOM_PARAMS.with_(gamma_b=gammas[0],
+                                                 gamma_d=gammas[1])
+            sigma = SelfEnergy(pk, *gammas)
+            got = mhom_response(sigma, params, omegas)
+            ref = np.array([mhom_response(sigma, params, w) for w in omegas])
+            assert got.shape == omegas.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(got, mhom_response(pk, params, omegas))
 
     def test_scalar_in_gives_python_scalar_out(self):
         pk = sample_ensemble(SMALL_ENSEMBLES["gaussian"])
         assert type(mhom_response(pk, REFERENCE_MHOM_PARAMS, OMEGA_NV)) \
             is float
+
+
+class TestSelfEnergy:
+    """The pole-form treecode against the blocked rational sum, to 1e-12
+    relative on |c|^2."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_reference_ensemble_on_pipeline_grids(self, seed):
+        # the scans of estimate_separation and estimate_ratio and the
+        # fit_gammas grid of run_pipeline's defaults
+        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(seed=seed))
+        params = REFERENCE_MHOM_PARAMS
+        sigma = SelfEnergy(pk, params.gamma_b, params.gamma_d)
+        cg = REFERENCE_ENSEMBLE.collective_g
+        scans = [(OMEGA_NV - 2.0 * cg, OMEGA_NV - 0.4 * cg, 0.0, 401),
+                 (OMEGA_NV + 0.4 * cg, OMEGA_NV + 2.0 * cg, 0.0, 401),
+                 (OMEGA_NV - 2.3 * cg, OMEGA_NV + 2.3 * cg, 0.0, 1201)]
+        scans += [(OMEGA_NV - 0.3 * d - 0.5, OMEGA_NV + 0.3 * d + 0.5, d, 401)
+                  for d in DEFAULT_DELTAS]
+        for lo, hi, delta, n in scans:
+            p = params.with_(omega_fq=OMEGA_NV + delta)
+            omegas = np.linspace(lo, hi, n)
+            assert max_rel(mhom_response(sigma, p, omegas),
+                           blocked_response(pk, p, omegas)) <= 1e-12
+
+    def test_homogeneous_ensemble_with_unequal_damping(self):
+        # criterion 4's case: complex poles
+        pk = sample_ensemble(homogeneous_ensemble(g=12.95, j=3.46))
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.300,
+                            gamma_b=6.433, gamma_d=0.493)
+        omegas = FrequencyGrid(OMEGA_NV - 25, OMEGA_NV + 25, 1001).points()
+        assert max_rel(mhom_response(pk, params, omegas),
+                       blocked_response(pk, params, omegas)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    @pytest.mark.parametrize("name", sorted(SMALL_ENSEMBLES))
+    def test_small_ensembles(self, name, n):
+        pk = sample_ensemble(SMALL_ENSEMBLES[name].with_(n_packets=n))
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 301)
+        for gammas in ((0.2, 0.2), (0.05, 0.7), (3.0, 0.3)):
+            params = REFERENCE_MHOM_PARAMS.with_(gamma_b=gammas[0],
+                                                 gamma_d=gammas[1])
+            assert max_rel(mhom_response(pk, params, omegas),
+                           blocked_response(pk, params, omegas)) <= 1e-12
+
+    def test_packets_near_a_double_root(self):
+        # omega_b = omega_d and j = |gamma_d - gamma_b|/2 is a double pole;
+        # nearby, the pole-form residues grow without bound
+        gamma_b, gamma_d = 0.6, 0.2
+        j0 = abs(gamma_d - gamma_b) / 2.0
+        offsets = np.array([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.5, -1e-10])
+        n = len(offsets)
+        pk = Packets(zeta=np.full(n, 13.0 / np.sqrt(n)),
+                     omega_b=OMEGA_NV + np.array([0, 0, 0, 0, 0, 0, 1e-9]),
+                     omega_d=np.full(n, OMEGA_NV),
+                     j_zeeman=j0 * (1.0 + offsets), j_strain=np.zeros(n))
+        params = REFERENCE_MHOM_PARAMS.with_(gamma_b=gamma_b,
+                                             gamma_d=gamma_d)
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 401)
+        got = mhom_response(pk, params, omegas)
+        assert max_rel(got, blocked_response(pk, params, omegas)) <= 1e-12
+        assert max_rel(got, dense_response(pk, params, omegas)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 400),
+           lorentzian=st.booleans(), gamma_b=st.floats(0.02, 8.0),
+           gamma_d=st.floats(0.02, 8.0), equal=st.booleans(),
+           centre=st.floats(-30.0, 30.0), half=st.floats(0.1, 40.0),
+           n_points=st.integers(1, 300))
+    def test_matches_blocked_sum(self, seed, n, lorentzian, gamma_b,
+                                 gamma_d, equal, centre, half, n_points):
+        spec = REFERENCE_ENSEMBLE.with_(
+            n_packets=n, seed=seed,
+            distribution="lorentzian" if lorentzian else "gaussian")
+        pk = sample_ensemble(spec)
+        params = REFERENCE_MHOM_PARAMS.with_(
+            gamma_b=gamma_b, gamma_d=gamma_b if equal else gamma_d)
+        omegas = np.linspace(OMEGA_NV + centre - half,
+                             OMEGA_NV + centre + half, n_points)
+        assert max_rel(mhom_response(pk, params, omegas),
+                       blocked_response(pk, params, omegas)) <= 1e-12
+
+    def test_rejects_damping_other_than_its_own(self):
+        pk = sample_ensemble(SMALL_ENSEMBLES["gaussian"])
+        sigma = SelfEnergy(pk, 0.2, 0.2)
+        with pytest.raises(ValueError):
+            mhom_response(sigma, REFERENCE_MHOM_PARAMS.with_(gamma_d=0.3),
+                          OMEGA_NV)
+
+    def test_pole_on_the_real_axis_diverges(self):
+        # without damping a frequency on a pole has no finite response
+        pk = sample_ensemble(homogeneous_ensemble(g=10.0, j=2.0))
+        params = REFERENCE_MHOM_PARAMS.with_(gamma_b=0.0, gamma_d=0.0)
+        with pytest.raises(DivergentResponse):
+            mhom_response(pk, params, OMEGA_NV + 2.0)
+
+    def test_cauchy_zfs_average_is_thom_with_raised_damping(self):
+        # averaging a response analytic in the upper half-plane over a
+        # Cauchy-distributed zfs D_k (HWHM w) moves omega to omega + i w, so
+        # the ensemble tends to THOM with gamma_b, gamma_d raised by w.  Each
+        # packet's term is bounded by 1/gamma; its mean square over D_k is
+        # at most 1/(gamma (gamma + w)), so |sigma_N - sigma| stays within 6
+        # standard deviations, g^2 / sqrt(N gamma (gamma + w)) each
+        g, j, gamma, fwhm = 1.0, 0.5, 0.5, 0.5
+        w, n = fwhm / 2.0, 400_000
+        omegas = np.linspace(OMEGA_NV - 4.0, OMEGA_NV + 4.0, 161)
+        bound = 6.0 * g ** 2 / np.sqrt(n * gamma * (gamma + w))
+        thom = SystemParams(omega_fq=OMEGA_NV, omega_nv=OMEGA_NV, g=g, j=j,
+                            gamma_fq=0.5, gamma_b=gamma + w,
+                            gamma_d=gamma + w)
+        ref = thom_excitation(thom, omegas)
+        # |c| = (lam/2)/|den|: a shift of den by at most `bound` moves |c|^2
+        # by a factor within [(1 + x)^-2, (1 - x)^-2], x = bound/|den|
+        x = bound * 2.0 * np.sqrt(ref) / thom.lam
+        assert x.max() < 0.1
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.5, gamma_b=gamma,
+                            gamma_d=gamma)
+        unshifted = thom_excitation(
+            thom.with_(gamma_b=gamma, gamma_d=gamma), omegas)
+        assert np.any(np.abs(unshifted / ref - 1) > 1 / (1 - x) ** 2 - 1)
+        for seed in range(5):
+            spec = EnsembleSpec(n_packets=n, mean_zeeman=j, fwhm_zeeman=0.0,
+                                fwhm_strain=0.0, fwhm_zfs=fwhm,
+                                collective_g=g, omega_nv=OMEGA_NV,
+                                seed=seed, distribution="lorentzian")
+            got = mhom_response(sample_ensemble(spec), params, omegas)
+            assert np.all(np.abs(got / ref - 1) <= 1 / (1 - x) ** 2 - 1)
 
 
 class TestSpectrum:
