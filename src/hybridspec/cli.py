@@ -46,17 +46,18 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-_TOP_KEYS = {"system", "ensemble", "grid", "model", "me_options",
-             "signal_map", "estimate"}
-_SYSTEM_KEYS = {"omega_fq", "omega_nv", "g", "j", "theta", "gamma_fq",
-                "gamma_b", "gamma_d", "lam"}
-_ENSEMBLE_KEYS = {"n_packets", "mean_zeeman", "fwhm_zeeman", "fwhm_strain",
-                  "fwhm_zfs", "collective_g", "omega_nv", "seed",
-                  "distribution", "hyperfine"}
-_GRID_KEYS = {"start_mhz", "stop_mhz", "n_points"}
-_ME_KEYS = {"n_max_bright", "n_max_dark"}
-_SIGNAL_KEYS = {"scale", "offset"}
-_ESTIMATE_KEYS = {"t1_us", "deltas"}
+# config section -> its keys
+_SECTIONS = {
+    "system": {"omega_fq", "omega_nv", "g", "j", "theta", "gamma_fq",
+               "gamma_b", "gamma_d", "lam"},
+    "ensemble": {"n_packets", "mean_zeeman", "fwhm_zeeman", "fwhm_strain",
+                 "fwhm_zfs", "collective_g", "omega_nv", "seed",
+                 "distribution", "hyperfine"},
+    "grid": {"start_mhz", "stop_mhz", "n_points"},
+    "me_options": {"n_max_bright", "n_max_dark"},
+    "signal_map": {"scale", "offset"},
+    "estimate": {"t1_us", "deltas"},
+}
 _MODELS = {"thom", "mhom", "me"}
 
 
@@ -79,54 +80,55 @@ def load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, "config")
-    if "system" in cfg:
-        _check_keys(cfg["system"], _SYSTEM_KEYS, "system")
-    if "ensemble" in cfg:
-        _check_keys(cfg["ensemble"], _ENSEMBLE_KEYS, "ensemble")
-    if "grid" in cfg:
-        _check_keys(cfg["grid"], _GRID_KEYS, "grid")
-    if "me_options" in cfg:
-        _check_keys(cfg["me_options"], _ME_KEYS, "me_options")
-    if "signal_map" in cfg:
-        _check_keys(cfg["signal_map"], _SIGNAL_KEYS, "signal_map")
-    if "estimate" in cfg:
-        _check_keys(cfg["estimate"], _ESTIMATE_KEYS, "estimate")
+    _check_keys(cfg, _SECTIONS.keys() | {"model"}, "config")
+    for name, keys in _SECTIONS.items():
+        if name in cfg:
+            _check_keys(cfg[name], keys, name)
     if "model" in cfg and cfg["model"] not in _MODELS:
         raise ConfigError(f"model must be one of {sorted(_MODELS)}")
     cfg["_sha256"] = hashlib.sha256(raw.encode()).hexdigest()
     return cfg
 
 
-def _build_system(cfg: dict) -> SystemParams:
-    if "system" not in cfg:
-        raise ConfigError("config requires a 'system' object")
+def _section(cfg: dict, name: str) -> dict:
+    if name not in cfg:
+        raise ConfigError(f"config requires a '{name}' object")
+    return cfg[name]
+
+
+def _record(where: str, build, *args, **kw):
+    """build(*args, **kw): a record checks its own fields, and a field it
+    rejects is a config error in ``where``."""
     try:
-        return SystemParams(**cfg["system"])
+        return build(*args, **kw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid system parameters: {exc}") from exc
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _build_system(cfg: dict) -> SystemParams:
+    return _record("system", SystemParams, **_section(cfg, "system"))
 
 
 def _build_grid(cfg: dict) -> FrequencyGrid:
-    if "grid" not in cfg:
-        raise ConfigError("config requires a 'grid' object")
-    g = cfg["grid"]
-    try:
-        return FrequencyGrid(g["start_mhz"], g["stop_mhz"], g["n_points"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    # the keys start_mhz, stop_mhz, n_points are the fields start, stop,
+    # n_points
+    return _record("grid", FrequencyGrid, **{
+        key.removesuffix("_mhz"): v
+        for key, v in _section(cfg, "grid").items()})
 
 
-def _build_ensemble(cfg: dict, seed_override=None) -> EnsembleSpec:
-    if "ensemble" not in cfg:
-        raise ConfigError("config requires an 'ensemble' object")
-    fields = dict(cfg["ensemble"])
-    if seed_override is not None:
-        fields["seed"] = seed_override
-    try:
-        return EnsembleSpec(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ensemble spec: {exc}") from exc
+def _build_ensemble(cfg: dict, seed) -> EnsembleSpec:
+    fields = dict(_section(cfg, "ensemble"))
+    if seed is not None:
+        fields["seed"] = seed
+    return _record("ensemble", EnsembleSpec, **fields)
+
+
+def _model(cfg: dict, args) -> str:
+    model = args.model or cfg.get("model")
+    if model not in _MODELS:
+        raise ConfigError("no model selected (config 'model' or --model)")
+    return model
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -147,8 +149,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def _rows(*columns) -> str:
+    """CSV rows of the columns (1-D, or 2-D for several), every value as
+    %.12e: the bytes of f"{x:.12e}", -0.0, nan and inf included."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.12e"] * table.shape[1]) + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _write_csv(path: str, header: str, *blocks: str) -> None:
+    """Write the header line, then the blocks of CSV rows."""
+    _atomic_write(path, "".join((header, "\n", *blocks)))
 
 
 def _write_metadata(path: str, cfg: dict, command: str, seed=None,
@@ -165,27 +176,22 @@ def _write_metadata(path: str, cfg: dict, command: str, seed=None,
     _atomic_write(path, json.dumps(meta, indent=2) + "\n")
 
 
-def _write_spectrum_csv(path: str, spec: Spectrum, mapped=None) -> None:
-    lines = []
-    if mapped is None:
-        lines.append("frequency_mhz,excitation")
-        for w, v in zip(spec.frequencies(), spec.values):
-            lines.append(f"{_fmt(w)},{_fmt(v)}")
-    else:
-        lines.append("frequency_mhz,excitation,switching_prob")
-        for w, v, s in zip(spec.frequencies(), spec.values, mapped.values):
-            lines.append(f"{_fmt(w)},{_fmt(v)},{_fmt(s)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _changed(params, **changes):
+    """params with the changes that are not None, checked by the record."""
+    return _record("system", params.with_, **{
+        k: v for k, v in changes.items() if v is not None})
 
 
 def _excitation(cfg: dict, model: str, args):
-    """Build the chosen model: lam -> (omegas -> excitation), where lam=None
-    keeps the config's drive.  MHOM packets are damped by system.gamma_b and
-    gamma_d when given, else by ensemble.fwhm_zfs."""
+    """Build the chosen model once: (lam=None, omega_fq=None) -> (omegas ->
+    excitation), at the config's parameters but for the arguments that are
+    not None.  MHOM packets are damped by system.gamma_b and gamma_d
+    when given, else by ensemble.fwhm_zfs."""
     if model == "mhom":
-        ens = _build_ensemble(cfg, seed_override=args.seed)
+        ens = _build_ensemble(cfg, args.seed)
         sys_cfg = cfg.get("system", {})
-        params = MhomParams(
+        params = _record(
+            "system", MhomParams,
             omega_fq=sys_cfg.get("omega_fq", ens.omega_nv),
             gamma_fq=sys_cfg.get("gamma_fq", 0.0),
             gamma_b=sys_cfg.get("gamma_b", ens.fwhm_zfs),
@@ -194,12 +200,10 @@ def _excitation(cfg: dict, model: str, args):
         )
         packets = sample_ensemble(ens)
         if getattr(args, "dump_packets", None):
-            lines = ["zeta,omega_b,omega_d,j_zeeman,j_strain"]
-            for k in range(len(packets)):
-                lines.append(",".join(_fmt(a[k]) for a in (
-                    packets.zeta, packets.omega_b, packets.omega_d,
-                    packets.j_zeeman, packets.j_strain)))
-            _atomic_write(args.dump_packets, "\n".join(lines) + "\n")
+            _write_csv(args.dump_packets,
+                       "zeta,omega_b,omega_d,j_zeeman,j_strain",
+                       _rows(packets.zeta, packets.omega_b, packets.omega_d,
+                             packets.j_zeeman, packets.j_strain))
         sigma = SelfEnergy(packets, params.gamma_b, params.gamma_d)
         model_at = lambda p: partial(mhom_response, sigma, p)
     else:
@@ -207,51 +211,35 @@ def _excitation(cfg: dict, model: str, args):
         if model == "thom":
             model_at = lambda p: partial(thom_excitation, p)
         else:
-            layout = _layout_from(cfg, args)
+            layout = _build_layout(cfg, args)
             model_at = lambda p: HermitianGenerator(p, layout).excitation
-    return lambda lam: model_at(_with_drive(params, lam))
+    return lambda lam=None, omega_fq=None: model_at(
+        _changed(params, lam=lam, omega_fq=omega_fq))
 
 
-def _with_drive(params, lam):
-    """params at the drive amplitude lam from the command line (None keeps
-    the config's); a drive that is not finite and >= 0 is a config error."""
-    if lam is None:
-        return params
-    if not 0.0 <= lam < float("inf"):
-        raise ConfigError(f"drive amplitude must be finite and >= 0, "
-                          f"got {lam!r}")
-    return params.with_(lam=lam)
-
-
-def _layout_from(cfg: dict, args) -> HilbertLayout:
+def _build_layout(cfg: dict, args) -> HilbertLayout:
     opts = cfg.get("me_options", {})
-    nb = getattr(args, "n_max_b", None)
-    nd = getattr(args, "n_max_d", None)
-    nb = opts.get("n_max_bright", 4) if nb is None else nb
-    nd = opts.get("n_max_dark", 4) if nd is None else nd
-    for n in (nb, nd):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError(f"Fock truncations must be integers, got {n!r}")
-    try:
-        return HilbertLayout(nb, nd)
-    except ValueError as exc:
-        raise ConfigError(f"invalid truncation: {exc}") from exc
+    nb = opts.get("n_max_bright", 4) if args.n_max_b is None else args.n_max_b
+    nd = opts.get("n_max_dark", 4) if args.n_max_d is None else args.n_max_d
+    return _record("me_options", HilbertLayout, nb, nd)
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    model = args.model or cfg.get("model")
-    if model not in _MODELS:
-        raise ConfigError("no model selected (config 'model' or --model)")
+    model = _model(cfg, args)
     grid = _build_grid(cfg)
-    values = _excitation(cfg, model, args)(args.drive)(grid.points())
-    spec = Spectrum(grid=grid, values=values, model_tag=model.upper())
-    mapped = None
+    signal_map = None
     if "signal_map" in cfg:
-        sm = cfg["signal_map"]
-        mapped = apply_signal_map(spec, SignalMap(sm["scale"], sm["offset"]))
+        signal_map = _record("signal_map", SignalMap, **cfg["signal_map"])
+    values = _excitation(cfg, model, args)(lam=args.drive)(grid.points())
+    spec = Spectrum(grid=grid, values=values, model_tag=model.upper())
+    header = "frequency_mhz,excitation"
+    columns = [spec.frequencies(), spec.values]
+    if signal_map is not None:
+        header += ",switching_prob"
+        columns.append(apply_signal_map(spec, signal_map).values)
     out = args.out or "."
-    _write_spectrum_csv(os.path.join(out, "spectrum.csv"), spec, mapped)
+    _write_csv(os.path.join(out, "spectrum.csv"), header, _rows(*columns))
     _write_metadata(os.path.join(out, "spectrum_meta.json"), cfg,
                     "simulate", seed=args.seed,
                     extra={"model": model, "n_points": grid.n_points})
@@ -260,35 +248,29 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    model = args.model or cfg.get("model")
-    if model not in _MODELS:
-        raise ConfigError("no model selected (config 'model' or --model)")
+    model = _model(cfg, args)
     values = _parse_floats(args.values)
     if len(values) < 2:
         raise ConfigError("sweep requires at least 2 axis values")
     grid = _build_grid(cfg)
-    lines = ["axis_value,frequency_mhz,excitation"]
-    failures = []
+    omegas = grid.points()
+    excitation_at = _excitation(cfg, model, args)
+    base = cfg.get("system", {}).get(
+        "omega_nv", cfg.get("ensemble", {}).get("omega_nv", 0.0))
+    blocks, failures = [], []
     for v in values:
-        if args.axis == "power":
-            sweep_cfg, drive = cfg, v
-        else:
-            sweep_cfg, drive = dict(cfg), None
-            sweep_cfg["system"] = dict(cfg.get("system", {}))
-            base = sweep_cfg["system"].get(
-                "omega_nv", cfg.get("ensemble", {}).get("omega_nv", 0.0))
-            sweep_cfg["system"]["omega_fq"] = base + v
+        change = ({"lam": v} if args.axis == "power"
+                  else {"omega_fq": base + v})
         try:
-            excitation = _excitation(sweep_cfg, model, args)(drive)
-            spec = Spectrum(grid=grid, values=excitation(grid.points()),
+            spec = Spectrum(grid=grid, values=excitation_at(**change)(omegas),
                             model_tag=model.upper())
         except HybridSpecError as exc:
             failures.append({"axis_value": v, "error": str(exc)})
             continue
-        for w, e in zip(spec.frequencies(), spec.values):
-            lines.append(f"{_fmt(v)},{_fmt(w)},{_fmt(e)}")
+        blocks.append(_rows(np.full(len(omegas), v), omegas, spec.values))
     out = args.out or "."
-    _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "sweep.csv"),
+               "axis_value,frequency_mhz,excitation", *blocks)
     _write_metadata(os.path.join(out, "sweep_meta.json"), cfg, "sweep",
                     seed=args.seed,
                     extra={"model": model, "axis": args.axis,
@@ -302,26 +284,25 @@ def cmd_eigen(args) -> int:
     if args.n_deltas < 1:
         raise ConfigError(f"--n-deltas must be >= 1, got {args.n_deltas}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.n_deltas)
-    lines = ["delta_mhz,e_left,e_middle,e_right,"
-             "w0_left,w0_middle,w0_right"]
     r = eigen_numeric(params, deltas)
-    for d, values, weights in zip(deltas, r.values, r.qubit_weights):
-        lines.append(",".join(_fmt(x) for x in (d, *values, *weights)))
     out = args.out or "."
-    _atomic_write(os.path.join(out, "eigen.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "eigen.csv"),
+               "delta_mhz,e_left,e_middle,e_right,w0_left,w0_middle,w0_right",
+               _rows(deltas, r.values, r.qubit_weights))
     _write_metadata(os.path.join(out, "eigen_meta.json"), cfg, "eigen")
     return 0
 
 
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
-    ens = _build_ensemble(cfg, seed_override=args.seed)
+    ens = _build_ensemble(cfg, args.seed)
     est_cfg = cfg.get("estimate", {})
     if "t1_us" not in est_cfg:
         raise ConfigError("estimate requires config key estimate.t1_us")
     kwargs = {}
     if "deltas" in est_cfg:
-        kwargs["deltas"] = tuple(est_cfg["deltas"])
+        kwargs["deltas"] = _record("estimate.deltas", tuple,
+                                   est_cfg["deltas"])
     if "grid" in cfg:
         kwargs["grid"] = _build_grid(cfg)
     result = run_pipeline(ens, est_cfg["t1_us"], **kwargs)
@@ -357,11 +338,10 @@ def cmd_fit_lorentzian(args) -> int:
     vals = np.atleast_1d(rows["excitation"])
     if len(freqs) < 2:
         raise ConfigError(f"{args.input} has {len(freqs)} rows, need >= 2")
-    try:
-        grid = FrequencyGrid(float(freqs[0]), float(freqs[-1]), len(freqs))
-        spec = Spectrum(grid=grid, values=vals, model_tag="CSV")
-    except ValueError as exc:
-        raise ConfigError(f"invalid spectrum in {args.input}: {exc}") from exc
+    where = f"spectrum in {args.input}"
+    grid = _record(where, FrequencyGrid, float(freqs[0]), float(freqs[-1]),
+                   len(freqs))
+    spec = _record(where, Spectrum, grid=grid, values=vals, model_tag="CSV")
     # the CSV's 13 significant digits leave a few 1e-6 of a step
     if not np.max(np.abs(freqs - grid.points())) <= 0.01 * grid.step:
         raise ConfigError(f"{args.input} frequencies are not uniform")
@@ -380,9 +360,7 @@ def cmd_fit_lorentzian(args) -> int:
 
 def cmd_sweep_power(args) -> int:
     cfg = load_config(args.config)
-    model = args.model or cfg.get("model")
-    if model not in _MODELS:
-        raise ConfigError("no model selected (config 'model' or --model)")
+    model = _model(cfg, args)
     lambdas = _parse_floats(args.lambdas)
     if not lambdas:
         raise ConfigError("sweep-power requires at least one lambda")
@@ -393,12 +371,12 @@ def cmd_sweep_power(args) -> int:
     grid = _build_grid(cfg)
     rows = fwhm_vs_power(_excitation(cfg, model, args), lambdas,
                          params.omega_nv, max(params.gamma_d, grid.step))
-    lines = ["lambda,fwhm,converged"]
-    for lam, fwhm, converged in rows:
-        fw = _fmt(fwhm) if fwhm is not None else "nan"
-        lines.append(f"{_fmt(lam)},{fw},{str(bool(converged)).lower()}")
     out = args.out or "."
-    _atomic_write(os.path.join(out, "fwhm.csv"), "\n".join(lines) + "\n")
+    # a failed fit has no FWHM: written as nan
+    _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", *(
+        "%.12e,%.12e,%s\n" % (lam, np.nan if fwhm is None else fwhm,
+                              str(bool(converged)).lower())
+        for lam, fwhm, converged in rows))
     _write_metadata(os.path.join(out, "fwhm_meta.json"), cfg, "sweep-power",
                     seed=args.seed, extra={"model": model})
     return 0
@@ -406,9 +384,9 @@ def cmd_sweep_power(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    params = _with_drive(_build_system(cfg), args.drive)
+    params = _changed(_build_system(cfg), lam=args.drive)
     grid = _build_grid(cfg)
-    layout = _layout_from(cfg, args)
+    layout = _build_layout(cfg, args)
     report = truncation_convergence(params, grid, layout)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
@@ -489,71 +467,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the ensemble seed")
+    # options shared by the commands that read a config, then by those that
+    # build the master-equation model, then by those that choose a model
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON config path")
+    config.add_argument("--out", default=None, help="output directory")
+    config.add_argument("--seed", type=int, default=None,
+                        help="override the ensemble seed")
+    fock = argparse.ArgumentParser(add_help=False, parents=[config])
+    fock.add_argument("--n-max-b", type=int, default=None)
+    fock.add_argument("--n-max-d", type=int, default=None)
+    model = argparse.ArgumentParser(add_help=False, parents=[fock])
+    model.add_argument("--model", choices=sorted(_MODELS), default=None)
 
-    p = sub.add_parser("simulate", help="one spectrum under one model")
-    common(p)
-    p.add_argument("--model", choices=sorted(_MODELS), default=None)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("simulate", cmd_simulate, "one spectrum under one model",
+                model)
     p.add_argument("--lambda", dest="drive", type=float, default=None,
                    help="drive amplitude override")
-    p.add_argument("--n-max-b", type=int, default=None)
-    p.add_argument("--n-max-d", type=int, default=None)
     p.add_argument("--dump-packets", default=None,
                    help="write the sampled ensemble packets to this CSV")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="spectra along a power or detuning axis")
-    common(p)
-    p.add_argument("--model", choices=sorted(_MODELS), default=None)
+    p = command("sweep", cmd_sweep, "spectra along a power or detuning axis",
+                model)
     p.add_argument("--axis", choices=("power", "detuning"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--n-max-b", type=int, default=None)
-    p.add_argument("--n-max-d", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eigen", help="single-excitation eigenstructure sweep")
-    common(p)
+    p = command("eigen", cmd_eigen, "single-excitation eigenstructure sweep",
+                config)
     p.add_argument("--delta-min", type=float, default=0.0)
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--n-deltas", type=int, default=21)
-    p.set_defaults(func=cmd_eigen)
 
-    p = sub.add_parser("estimate", help="run the parameter-estimation pipeline")
-    common(p)
-    p.set_defaults(func=cmd_estimate)
+    command("estimate", cmd_estimate, "run the parameter-estimation pipeline",
+            config)
 
-    p = sub.add_parser("fit-lorentzian", help="fit one peak in a spectrum CSV")
+    p = command("fit-lorentzian", cmd_fit_lorentzian,
+                "fit one peak in a spectrum CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--window", required=True, help="lo,hi frequency window")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit_lorentzian)
 
-    p = sub.add_parser("sweep-power", help="middle-peak FWHM vs drive")
-    common(p)
-    p.add_argument("--model", choices=sorted(_MODELS), default=None)
+    p = command("sweep-power", cmd_sweep_power, "middle-peak FWHM vs drive",
+                model)
     p.add_argument("--lambdas", required=True, help="comma-separated drives")
-    p.add_argument("--n-max-b", type=int, default=None)
-    p.add_argument("--n-max-d", type=int, default=None)
-    p.set_defaults(func=cmd_sweep_power)
 
-    p = sub.add_parser("plot-script", help="emit a gnuplot script for a CSV")
+    p = command("plot-script", cmd_plot_script,
+                "emit a gnuplot script for a CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("spectrum", "heatmap", "fwhm"),
                    required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plot_script)
 
-    p = sub.add_parser("convergence", help="Fock-truncation convergence check")
-    common(p)
+    p = command("convergence", cmd_convergence,
+                "Fock-truncation convergence check", fock)
     p.add_argument("--lambda", dest="drive", type=float, default=None)
-    p.add_argument("--n-max-b", type=int, default=None)
-    p.add_argument("--n-max-d", type=int, default=None)
-    p.set_defaults(func=cmd_convergence)
 
     return parser
 

@@ -9,13 +9,18 @@ unit, so no 2pi factors appear anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a number, got {value!r}") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -23,6 +28,14 @@ def _require_nonneg(name: str, value: float) -> None:
     _require_finite(name, value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def _require_int(name: str, value: int, minimum: int) -> None:
+    """An integer (Python or numpy, not bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,7 @@ class FrequencyGrid:
     def __post_init__(self):
         _require_finite("start", self.start)
         _require_finite("stop", self.stop)
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        _require_int("n_points", self.n_points, 2)
         if not self.start < self.stop:
             raise ValueError("grid requires start < stop")
 

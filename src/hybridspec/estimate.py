@@ -16,7 +16,6 @@ from .core import FrequencyGrid, SystemParams
 from .errors import (
     HybridSpecError,
     NonPositiveGamma,
-    NotConverged,
     PipelineStageError,
 )
 from .mhom import (

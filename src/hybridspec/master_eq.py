@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum, SystemParams
+from .core import FrequencyGrid, Spectrum, SystemParams, _require_int
 from .errors import NonUniqueSteadyState, SolverFailure
 
 # acceptance policy shared by ``steady_state`` and ``HermitianGenerator``:
@@ -52,8 +52,8 @@ class HilbertLayout:
     n_max_dark: int
 
     def __post_init__(self):
-        if self.n_max_bright < 1 or self.n_max_dark < 1:
-            raise ValueError("Fock truncations must be >= 1")
+        _require_int("n_max_bright", self.n_max_bright, 1)
+        _require_int("n_max_dark", self.n_max_dark, 1)
 
     @property
     def dim(self) -> int:

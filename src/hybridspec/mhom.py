@@ -14,7 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum
+from .core import (FrequencyGrid, Spectrum, _require_finite, _require_int,
+                   _require_nonneg)
 from .errors import DivergentResponse, PeaksNotResolved
 from .numerics import golden_section_max
 
@@ -35,6 +36,8 @@ _CHUNK = 256
 # would cancel to that factor; above _PAIR_GAIN zeta^2 (only possible with
 # gamma_b != gamma_d) the packet is summed in its rational form
 _PAIR_GAIN = 8.0
+# locate_peak scans its window at this many points before refining
+PEAK_SCAN_POINTS = 401
 
 
 @dataclass(frozen=True)
@@ -60,17 +63,17 @@ class EnsembleSpec:
     hyperfine: float = 0.0
 
     def __post_init__(self):
-        if self.n_packets < 1:
-            raise ValueError("n_packets must be >= 1")
+        _require_int("n_packets", self.n_packets, 1)
+        _require_int("seed", self.seed, 0)
+        for name in ("mean_zeeman", "omega_nv", "collective_g"):
+            _require_finite(name, getattr(self, name))
+        for name in ("fwhm_zeeman", "fwhm_strain", "fwhm_zfs", "hyperfine"):
+            _require_nonneg(name, getattr(self, name))
         if self.collective_g <= 0:
-            raise ValueError("collective_g must be > 0")
-        for name in ("fwhm_zeeman", "fwhm_strain", "fwhm_zfs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            raise ValueError(
+                f"collective_g must be > 0, got {self.collective_g!r}")
         if self.distribution not in ("gaussian", "lorentzian"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.hyperfine < 0:
-            raise ValueError("hyperfine must be >= 0")
 
     def with_(self, **kwargs) -> "EnsembleSpec":
         return replace(self, **kwargs)
@@ -99,6 +102,11 @@ class MhomParams:
     gamma_b: float
     gamma_d: float
     lam: float = 1.0
+
+    def __post_init__(self):
+        _require_finite("omega_fq", self.omega_fq)
+        for name in ("gamma_fq", "gamma_b", "gamma_d", "lam"):
+            _require_nonneg(name, getattr(self, name))
 
     def with_(self, **kwargs) -> "MhomParams":
         return replace(self, **kwargs)
@@ -375,15 +383,14 @@ def mhom_spectrum(ensemble, params: MhomParams,
                     model_tag="MHOM", params_snapshot=params)
 
 
-def locate_peak(ensemble, params: MhomParams, lo: float, hi: float,
-                n_scan: int = 401, require_interior: bool = True) -> float:
-    """Coarse scan plus golden-section refinement of one local maximum;
-    ``ensemble`` as in mhom_amplitude."""
+def locate_peak(ensemble, params: MhomParams, lo: float, hi: float) -> float:
+    """Coarse scan plus golden-section refinement of one local maximum, which
+    must lie inside [lo, hi]; ``ensemble`` as in mhom_amplitude."""
     sigma = as_self_energy(ensemble, params)
-    omegas = np.linspace(lo, hi, n_scan)
+    omegas = np.linspace(lo, hi, PEAK_SCAN_POINTS)
     vals = mhom_response(sigma, params, omegas)
     i = int(np.argmax(vals))
-    if require_interior and (i == 0 or i == len(omegas) - 1):
+    if i == 0 or i == len(omegas) - 1:
         raise PeaksNotResolved(f"no interior maximum in [{lo}, {hi}]")
     h = omegas[1] - omegas[0]
     f = lambda w: mhom_response(sigma, params, w)

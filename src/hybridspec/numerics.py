@@ -7,14 +7,17 @@ import numpy as np
 from .errors import NotConverged
 
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
+# golden-section search stops once the bracket is this narrow
+GOLDEN_TOL = 1e-9
 
 
-def golden_section_max(f, a: float, b: float, tol: float = 1e-9) -> float:
-    """Locate the maximum of a unimodal scalar function on [a, b]."""
+def golden_section_max(f, a: float, b: float) -> float:
+    """Locate the maximum of a unimodal scalar function on [a, b], to
+    GOLDEN_TOL."""
     c = b - _GR * (b - a)
     d = a + _GR * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GR * (b - a)
@@ -44,7 +47,6 @@ def damped_least_squares(
     max_iter: int = 200,
     step_tol: float = 1e-13,
     cost_tol: float = 1e-15,
-    raise_on_failure: bool = True,
 ):
     """Levenberg-Marquardt minimization of 0.5*||residual(x)||^2.
 
@@ -52,7 +54,7 @@ def damped_least_squares(
     gain ratio (actual vs predicted cost reduction).  Converges when the
     relative step drops below step_tol or an accepted step reduces the cost
     by less than cost_tol relative, else raises NotConverged carrying the
-    best iterate (or returns it if raise_on_failure is False).
+    best iterate.  Returns (x, cost, n_iter, True).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
@@ -88,8 +90,6 @@ def damped_least_squares(
         else:
             mu *= nu
             nu *= 2.0
-    if raise_on_failure:
-        raise NotConverged(
-            f"no convergence in {max_iter} iterations", best=(x, cost, n_iter)
-        )
-    return x, cost, n_iter, False
+    raise NotConverged(
+        f"no convergence in {max_iter} iterations", best=(x, cost, n_iter)
+    )

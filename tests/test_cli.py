@@ -14,7 +14,7 @@ from hybridspec import (
     mhom_response,
     sample_ensemble,
 )
-from hybridspec.cli import ConfigError, load_config, main
+from hybridspec.cli import ConfigError, _rows, load_config, main
 
 from conftest import OMEGA_NV
 
@@ -32,7 +32,8 @@ ENSEMBLE = {"n_packets": 200, "mean_zeeman": 0.0, "fwhm_zeeman": 3.1,
 
 def write_config(tmp_path, name="cfg.json", **cfg):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    # an infinite value is written as 1e400, which JSON reads as inf
+    path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     return str(path)
 
 
@@ -437,3 +438,86 @@ class TestConvergence:
         assert main(["convergence", "--config", cfg, "--out", str(out),
                      "--lambda", "nan"]) == 2
         assert not out.exists()
+
+
+def _with(cfg, section, **fields):
+    return dict(cfg, **{section: dict(cfg[section], **fields)})
+
+
+MHOM = dict(model="mhom", system=SYSTEM, ensemble=ENSEMBLE, grid=GRID)
+THOM = dict(model="thom", system=SYSTEM, grid=GRID,
+            signal_map={"scale": 1.0, "offset": 1.0})
+ESTIMATE = dict(ensemble=ENSEMBLE, estimate={"t1_us": 10.0})
+SWEEP = ["sweep", "--axis", "detuning"]
+
+# config inputs that a record rejects: (config, command line)
+INVALID_INPUTS = {
+    "mhom-gamma_fq-str": (_with(MHOM, "system", gamma_fq="abc"),
+                          ["simulate"]),
+    "mhom-omega_fq-str": (_with(MHOM, "system", omega_fq="x"), ["simulate"]),
+    "n_packets-float": (_with(MHOM, "ensemble", n_packets=2.5),
+                        ["simulate"]),
+    "seed-float": (_with(MHOM, "ensemble", seed=1.5), ["simulate"]),
+    "seed-flag-negative": (MHOM, ["simulate", "--seed", "-1"]),
+    "fwhm_zfs-1e400": (_with(MHOM, "ensemble", fwhm_zfs=float("inf")),
+                       ["simulate"]),
+    "mean_zeeman-str": (_with(MHOM, "ensemble", mean_zeeman="x"),
+                        ["simulate"]),
+    "n_points-float": (_with(THOM, "grid", n_points=2.5), ["simulate"]),
+    "scale-negative": (_with(THOM, "signal_map", scale=-1), ["simulate"]),
+    "no-offset": (dict(THOM, signal_map={"scale": 1.0}), ["simulate"]),
+    "scale-str": (_with(THOM, "signal_map", scale="a"), ["simulate"]),
+    "deltas-number": (_with(ESTIMATE, "estimate", deltas=5), ["estimate"]),
+    "mhom-sweep-nan": (MHOM, SWEEP + ["--values=1,nan"]),
+    "mhom-gamma_b-negative": (_with(MHOM, "system", gamma_b=-1),
+                              ["simulate"]),
+    "mhom-lam-negative": (_with(MHOM, "system", lam=-2), ["simulate"]),
+    "mhom-sweep-inf": (MHOM, SWEEP + ["--values=1,inf"]),
+}
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("name", INVALID_INPUTS)
+    def test_exits_2_without_files(self, tmp_path, capsys, name):
+        cfg, argv = INVALID_INPUTS[name]
+        out = tmp_path / "run"
+        assert main([argv[0], "--config", write_config(tmp_path, **cfg),
+                     "--out", str(out), *argv[1:]]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: invalid ")
+
+
+class TestWriter:
+    def test_rows_are_per_value_format(self):
+        rng = np.random.default_rng(5)
+        special = [-0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308]
+        a = np.concatenate([special, rng.standard_normal(400)
+                            * 10.0 ** rng.integers(-300, 300, 400)])
+        b = rng.permutation(a)
+        c = rng.standard_normal((len(a), 3))
+        expected = "".join(",".join(f"{x:.12e}" for x in row) + "\n"
+                           for row in zip(a, b, *c.T))
+        assert _rows(a, b, c) == expected
+
+    @pytest.mark.parametrize("axis, values", [("power", [0.5, 2.0, 1.0]),
+                                              ("detuning", [-3.0, 2.5])])
+    def test_mhom_sweep_rows_match_per_value_calls(self, tmp_path, axis,
+                                                   values):
+        grid = dict(GRID, n_points=41)
+        cfg = write_config(tmp_path, **dict(MHOM, grid=grid))
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--axis", axis,
+                     "--values=" + ",".join(map(str, values))]) == 0
+        packets = sample_ensemble(EnsembleSpec(**ENSEMBLE))
+        params = MhomParams(**{k: SYSTEM[k] for k in (
+            "omega_fq", "gamma_fq", "gamma_b", "gamma_d", "lam")})
+        omegas = np.linspace(grid["start_mhz"], grid["stop_mhz"], 41)
+        lines = []
+        for v in values:
+            p = (params.with_(lam=v) if axis == "power"
+                 else params.with_(omega_fq=SYSTEM["omega_nv"] + v))
+            lines += [f"{v:.12e},{w:.12e},{e:.12e}" for w, e in zip(
+                omegas, mhom_response(packets, p, omegas))]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows == lines
