@@ -26,6 +26,7 @@ from .core import (
     SignalMap,
     Spectrum,
     SystemParams,
+    _require_finite,
     apply_signal_map,
 )
 from .errors import HybridSpecError
@@ -299,10 +300,13 @@ def cmd_estimate(args) -> int:
     est_cfg = cfg.get("estimate", {})
     if "t1_us" not in est_cfg:
         raise ConfigError("estimate requires config key estimate.t1_us")
+    _record("estimate.t1_us", _require_finite, "t1_us", est_cfg["t1_us"])
     kwargs = {}
     if "deltas" in est_cfg:
         kwargs["deltas"] = _record("estimate.deltas", tuple,
                                    est_cfg["deltas"])
+        for delta in kwargs["deltas"]:
+            _record("estimate.deltas", _require_finite, "delta", delta)
     if "grid" in cfg:
         kwargs["grid"] = _build_grid(cfg)
     result = run_pipeline(ens, est_cfg["t1_us"], **kwargs)

@@ -36,7 +36,7 @@ UNIQUENESS_TOL = 1e-7
 # reduced models of a spectrum: at most KRYLOV_MAX Arnoldi steps per model,
 # stopping once the a-posteriori estimate is below KRYLOV_TOL relative at
 # every point (checked every _KRYLOV_CHECK steps); an interval of fewer
-# than MIN_MODEL_POINTS points is solved point by point
+# than MIN_MODEL_POINTS points is solved as one-point models
 KRYLOV_MAX = 160
 KRYLOV_TOL = 1e-14
 _KRYLOV_CHECK = 5
@@ -141,12 +141,11 @@ def build_liouvillian(h: np.ndarray, params: SystemParams,
     return liou
 
 
-def steady_state(liou: np.ndarray, check_unique: bool = True,
-                 residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def steady_state(liou: np.ndarray, check_unique: bool = True) -> np.ndarray:
     """Solve L vec(rho) = 0 with the trace-one constraint.
 
     One row is replaced by the trace functional; the result is symmetrized
-    and validated (trace, Hermiticity, positivity, residual).
+    and validated (residual, uniqueness, trace, Hermiticity, positivity).
     """
     d2 = liou.shape[0]
     d = int(round(np.sqrt(d2)))
@@ -159,28 +158,34 @@ def steady_state(liou: np.ndarray, check_unique: bool = True,
         rhs = np.zeros(d2, dtype=complex)
         rhs[row] = 1.0
         try:
-            return np.linalg.solve(a, rhs)
+            vec = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"steady-state solve failed: {exc}") from exc
+        rho = vec.reshape((d, d), order="F")
+        return 0.5 * (rho + rho.conj().T)
 
-    vec = solve_with_row(0)
-    rho = vec.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-
-    norm_l = np.linalg.norm(liou)
-    residual = np.linalg.norm(liou @ rho.reshape(-1, order="F")) / norm_l
-    if residual > residual_tol:
-        raise SolverFailure(f"steady-state residual {residual:.3e} too large")
-
+    rho = solve_with_row(0)
+    _check_residual(np.linalg.norm(liou @ rho.reshape(-1, order="F"))
+                    / np.linalg.norm(liou))
     if check_unique:
-        vec2 = solve_with_row(d2 - 1)
-        rho2 = vec2.reshape((d, d), order="F")
-        rho2 = 0.5 * (rho2 + rho2.conj().T)
-        if np.max(np.abs(rho2 - rho)) > UNIQUENESS_TOL:
-            raise NonUniqueSteadyState("second kernel candidate found")
-
+        _check_unique(rho, solve_with_row(d2 - 1))
     _validate_density_matrix(rho)
     return rho
+
+
+def _check_residual(residuals) -> None:
+    """Raise unless every residual ||L x|| / ||L||_F is within
+    ``RESIDUAL_TOL``."""
+    worst = np.max(residuals)
+    if not worst <= RESIDUAL_TOL:
+        raise SolverFailure(f"steady-state residual {worst:.3e} too large")
+
+
+def _check_unique(rho: np.ndarray, rho2: np.ndarray) -> None:
+    """Raise unless the states with the first and with the last row
+    replaced by the trace functional agree within ``UNIQUENESS_TOL``."""
+    if not np.max(np.abs(rho2 - rho)) <= UNIQUENESS_TOL:
+        raise NonUniqueSteadyState("second kernel candidate found")
 
 
 def _validate_density_matrix(rho: np.ndarray) -> None:
@@ -438,7 +443,8 @@ class HermitianGenerator:
     on B^-1 D gives x(s) ~ V_k (I + s H_k)^-1 |b| e_1 at every point of the
     interval.  Every point is certified against the true generator; an
     interval with a failing point is split in two, and an interval of fewer
-    than ``MIN_MODEL_POINTS`` points is solved point by point.
+    than ``MIN_MODEL_POINTS`` points is solved as one-point models, where
+    the shift is zero and b is the exact solve.
     """
 
     def __init__(self, params: SystemParams, layout: HilbertLayout):
@@ -505,32 +511,6 @@ class HermitianGenerator:
         n = self.layout.dim
         return (cu * x[gu] + cv * x[gv]).reshape((n, n), order="F")
 
-    def _unit(self, row: int) -> np.ndarray:
-        e = np.zeros(self.a.offsets[-1])
-        e[row] = 1.0
-        return e
-
-    def _point(self, omega: float, check_unique: bool) -> tuple:
-        """Validated steady state at omega from one block elimination, and
-        its residual, with the checks of the module-level ``steady_state``:
-        residual, optional second solve with the last row replaced, trace,
-        Hermiticity and positivity."""
-        s = omega - self.omega_ref
-        factor = _BlockFactor(self, s)
-        first, last = self.rows
-        x = factor.solve(self._unit(first), first)
-        residual = self._residuals(x[:, None], s)[0]
-        if residual > RESIDUAL_TOL:
-            raise SolverFailure(
-                f"steady-state residual {residual:.3e} too large")
-        rho = self._density_matrix(x)
-        if check_unique:
-            rho2 = self._density_matrix(factor.solve(self._unit(last), last))
-            if np.max(np.abs(rho2 - rho)) > UNIQUENESS_TOL:
-                raise NonUniqueSteadyState("second kernel candidate found")
-        _validate_density_matrix(rho)
-        return rho, residual
-
     def _krylov(self, factor: _BlockFactor, row: int,
                 sigmas: np.ndarray) -> tuple:
         """Shift-invert Arnoldi on K = B^-1 D from b = B^-1 e_row, for the
@@ -541,12 +521,16 @@ class HermitianGenerator:
         steps that estimate is checked at the two end shifts, and when both
         are below ``KRYLOV_TOL`` |y|, at every shift; the run stops when all
         are, or at ``KRYLOV_MAX`` steps.  Returns the columns x(sigma),
-        whether each met the tolerance, and k.
+        their estimates, and k; with every shift zero, x is b itself (k = 0).
         """
-        dim = self.a.offsets[-1]
-        basis = np.empty((dim, KRYLOV_MAX + 1))
+        b = np.zeros(self.a.offsets[-1])
+        b[row] = 1.0
+        b = factor.solve(b, row)
+        if not sigmas.any():
+            x = b[:, None].repeat(len(sigmas), axis=1)
+            return x, np.zeros_like(sigmas), 0
+        basis = np.empty((len(b), KRYLOV_MAX + 1))
         hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
-        b = factor.solve(self._unit(row), row)
         beta = np.linalg.norm(b)
         basis[:, 0] = b / beta
         ends = sigmas[[0, -1]]
@@ -566,90 +550,85 @@ class HermitianGenerator:
                 basis[:, k] = w / hess[k, k - 1]
                 continue
             y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
-            met = estimate <= KRYLOV_TOL
-            if met.all() or k == KRYLOV_MAX or hess[k, k - 1] == 0.0:
-                return basis[:, :k] @ y.T, met, k
+            if (np.all(estimate <= KRYLOV_TOL) or k == KRYLOV_MAX
+                    or hess[k, k - 1] == 0.0):
+                return basis[:, :k] @ y.T, estimate, k
             basis[:, k] = w / hess[k, k - 1]
 
-    def _interval(self, omegas: np.ndarray, check_unique: bool,
-                  report: dict):
-        """Certified steady states at the sorted omegas from reduced models
-        expanded at the interval's centre, as columns x (block order) and
-        their residuals; None if any point fails a check."""
+    def _interval(self, omegas: np.ndarray, check_unique: bool) -> tuple:
+        """Steady states at the sorted omegas from reduced models expanded
+        at the interval's centre (the exact solve at a single point), their
+        worst residual and the models' Krylov dimensions.  Raises the first
+        check a point fails: each model's estimate, the residual, the
+        density-matrix checks, then with ``check_unique`` agreement with
+        the last-row model and that model's residual."""
         s = omegas - self.omega_ref
         centre = 0.5 * (s[0] + s[-1])
-        rows = self.rows[: 2 if check_unique else 1]
-        try:
-            factor = _BlockFactor(self, centre)
-            models = [self._krylov(factor, row, s - centre) for row in rows]
-        except SolverFailure:  # singular at the centre or in the model
-            report["rejected_models"] += len(rows)
-            return None
-        residuals = [self._residuals(x, s) for x, _, _ in models]
-        good = np.logical_and.reduce(
-            [met & (r <= RESIDUAL_TOL) for (_, met, _), r in
-             zip(models, residuals)])
+        factor = _BlockFactor(self, centre)
+        models = [self._krylov(factor, row, s - centre)
+                  for row in self.rows[: 2 if check_unique else 1]]
+        for _, estimate, _ in models:
+            if not np.all(estimate <= KRYLOV_TOL):
+                raise SolverFailure(f"reduced-model estimate "
+                                    f"{np.max(estimate):.3e} too large")
         x = models[0][0]
-        for p in np.flatnonzero(good):
-            try:
-                _validate_density_matrix(self._density_matrix(x[:, p]))
-            except SolverFailure:
-                good[p] = False
-        if not good.all():
-            report["rejected_models"] += len(models)
-            return None
+        residuals = self._residuals(x, s)
+        _check_residual(residuals)
+        rhos = [self._density_matrix(col) for col in x.T]
+        for rho in rhos:
+            _validate_density_matrix(rho)
         if check_unique:
             x2 = models[1][0]
-            for p, w in enumerate(omegas):
-                if np.max(np.abs(self._density_matrix(x2[:, p])
-                                 - self._density_matrix(x[:, p]))) \
-                        > UNIQUENESS_TOL:
-                    raise NonUniqueSteadyState(
-                        f"at omega={w}: second kernel candidate found")
-        report["krylov_dims"] += [k for _, _, k in models]
-        return x, residuals[0]
+            _check_unique(np.array(rhos),
+                          np.array([self._density_matrix(c) for c in x2.T]))
+            _check_residual(self._residuals(x2, s))
+        return rhos, float(residuals.max()), [k for _, _, k in models]
 
     def states(self, omegas, check_unique: bool = False,
                report: dict = None):
         """Yield (index, rho) for the validated steady state at each drive
-        frequency, in no fixed order.
+        frequency, in no fixed order.  An interval of fewer than
+        ``MIN_MODEL_POINTS`` points becomes one-point models; an interval
+        that fails a check is split, and a single point raises.
 
         ``report``, a dict updated in place, receives ``krylov_dims`` (the
         Krylov dimension of every reduced model whose points were
-        returned), ``rejected_models`` (models with a failing point, whose
-        interval was split), ``points_solved_per_point`` and
-        ``worst_residual`` (the largest certified residual returned).
+        returned), ``rejected_models`` (models with a failing point),
+        ``rejection_reasons`` (per split interval, its omega range and the
+        check it failed), ``points_solved_per_point`` (one-point models)
+        and ``worst_residual`` (the largest certified residual returned).
         """
         if report is None:
             report = {}
         report.update(krylov_dims=[], rejected_models=0,
-                      points_solved_per_point=0, worst_residual=0.0)
+                      rejection_reasons=[], points_solved_per_point=0,
+                      worst_residual=0.0)
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         pending = [np.argsort(omegas, kind="stable")]
         while pending:
             idx = pending.pop()
-            if len(idx) < MIN_MODEL_POINTS:
-                for k in idx:
-                    try:
-                        rho, residual = self._point(omegas[k], check_unique)
-                    except (SolverFailure, NonUniqueSteadyState) as exc:
-                        raise type(exc)(f"at omega={omegas[k]}: {exc}") \
-                            from exc
-                    report["points_solved_per_point"] += 1
-                    report["worst_residual"] = max(report["worst_residual"],
-                                                   float(residual))
-                    yield k, rho
+            if len(idx) != 1 and len(idx) < MIN_MODEL_POINTS:
+                pending += list(idx[::-1, None])  # lowest omega first
                 continue
-            solved = self._interval(omegas[idx], check_unique, report)
-            if solved is None:
+            try:
+                rhos, residual, dims = self._interval(omegas[idx],
+                                                      check_unique)
+            except (SolverFailure, NonUniqueSteadyState) as exc:
+                if len(idx) == 1:
+                    raise type(exc)(f"at omega={omegas[idx[0]]}: {exc}") \
+                        from exc
+                report["rejected_models"] += 2 if check_unique else 1
+                report["rejection_reasons"].append(
+                    f"omega {omegas[idx[0]]} to {omegas[idx[-1]]}: {exc}")
                 half = len(idx) // 2
                 pending += [idx[half:], idx[:half]]  # left half first
                 continue
-            x, residuals = solved
-            report["worst_residual"] = max(report["worst_residual"],
-                                           float(residuals.max()))
-            for p, k in enumerate(idx):
-                yield k, self._density_matrix(x[:, p])
+            if len(idx) == 1:
+                report["points_solved_per_point"] += 1
+            else:
+                report["krylov_dims"] += dims
+            report["worst_residual"] = max(report["worst_residual"], residual)
+            yield from zip(idx, rhos)
 
     def excitation(self, omegas, check_unique: bool = False,
                    report: dict = None) -> np.ndarray:

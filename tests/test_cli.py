@@ -468,6 +468,14 @@ INVALID_INPUTS = {
     "no-offset": (dict(THOM, signal_map={"scale": 1.0}), ["simulate"]),
     "scale-str": (_with(THOM, "signal_map", scale="a"), ["simulate"]),
     "deltas-number": (_with(ESTIMATE, "estimate", deltas=5), ["estimate"]),
+    "t1_us-str": (_with(ESTIMATE, "estimate", t1_us="x"), ["estimate"]),
+    "t1_us-null": (_with(ESTIMATE, "estimate", t1_us=None), ["estimate"]),
+    "t1_us-list": (_with(ESTIMATE, "estimate", t1_us=[1]), ["estimate"]),
+    "deltas-str-entry": (_with(ESTIMATE, "estimate", deltas=["a", 1, 2]),
+                         ["estimate"]),
+    "deltas-str": (_with(ESTIMATE, "estimate", deltas="abc"), ["estimate"]),
+    "deltas-nan": (_with(ESTIMATE, "estimate", deltas=[1, 2, float("nan")]),
+                   ["estimate"]),
     "mhom-sweep-nan": (MHOM, SWEEP + ["--values=1,nan"]),
     "mhom-gamma_b-negative": (_with(MHOM, "system", gamma_b=-1),
                               ["simulate"]),

@@ -34,3 +34,32 @@ def test_detects_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list) -> list:
+    """``_``-prefixed functions, classes and methods (not dunders) defined
+    in the sources that no expression in them reads, as a name or as an
+    attribute."""
+    defined, read = set(), set()
+    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            read.add(node.attr)
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_detects_an_unread_private_name():
+    sources = ["def _a():\n    pass\n\n\nclass _B:\n    def __init__(self):\n"
+               "        self._c = 1\n\n    def _c(self):\n        pass\n",
+               "from m import _B\n_B()\n"]
+    assert unread_private_names(sources) == ["_a", "_c"]
+
+
+def test_package_reads_its_private_definitions():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

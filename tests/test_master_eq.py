@@ -339,6 +339,11 @@ class TestHermitianGenerator:
         assert me_excitation(p, OMEGA_NV, LAYOUT) > 0.0
         with pytest.raises(NonUniqueSteadyState):
             me_excitation(p, OMEGA_NV, LAYOUT, check_unique=True)
+        # a reduced model is split down to its first point, which raises
+        grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0,
+                             MIN_MODEL_POINTS + 1)
+        with pytest.raises(NonUniqueSteadyState, match="at omega="):
+            me_spectrum(p, grid, LAYOUT, check_unique=True)
 
     def test_rejects_generator_that_breaks_hermiticity(self):
         # an anti-Hermitian "Hamiltonian" turns Hermitian rho anti-Hermitian
@@ -404,12 +409,26 @@ class TestCoherenceOrder:
 
 
 def per_point_excitation(gen, omegas, check_unique=False):
-    """One block elimination per point (the solver's fallback path)."""
-    return np.array([qubit_excitation(gen._point(w, check_unique)[0],
-                                      gen.layout) for w in omegas])
+    """One block elimination per point: each point a one-point model."""
+    return np.array([gen.excitation([w], check_unique)[0] for w in omegas])
 
 
 class TestReducedModel:
+    def test_one_point_model_is_one_block_elimination(self):
+        layout = HilbertLayout(4, 4)
+        gen = HermitianGenerator(small_params(lam=10.0), layout)
+        row = gen.rows[0]
+        for w in (OMEGA_NV - 13.4, OMEGA_NV + 0.7, OMEGA_NV + 25.0):
+            e = np.zeros(gen.a.offsets[-1])
+            e[row] = 1.0
+            x = master_eq._BlockFactor(gen, w - gen.omega_ref).solve(e, row)
+            report = {}
+            [(_, rho)] = gen.states([w], check_unique=True, report=report)
+            assert report["points_solved_per_point"] == 1
+            assert not report["krylov_dims"]
+            assert np.array_equal(rho, gen._density_matrix(x))
+            assert gen.excitation([w])[0] == qubit_excitation(rho, layout)
+
     def test_matches_per_point_and_dense_solves(self):
         layout = HilbertLayout(4, 4)
         p = small_params(lam=10.0)
@@ -453,6 +472,13 @@ class TestReducedModel:
         meta = spec.metadata
         assert meta["rejected_models"] > 0
         assert meta["krylov_dims"] and meta["points_solved_per_point"] > 0
+        # one reason per split interval (two models each with check_unique)
+        reasons = meta["rejection_reasons"]
+        assert 2 * len(reasons) == meta["rejected_models"]
+        assert reasons[0].startswith(
+            "omega 2853.0 to 2903.0: reduced-model estimate ")
+        assert all(r.startswith("omega ") and r.endswith(" too large")
+                   for r in reasons)
         assert meta["worst_residual"] <= master_eq.RESIDUAL_TOL
         block = per_point_excitation(HermitianGenerator(p, layout),
                                      grid.points())
