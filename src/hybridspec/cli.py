@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from datetime import datetime, timezone
 from functools import partial
 
@@ -132,15 +133,15 @@ def _model(cfg: dict, args) -> str:
     return model
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         # mkstemp creates 0600; give the file the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -150,17 +151,92 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _rows(*columns) -> str:
+# %.12e as array code.  A value is one record of six little-endian words:
+# [pad, sign or pad, d0, '.'], three groups of four digits, ['e', exponent
+# sign, two exponent digits], [separator, pad, pad, pad]; the pad bytes are
+# zero and are dropped at the end.
+_CHUNK_ROWS = 1 << 15
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+# _GROUPS[i] holds the four digits of i, 0 <= i < 10000 (built in uint8: the
+# import costs no memory to speak of)
+_GROUPS = np.stack(np.meshgrid(_DIGITS, _DIGITS, _DIGITS, _DIGITS,
+                               indexing="ij"), axis=-1).view("<u4").ravel()
+# _EXPONENTS[e + 99] holds "e+dd" or "e-dd", -99 <= e <= 99
+_k = np.arange(-99, 100)
+_EXPONENTS = np.stack([np.full(_k.shape, ord("e")),
+                       np.where(_k < 0, ord("-"), ord("+")),
+                       _DIGITS[abs(_k) // 10], _DIGITS[abs(_k) % 10]],
+                      axis=1).astype(np.uint8).view("<u4").ravel()
+del _k
+# _SCALE[e + 101] is 10^(12-e) for e in -101..100, correctly rounded from its
+# decimal literal
+_SCALE = np.array([float(f"1e{12 - e}") for e in range(-101, 101)])
+
+
+def _format_records(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The records (uint8, x.shape + (24,)) of the values of the 2-D array
+    x, each followed by its column's separator byte.
+
+    A zero, or a finite value with 1e-99 <= |x| < 1e99, is written from
+    y = |x|·10^(12-e), e the decade that puts y in [1e12, 1e13), and its
+    rounding m = rint(y).  One product with a correctly rounded power of ten
+    puts y within 2.3e-3 of its exact value, so m is the correct rounding
+    unless y lies within 0.01 of a half.  Those values, and all others
+    (nan, inf, subnormals, three-digit exponents), are written by Python's
+    %.12e."""
+    ax = np.abs(x)
+    fast = (ax < 1e99) & ((ax >= 1e-99) | (ax == 0))
+    nonzero = fast & (ax != 0)
+    a = np.where(nonzero, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    # the decade is corrected once, by y itself
+    y = a * _SCALE[e + 101]
+    e += (y >= 1e13).astype(np.int64) - (y < 1e12)
+    y = a * _SCALE[e + 101]
+    fast &= (y >= 1e12) & (y < 1e13) & (np.abs(y - np.floor(y) - 0.5) >= 0.01)
+    m = np.rint(y)
+    carry = m >= 1e13
+    e += carry
+    fast &= np.abs(e) <= 99
+    digits = np.where(nonzero & fast, np.where(carry, 1e12, m), 0.0)
+    # digits = hi·1e8 + lo, both exact and below 2^32
+    hi = np.floor(digits / 1e8)
+    lo = (digits - hi * 1e8).astype(np.uint32)
+    d0, g1 = np.divmod(hi.astype(np.uint32), 10000)
+    words = np.empty(x.shape + (6,), dtype="<u4")
+    words[..., 0] = ((ord(".") << 24) + ((ord("0") + d0) << 16)
+                     + np.signbit(x) * (ord("-") << 8))
+    words[..., 1] = _GROUPS[g1]
+    words[..., 2] = _GROUPS[lo // 10000]
+    words[..., 3] = _GROUPS[lo % 10000]
+    words[..., 4] = _EXPONENTS[np.where(nonzero & fast, e, 0) + 99]
+    words[..., 5] = seps
+    records = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join((b"%.12e%c" % pair).ljust(24, b"\0") for pair in zip(
+            x.ravel()[slow].tolist(), seps[slow % x.shape[1]].tolist()))
+        records.reshape(-1, 24)[slow] = np.frombuffer(
+            text, dtype=np.uint8).reshape(-1, 24)
+    return records
+
+
+def _rows(*columns) -> bytes:
     """CSV rows of the columns (1-D, or 2-D for several), every value as
     %.12e: the bytes of f"{x:.12e}", -0.0, nan and inf included."""
     table = np.column_stack(columns)
-    row = ",".join(["%.12e"] * table.shape[1]) + "\n"
-    return (row * len(table)) % tuple(table.ravel().tolist())
+    seps = np.full(table.shape[1], ord(","), dtype="<u4")
+    seps[-1] = ord("\n")
+    # the pad bytes, the only zero bytes of a record, are deleted
+    return b"".join(
+        _format_records(table[start:start + _CHUNK_ROWS], seps).tobytes()
+        .translate(None, b"\0")
+        for start in range(0, len(table), _CHUNK_ROWS))
 
 
-def _write_csv(path: str, header: str, *blocks: str) -> None:
+def _write_csv(path: str, header: str, *blocks: bytes) -> None:
     """Write the header line, then the blocks of CSV rows."""
-    _atomic_write(path, "".join((header, "\n", *blocks)))
+    _atomic_write(path, b"".join((header.encode(), b"\n", *blocks)))
 
 
 def _write_metadata(path: str, cfg: dict, command: str, seed=None,
@@ -174,7 +250,7 @@ def _write_metadata(path: str, cfg: dict, command: str, seed=None,
     }
     if extra:
         meta.update(extra)
-    _atomic_write(path, json.dumps(meta, indent=2) + "\n")
+    _atomic_write(path, (json.dumps(meta, indent=2) + "\n").encode())
 
 
 def _changed(params, **changes):
@@ -320,28 +396,45 @@ def cmd_estimate(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     out = args.out or "."
-    _atomic_write(os.path.join(out, "estimate.json"), text)
+    _atomic_write(os.path.join(out, "estimate.json"), text.encode())
     sys.stdout.write(text)
     return 0
+
+
+def _read_csv(path: str):
+    """(column names, 2-D array of the rows) of a numeric CSV with one
+    header line; a file that cannot be read or parsed is a config error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header:
+                raise ValueError("the file is empty")
+            with warnings.catch_warnings():
+                # a header-only file is an empty table, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return [name.strip() for name in header.split(",")], rows
 
 
 def cmd_fit_lorentzian(args) -> int:
     window = _parse_floats(args.window)
     if len(window) != 2:
         raise ConfigError(f"--window needs lo,hi, got {args.window!r}")
-    try:
-        rows = np.genfromtxt(args.input, delimiter=",", names=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
-    names = rows.dtype.names or ()
+    names, rows = _read_csv(args.input)
     if "frequency_mhz" not in names or "excitation" not in names:
         raise ConfigError(
             f"{args.input} lacks frequency_mhz/excitation columns"
         )
-    freqs = np.atleast_1d(rows["frequency_mhz"])
-    vals = np.atleast_1d(rows["excitation"])
-    if len(freqs) < 2:
-        raise ConfigError(f"{args.input} has {len(freqs)} rows, need >= 2")
+    if len(rows) < 2:
+        raise ConfigError(f"{args.input} has {len(rows)} rows, need >= 2")
+    if rows.shape[1] != len(names):
+        raise ConfigError(f"cannot read {args.input}: rows have "
+                          f"{rows.shape[1]} columns, the header {len(names)}")
+    freqs = rows[:, names.index("frequency_mhz")]
+    vals = rows[:, names.index("excitation")]
     where = f"spectrum in {args.input}"
     grid = _record(where, FrequencyGrid, float(freqs[0]), float(freqs[-1]),
                    len(freqs))
@@ -357,7 +450,7 @@ def cmd_fit_lorentzian(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _atomic_write(os.path.join(args.out, "fit.json"), text)
+        _atomic_write(os.path.join(args.out, "fit.json"), text.encode())
     sys.stdout.write(text)
     return 0
 
@@ -378,8 +471,8 @@ def cmd_sweep_power(args) -> int:
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
     _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", *(
-        "%.12e,%.12e,%s\n" % (lam, np.nan if fwhm is None else fwhm,
-                              str(bool(converged)).lower())
+        b"%.12e,%.12e,%s\n" % (lam, np.nan if fwhm is None else fwhm,
+                               b"true" if converged else b"false")
         for lam, fwhm, converged in rows))
     _write_metadata(os.path.join(out, "fwhm_meta.json"), cfg, "sweep-power",
                     seed=args.seed, extra={"model": model})
@@ -394,7 +487,8 @@ def cmd_convergence(args) -> int:
     report = truncation_convergence(params, grid, layout)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
-        _atomic_write(os.path.join(args.out, "convergence.json"), text)
+        _atomic_write(os.path.join(args.out, "convergence.json"),
+                      text.encode())
     sys.stdout.write(text)
     return 0
 
@@ -449,7 +543,7 @@ def cmd_plot_script(args) -> int:
         csv=os.path.relpath(args.input, args.out or ".")
     )
     out = args.out or "."
-    _atomic_write(os.path.join(out, f"plot_{args.kind}.gp"), script)
+    _atomic_write(os.path.join(out, f"plot_{args.kind}.gp"), script.encode())
     return 0
 
 

@@ -16,7 +16,10 @@ import numpy as np
 
 
 def _require_finite(name: str, value: float) -> None:
+    """A finite real number (Python or numpy, not bool)."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         finite = math.isfinite(value)
     except TypeError:
         raise TypeError(f"{name} must be a number, got {value!r}") from None

@@ -4,17 +4,22 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridspec import (
     EnsembleSpec,
+    FrequencyGrid,
     MhomParams,
+    Spectrum,
     SystemParams,
     eigen_numeric,
+    fit_lorentzian,
     fwhm_vs_power,
     mhom_response,
     sample_ensemble,
 )
-from hybridspec.cli import ConfigError, _rows, load_config, main
+from hybridspec.cli import (_CHUNK_ROWS, ConfigError, _read_csv, _rows,
+                            load_config, main)
 
 from conftest import OMEGA_NV
 
@@ -283,6 +288,16 @@ class TestEstimate:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+def spectrum_text(omegas):
+    """A fit-lorentzian input: a unit Lorentzian at OMEGA_NV + omegas."""
+    return ("frequency_mhz,excitation\n" + "".join(
+        f"{OMEGA_NV + x:.12e},{1.0 / (1.0 + x ** 2):.12e}\n"
+        for x in omegas)).encode()
+
+
+LORENTZ = spectrum_text(np.linspace(-1.0, 1.0, 41))
+
+
 class TestFitLorentzian:
     def test_fit_from_simulated_csv(self, tmp_path):
         cfg = write_config(tmp_path, system=SYSTEM, grid={
@@ -306,23 +321,79 @@ class TestFitLorentzian:
             GRID, n_points=200001), model="thom")
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        window = (OMEGA_NV - 1.5, OMEGA_NV + 1.5)
         assert main(["fit-lorentzian", "--input", str(out / "spectrum.csv"),
-                     "--window", f"{OMEGA_NV - 1.5},{OMEGA_NV + 1.5}"]) == 0
+                     "--window", "%r,%r" % window, "--out", str(out)]) == 0
+        # the fit of the columns as genfromtxt reads them
+        rows = np.genfromtxt(out / "spectrum.csv", delimiter=",", names=True)
+        freqs = rows["frequency_mhz"]
+        grid = FrequencyGrid(freqs[0], freqs[-1], len(freqs))
+        fit = fit_lorentzian(Spectrum(grid=grid, values=rows["excitation"],
+                                      model_tag="CSV"), window)
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload == {k: getattr(fit, k) for k in payload}
 
-    @pytest.mark.parametrize("omegas, window", [
-        (np.linspace(-1.0, 1.0, 41), "2876"),
-        (np.linspace(-1.0, 1.0, 41), "2876,2878,2880"),
-        (np.zeros(1), "2876,2880"),
-        (np.linspace(-1.0, 1.0, 41) ** 3, "2876,2880"),  # non-uniform
+    @pytest.mark.parametrize("text, window, message", [
+        (LORENTZ, "2876", "--window needs lo,hi"),
+        (LORENTZ, "2876,2878,2880", "--window needs lo,hi"),
+        (spectrum_text(np.zeros(1)), "2876,2880", "has 1 rows, need >= 2"),
+        (b"frequency_mhz,excitation\n", "2876,2880",
+         "has 0 rows, need >= 2"),
+        (spectrum_text(np.linspace(-1.0, 1.0, 41) ** 3), "2876,2880",
+         "frequencies are not uniform"),
+        (LORENTZ + b"2.878e+03\n", "2876,2880", "cannot read"),
+        (LORENTZ + b"2.878e+03,1,2\n", "2876,2880", "cannot read"),
+        (LORENTZ.replace(b"\n", b",0\n").replace(b"excitation,0",
+                                                   b"excitation"),
+         "2876,2880", "cannot read"),
+        (b"", "2876,2880", "cannot read"),
+        (LORENTZ + b"2.878e+03,\xe9\n", "2876,2880", "cannot read"),
+        (LORENTZ + b"2.878e+03,abc\n", "2876,2880", "cannot read"),
+        (LORENTZ.replace(b",1.000000000000e+00", b",nan"), "2876,2880",
+         "invalid spectrum"),
     ], ids=["one-value-window", "three-value-window", "one-row",
-            "non-uniform"])
-    def test_invalid_input_exits_2(self, tmp_path, omegas, window):
+            "header-only", "non-uniform", "ragged-row", "extra-cell",
+            "every-row-wider-than-header", "empty-file", "non-utf-8",
+            "non-numeric", "nan-cell"])
+    def test_invalid_input_exits_2(self, tmp_path, capsys, text, window,
+                                   message):
         csv = tmp_path / "s.csv"
-        csv.write_text("frequency_mhz,excitation\n" + "".join(
-            f"{OMEGA_NV + x:.12e},{1.0 / (1.0 + x ** 2):.12e}\n"
-            for x in omegas))
+        csv.write_bytes(text)
         assert main(["fit-lorentzian", "--input", str(csv),
                      "--window", window]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["two-columns", "with-switching-prob",
+                                       "swapped", "crlf",
+                                       "trailing-blank-line"])
+    def test_reads_columns_as_genfromtxt(self, tmp_path, shape):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom",
+                           signal_map={"scale": 2.0, "offset": 1.0})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "spectrum.csv").read_bytes().splitlines()
+        cells = [line.split(b",") for line in lines]
+        text = {
+            "two-columns": [c[:2] for c in cells],
+            "with-switching-prob": cells,
+            "swapped": [[c[1], c[0], c[2]] for c in cells],
+            "crlf": cells,
+            "trailing-blank-line": cells + [[b""]],
+        }[shape]
+        newline = b"\r\n" if shape == "crlf" else b"\n"
+        csv = tmp_path / "s.csv"
+        csv.write_bytes(b"".join(b",".join(c) + newline for c in text))
+        names, rows = _read_csv(str(csv))
+        expected = np.genfromtxt(csv, delimiter=",", names=True)
+        for name in ("frequency_mhz", "excitation"):
+            assert np.array_equal(rows[:, names.index(name)], expected[name])
+        # the fit is that of the file as simulate wrote it
+        window = f"{OMEGA_NV - 1.5},{OMEGA_NV + 1.5}"
+        for path, run in ((csv, "csv"), (out / "spectrum.csv", "simulate")):
+            assert main(["fit-lorentzian", "--input", str(path), "--window",
+                         window, "--out", str(tmp_path / run)]) == 0
+        assert (tmp_path / "csv" / "fit.json").read_bytes() == \
+            (tmp_path / "simulate" / "fit.json").read_bytes()
 
     def test_missing_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -481,6 +552,10 @@ INVALID_INPUTS = {
                               ["simulate"]),
     "mhom-lam-negative": (_with(MHOM, "system", lam=-2), ["simulate"]),
     "mhom-sweep-inf": (MHOM, SWEEP + ["--values=1,inf"]),
+    "t1_us-bool": (_with(ESTIMATE, "estimate", t1_us=True), ["estimate"]),
+    "deltas-bool-entry": (_with(ESTIMATE, "estimate", deltas=[True, 1, 2]),
+                          ["estimate"]),
+    "thom-g-bool": (_with(THOM, "system", g=True), ["simulate"]),
 }
 
 
@@ -495,6 +570,12 @@ class TestInvalidInput:
         assert capsys.readouterr().err.startswith("config error: invalid ")
 
 
+def per_value(table):
+    """The CSV rows of a 2-D table, one f"{x:.12e}" per value."""
+    return "".join(",".join(f"{x:.12e}" for x in row) + "\n"
+                   for row in table).encode()
+
+
 class TestWriter:
     def test_rows_are_per_value_format(self):
         rng = np.random.default_rng(5)
@@ -503,9 +584,44 @@ class TestWriter:
                             * 10.0 ** rng.integers(-300, 300, 400)])
         b = rng.permutation(a)
         c = rng.standard_normal((len(a), 3))
-        expected = "".join(",".join(f"{x:.12e}" for x in row) + "\n"
-                           for row in zip(a, b, *c.T))
-        assert _rows(a, b, c) == expected
+        assert _rows(a, b, c) == per_value(np.column_stack([a, b, c]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _rows(x) == per_value(x[:, None])
+
+    def test_rounding_boundaries(self):
+        # powers of ten, the values just below them that round up to the
+        # next decade, and decimal halves of the 13th digit, each with its
+        # neighbours one ulp away
+        tens = np.array([float(f"1e{n}") for n in range(-330, 311)])
+        rng = np.random.default_rng(11)
+        m = rng.integers(10 ** 12, 10 ** 13, 2000)
+        k = rng.integers(-110, 110, 2000)
+        halves = np.concatenate([
+            [float(f"{d}5e{e}") for d, e in zip(m, k)],
+            m + 0.5,  # exact binary halves: ties
+        ])
+        x = np.concatenate([tens, (1 - 5e-14) * tens, halves])
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+        x = np.concatenate([x, -x])
+        assert _rows(x) == per_value(x[:, None])
+
+    @pytest.mark.parametrize("n_columns", range(1, 8))
+    def test_column_counts(self, n_columns):
+        rng = np.random.default_rng(n_columns)
+        table = (rng.standard_normal((50, n_columns))
+                 * 10.0 ** rng.integers(-120, 120, (50, n_columns)))
+        assert _rows(*table.T) == per_value(table)
+
+    @pytest.mark.parametrize("n_rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                        _CHUNK_ROWS + 1])
+    def test_chunk_edges(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = rng.standard_normal((n_rows, 2)) * 1e3
+        assert _rows(table[:, 0], table[:, 1]) == per_value(table)
 
     @pytest.mark.parametrize("axis, values", [("power", [0.5, 2.0, 1.0]),
                                               ("detuning", [-3.0, 2.5])])

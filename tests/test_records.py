@@ -61,7 +61,7 @@ def test_real_fields_reject_non_finite(record, name, value):
 
 
 @pytest.mark.parametrize("record, name", REALS)
-@pytest.mark.parametrize("value", ["1.0", None])
+@pytest.mark.parametrize("value", ["1.0", None, True, np.True_])
 def test_real_fields_reject_non_numbers(record, name, value):
     with pytest.raises(TypeError, match=name):
         build(record, **{name: value})
