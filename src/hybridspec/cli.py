@@ -74,10 +74,12 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
 def load_config(path: str) -> dict:
     """Read and validate the JSON run configuration (strict schema)."""
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"invalid config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -529,10 +531,12 @@ _EXPECTED_HEADERS = {
 
 def cmd_plot_script(args) -> int:
     try:
-        with open(args.input, "r") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             header = fh.readline().strip()
     except OSError as exc:
         raise ConfigError(f"cannot read {args.input}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"invalid {args.input}: {exc}") from exc
     cols = header.split(",")
     expected = _EXPECTED_HEADERS[args.kind]
     if tuple(cols[: len(expected)]) != expected:

@@ -22,7 +22,6 @@ from .mhom import (
     EnsembleSpec,
     MhomParams,
     SelfEnergy,
-    as_self_energy,
     locate_peak,
     mhom_middle_peak_shift,
     mhom_response,
@@ -53,37 +52,39 @@ def gamma_fq_from_t1(t1_us: float) -> float:
 
 
 def estimate_separation(spec: EnsembleSpec, params: MhomParams,
-                        packets=None) -> float:
+                        packets=None, report: dict = None) -> float:
     """Side-peak separation of the resonant ensemble spectrum.
 
     Locates the left and right peaks in windows scaled by the collective
     coupling; the separation estimates twice the total coupling
     sqrt(g^2 + j^2).  ``packets`` is the realization of ``spec``, or a
-    SelfEnergy built from it at params' damping.
+    SelfEnergy built from it at params' damping.  Both peaks are located
+    in one locate_peak call, which fills ``report``.
     """
     if packets is None:
         packets = sample_ensemble(spec)
-    sigma = as_self_energy(packets, params)
     cg = spec.collective_g
-    w_left = locate_peak(sigma, params,
-                         spec.omega_nv - 2.0 * cg, spec.omega_nv - 0.4 * cg)
-    w_right = locate_peak(sigma, params,
-                          spec.omega_nv + 0.4 * cg, spec.omega_nv + 2.0 * cg)
+    w_left, w_right = locate_peak(packets, params, [
+        (params.omega_fq, spec.omega_nv - 2.0 * cg, spec.omega_nv - 0.4 * cg),
+        (params.omega_fq, spec.omega_nv + 0.4 * cg, spec.omega_nv + 2.0 * cg),
+    ], report)
     return w_right - w_left
 
 
 def estimate_ratio(spec: EnsembleSpec, params: MhomParams,
-                   deltas=DEFAULT_DELTAS, packets=None) -> tuple:
+                   deltas=DEFAULT_DELTAS, packets=None,
+                   report: dict = None) -> tuple:
     """Middle-peak shift slope through the origin, an estimate of
     j^2/(g^2+j^2).
 
     Returns (slope, residual_norm) of the one-parameter least squares
-    shift = slope * delta.
+    shift = slope * delta; ``report`` as in mhom_middle_peak_shift.
     """
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) < 3:
         raise ValueError("need at least 3 detunings for the slope fit")
-    shifts = mhom_middle_peak_shift(spec, params, deltas, packets=packets)
+    shifts = mhom_middle_peak_shift(spec, params, deltas, packets=packets,
+                                    report=report)
     d = np.array([p[0] for p in shifts])
     s = np.array([p[1] for p in shifts])
     slope = float(d @ s / (d @ d))
@@ -167,7 +168,8 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
     omega_nv +- 2.3*collective_g.  The ensemble's SelfEnergy is built once
     and serves every stage; ``provenance["stages"]`` counts, per stage, the
     MHOM frequencies evaluated and the golden-section evaluations (the
-    scalar ones), and for fit_gammas the fit's iterations and convergence.
+    frequencies of the peak refinements), and for fit_gammas the fit's
+    iterations and convergence.
     """
     if gamma_nv is None:
         gamma_nv = spec.fwhm_zfs
@@ -181,15 +183,19 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
         except (HybridSpecError, ValueError, np.linalg.LinAlgError) as exc:
             raise PipelineStageError(tag, exc) from exc
 
-    stages = {tag: {} for tag in ("separation", "ratio", "fit_gammas")}
+    stages = {}
 
     def counted(tag, fn, *args, **kwargs):
-        """stage(), recording the MHOM evaluations it made."""
-        before = sigma.n_frequencies, sigma.n_scalar_calls
-        out = stage(tag, fn, *args, **kwargs)
-        stages[tag].update(
-            mhom_frequencies=sigma.n_frequencies - before[0],
-            golden_section_evaluations=sigma.n_scalar_calls - before[1])
+        """stage(), recording its report (fit_gammas' fit, the peak
+        stages' golden-section evaluations) and the MHOM frequencies it
+        evaluated."""
+        before = sigma.n_frequencies
+        report = {}
+        out = stage(tag, fn, *args, report=report, **kwargs)
+        golden = report.pop("golden_section_evaluations", 0)
+        stages[tag] = dict(report,
+                           mhom_frequencies=sigma.n_frequencies - before,
+                           golden_section_evaluations=golden)
         return out
 
     gamma_fq = stage("gamma_fq", gamma_fq_from_t1, t1_us)
@@ -207,7 +213,7 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
     gamma_b, gamma_d, gamma_residual = counted(
         "fit_gammas", fit_gammas, spec,
         {"g": g, "j": j, "gamma_fq": gamma_fq}, grid, packets=sigma,
-        gamma_nv=gamma_nv, report=stages["fit_gammas"],
+        gamma_nv=gamma_nv,
     )
     return PipelineResult(
         g=g, j=j, gamma_fq=gamma_fq, gamma_b=gamma_b, gamma_d=gamma_d,

@@ -183,15 +183,15 @@ class SelfEnergy:
 
     Each frequency's terms are accumulated in an order fixed by the
     frequency alone, so a scalar call gives the bit pattern of the same
-    frequency in an array call.  ``n_frequencies`` and ``n_scalar_calls``
-    count the frequencies evaluated and the calls made with a scalar.
+    frequency in an array call.  ``n_frequencies`` counts the frequencies
+    evaluated.
     """
 
     def __init__(self, packets: Packets, gamma_b: float, gamma_d: float):
         if len(packets) == 0:
             raise ValueError("packets must be nonempty")
         self.gamma_b, self.gamma_d = gamma_b, gamma_d
-        self.n_frequencies = self.n_scalar_calls = 0
+        self.n_frequencies = 0
         # frequencies are taken from an origin among the packets: t - p then
         # keeps the precision of t - omega_b, which is exact near the
         # packets, where a pole rounded at |p| ~ omega_nv would lose
@@ -286,7 +286,6 @@ class SelfEnergy:
         omegas = np.asarray(omega, dtype=float)
         t = omegas.reshape(-1) - self._origin
         self.n_frequencies += t.size
-        self.n_scalar_calls += omegas.ndim == 0
         total = np.zeros(t.shape, dtype=complex)
         if self._levels is not None:
             for k in range(0, len(t), _CHUNK):
@@ -352,6 +351,23 @@ def as_self_energy(ensemble, params: MhomParams) -> SelfEnergy:
     return ensemble
 
 
+def _amplitude(sigma, omegas, omega_fq, params: MhomParams):
+    """c = (lam/2)/(omega - omega_fq + i gamma_fq - sigma) from the
+    self-energy values ``sigma`` at ``omegas``; ``omega_fq`` is a scalar or
+    an array that broadcasts with them."""
+    w = omegas - omega_fq + 1j * params.gamma_fq - sigma
+    if np.any(np.abs(w) < 1e-300):
+        raise DivergentResponse("qubit response denominator vanished")
+    return (params.lam / 2.0) / w
+
+
+def _excitation(c):
+    """|c|^2 by the scalar path's modulus and square: np.abs on a complex
+    array takes a SIMD path and ** 2 on an array multiplies, each moving
+    the last bit."""
+    return np.float_power(np.hypot(c.real, c.imag), 2)
+
+
 def mhom_amplitude(ensemble, params: MhomParams, omega):
     """Complex steady-state qubit amplitude c at scalar or array omega.
 
@@ -359,20 +375,14 @@ def mhom_amplitude(ensemble, params: MhomParams, omega):
     params' packet damping for repeated calls."""
     omegas = np.asarray(omega, dtype=float)
     sigma = as_self_energy(ensemble, params)(omegas).reshape(-1)
-    w = omegas.reshape(-1) - params.omega_fq + 1j * params.gamma_fq - sigma
-    if np.any(np.abs(w) < 1e-300):
-        raise DivergentResponse("qubit response denominator vanished")
-    c = (params.lam / 2.0) / w
+    c = _amplitude(sigma, omegas.reshape(-1), params.omega_fq, params)
     return complex(c[0]) if omegas.ndim == 0 else c.reshape(omegas.shape)
 
 
 def mhom_response(ensemble, params: MhomParams, omega):
     """Qubit excitation |c|^2 at scalar or array omega; ``ensemble`` as in
     mhom_amplitude."""
-    c = np.asarray(mhom_amplitude(ensemble, params, omega))
-    # the scalar path's modulus and square: np.abs on a complex array takes
-    # a SIMD path and ** 2 on an array multiplies, each moving the last bit
-    out = np.float_power(np.hypot(c.real, c.imag), 2)
+    out = _excitation(np.asarray(mhom_amplitude(ensemble, params, omega)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -383,29 +393,55 @@ def mhom_spectrum(ensemble, params: MhomParams,
                     model_tag="MHOM", params_snapshot=params)
 
 
-def locate_peak(ensemble, params: MhomParams, lo: float, hi: float) -> float:
-    """Coarse scan plus golden-section refinement of one local maximum, which
-    must lie inside [lo, hi]; ``ensemble`` as in mhom_amplitude."""
+def locate_peak(ensemble, params: MhomParams, windows,
+                report: dict = None) -> np.ndarray:
+    """One local maximum of |c|^2 in each window (omega_fq, lo, hi), which
+    must lie inside [lo, hi], with the qubit at that window's omega_fq and
+    the other parameters from ``params``; ``ensemble`` as in
+    mhom_amplitude.
+
+    Every window is scanned at PEAK_SCAN_POINTS points, all in one
+    self-energy call, and its best scan point refined by golden section;
+    the windows are refined in lockstep, one self-energy call per step.
+    ``report``, a dict updated in place, receives the refinement's
+    ``golden_section_evaluations`` (frequencies, summed over windows).
+    """
     sigma = as_self_energy(ensemble, params)
-    omegas = np.linspace(lo, hi, PEAK_SCAN_POINTS)
-    vals = mhom_response(sigma, params, omegas)
-    i = int(np.argmax(vals))
-    if i == 0 or i == len(omegas) - 1:
-        raise PeaksNotResolved(f"no interior maximum in [{lo}, {hi}]")
-    h = omegas[1] - omegas[0]
-    f = lambda w: mhom_response(sigma, params, w)
-    return golden_section_max(f, omegas[i] - h, omegas[i] + h)
+    omega_fq = np.array([w[0] for w in windows], dtype=float)
+    omegas = np.reshape([np.linspace(lo, hi, PEAK_SCAN_POINTS)
+                         for _, lo, hi in windows], (-1, PEAK_SCAN_POINTS))
+    vals = _excitation(_amplitude(sigma(omegas), omegas, omega_fq[:, None],
+                                  params))
+    best = np.argmax(vals, axis=1)
+    for (_, lo, hi), i in zip(windows, best):
+        if i == 0 or i == PEAK_SCAN_POINTS - 1:
+            raise PeaksNotResolved(f"no interior maximum in [{lo}, {hi}]")
+    centre = omegas[np.arange(len(windows)), best]
+    h = omegas[:, 1] - omegas[:, 0]
+    evaluations = 0
+
+    def refine(x, lanes):
+        nonlocal evaluations
+        evaluations += x.size
+        return _excitation(_amplitude(sigma(x), x, omega_fq[lanes], params))
+
+    peaks = golden_section_max(refine, centre - h, centre + h)
+    if report is not None:
+        report.update(golden_section_evaluations=evaluations)
+    return peaks
 
 
 def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
-                           delta_list, packets: Packets = None) -> list:
+                           delta_list, packets: Packets = None,
+                           report: dict = None) -> list:
     """Middle-peak frequency shift versus qubit detuning.
 
     For each detuning the qubit is set to omega_nv + delta and the middle
     peak is tracked near omega_nv.  Detunings must stay within
     |delta| <= 0.8*collective_g, inside which the shift is still linear.
     ``packets`` is the realization of ``spec`` (or a SelfEnergy built from
-    it at params' damping); it is sampled when omitted.
+    it at params' damping); it is sampled when omitted.  The peaks are
+    located in one locate_peak call, which fills ``report``.
     """
     guard = 0.8 * spec.collective_g
     for d in delta_list:
@@ -415,12 +451,8 @@ def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
             )
     if packets is None:
         packets = sample_ensemble(spec)
-    sigma = as_self_energy(packets, params)
-    out = []
-    for d in delta_list:
-        p = params.with_(omega_fq=spec.omega_nv + d)
-        lo = spec.omega_nv - 0.3 * abs(d) - 0.5
-        hi = spec.omega_nv + 0.3 * abs(d) + 0.5
-        w_mid = locate_peak(sigma, p, lo, hi)
-        out.append((d, w_mid - spec.omega_nv))
-    return out
+    windows = [(params.with_(omega_fq=spec.omega_nv + d).omega_fq,
+                spec.omega_nv - 0.3 * abs(d) - 0.5,
+                spec.omega_nv + 0.3 * abs(d) + 0.5) for d in delta_list]
+    peaks = locate_peak(packets, params, windows, report)
+    return [(d, w_mid - spec.omega_nv) for d, w_mid in zip(delta_list, peaks)]

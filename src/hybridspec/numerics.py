@@ -1,4 +1,4 @@
-"""Small numerical utilities: scalar maximization and damped least squares."""
+"""Small numerical utilities: lanewise maximization and damped least squares."""
 
 from __future__ import annotations
 
@@ -11,21 +11,36 @@ _GR = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-9
 
 
-def golden_section_max(f, a: float, b: float) -> float:
-    """Locate the maximum of a unimodal scalar function on [a, b], to
-    GOLDEN_TOL."""
+def golden_section_max(f, a, b) -> np.ndarray:
+    """Locate the maximum of a unimodal function on each bracket [a_k, b_k]
+    (a lane), to GOLDEN_TOL.
+
+    All lanes step together.  ``f(x, lanes)`` returns the function values
+    at the points x, where x[i] belongs to lane lanes[i]; the first call
+    takes both interior points of every lane, each later one a single new
+    point of each lane whose bracket is still wider than GOLDEN_TOL.  A
+    lane makes the comparisons and updates of a search on its own, so its
+    result does not depend on the other lanes.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
     c = b - _GR * (b - a)
     d = a + _GR * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GR * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GR * (b - a)
-            fd = f(d)
+    lanes = np.arange(a.size)
+    fc, fd = np.split(f(np.concatenate([c, d]), np.tile(lanes, 2)), 2)
+    active = lanes[b - a > GOLDEN_TOL]
+    while active.size:
+        left = fc[active] > fd[active]
+        lo, hi = active[left], active[~left]
+        # left lanes keep [a, d]: b, d, fd = d, c, fc, and c is new
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _GR * (b[lo] - a[lo])
+        # the others keep [c, b]: a, c, fc = c, d, fd, and d is new
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _GR * (b[hi] - a[hi])
+        new = f(np.where(left, c[active], d[active]), active)
+        fc[lo], fd[hi] = new[left], new[~left]
+        active = active[b[active] - a[active] > GOLDEN_TOL]
     return 0.5 * (a + b)
 
 

@@ -79,7 +79,8 @@ def thom_peak_positions(params: SystemParams) -> tuple:
     # keep the three highest, in frequency order
     idx = np.sort(idx[np.argsort(vals[idx])[-3:]])
 
-    f = lambda w: thom_excitation(params, w)
+    # one scalar call per point: THOM's array evaluation differs from the
+    # scalar one in the last bit, which moves the refined peaks
+    f = lambda x, lanes: np.array([thom_excitation(params, w) for w in x])
     h = omegas[1] - omegas[0]
-    refined = [golden_section_max(f, omegas[i] - h, omegas[i] + h) for i in idx]
-    return tuple(refined)
+    return tuple(golden_section_max(f, omegas[idx] - h, omegas[idx] + h))

@@ -54,3 +54,24 @@ def rel_dev(a, b):
     scale = np.maximum(np.abs(a), np.abs(b))
     scale[scale == 0] = 1.0
     return np.abs(a - b) / scale
+
+
+def scalar_golden_section_max(f, a, b):
+    """The former golden-section search, one point per call of f: the oracle
+    of numerics.golden_section_max's lanes.  Returns (argmax, evaluations)."""
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    evaluations = 2
+    while b - a > 1e-9:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+        evaluations += 1
+    return 0.5 * (a + b), evaluations

@@ -521,7 +521,9 @@ THOM = dict(model="thom", system=SYSTEM, grid=GRID,
 ESTIMATE = dict(ensemble=ENSEMBLE, estimate={"t1_us": 10.0})
 SWEEP = ["sweep", "--axis", "detuning"]
 
-# config inputs that a record rejects: (config, command line)
+# inputs that the CLI rejects: (file, command line); the file is written
+# as a JSON config from a dict, byte for byte from bytes, and is passed
+# with --input to plot-script and with --config to every other command
 INVALID_INPUTS = {
     "mhom-gamma_fq-str": (_with(MHOM, "system", gamma_fq="abc"),
                           ["simulate"]),
@@ -556,16 +558,26 @@ INVALID_INPUTS = {
     "deltas-bool-entry": (_with(ESTIMATE, "estimate", deltas=[True, 1, 2]),
                           ["estimate"]),
     "thom-g-bool": (_with(THOM, "system", g=True), ["simulate"]),
+    "config-not-utf8": (b'{"model": "thom\xe9"}', ["simulate"]),
+    "csv-header-not-utf8": (b"frequency_mhz\xe9,excitation\n1,2\n",
+                            ["plot-script", "--kind", "spectrum"]),
 }
 
 
 class TestInvalidInput:
     @pytest.mark.parametrize("name", INVALID_INPUTS)
     def test_exits_2_without_files(self, tmp_path, capsys, name):
-        cfg, argv = INVALID_INPUTS[name]
+        contents, argv = INVALID_INPUTS[name]
+        if isinstance(contents, bytes):
+            path = tmp_path / "input"
+            path.write_bytes(contents)
+            path = str(path)
+        else:
+            path = write_config(tmp_path, **contents)
+        flag = "--input" if argv[0] == "plot-script" else "--config"
         out = tmp_path / "run"
-        assert main([argv[0], "--config", write_config(tmp_path, **cfg),
-                     "--out", str(out), *argv[1:]]) == 2
+        assert main([argv[0], flag, path, "--out", str(out),
+                     *argv[1:]]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: invalid ")
 

@@ -7,15 +7,23 @@ from hybridspec import (
     FrequencyGrid,
     MhomParams,
     PipelineStageError,
+    SelfEnergy,
+    estimate,
     estimate_ratio,
     estimate_separation,
     fit_gammas,
     gamma_fq_from_t1,
+    mhom,
     run_pipeline,
     solve_g_j,
 )
 
-from conftest import OMEGA_NV, REFERENCE_ENSEMBLE, homogeneous_ensemble
+from conftest import (
+    OMEGA_NV,
+    REFERENCE_ENSEMBLE,
+    T1_REFERENCE_US,
+    homogeneous_ensemble,
+)
 
 
 class TestGammaFqFromT1:
@@ -181,3 +189,45 @@ class TestRunPipeline:
         assert abs(r1.j - r2.j) / r1.j < 0.05
         # the broad side-peak width fluctuates more across disjoint draws
         assert abs(r1.gamma_b - r2.gamma_b) / r1.gamma_b < 0.10
+
+
+def test_peak_stages_refine_in_lockstep(monkeypatch):
+    """No scalar SelfEnergy call in run_pipeline, and each peak stage makes
+    at most 2 + (the longest lane's golden-section steps) of them: its
+    scans, the first two points of every lane, then one call per step."""
+    stage, sigma_calls, lane_points = [None], [], []
+    call = SelfEnergy.__call__
+
+    def spy_call(self, omega):
+        sigma_calls.append((stage[0], np.ndim(omega)))
+        return call(self, omega)
+
+    def in_stage(tag, fn):
+        def wrapper(*args, **kwargs):
+            stage[0] = tag
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage[0] = None
+        return wrapper
+
+    golden = mhom.golden_section_max
+
+    def spy_golden(f, a, b):
+        def counted(x, lanes):
+            lane_points.append((stage[0], lanes.copy()))
+            return f(x, lanes)
+        return golden(counted, a, b)
+
+    monkeypatch.setattr(SelfEnergy, "__call__", spy_call)
+    monkeypatch.setattr(mhom, "golden_section_max", spy_golden)
+    for tag in ("separation", "ratio"):
+        name = f"estimate_{tag}"
+        monkeypatch.setattr(estimate, name,
+                            in_stage(tag, getattr(estimate, name)))
+    run_pipeline(REFERENCE_ENSEMBLE, T1_REFERENCE_US)
+    assert all(ndim > 0 for _, ndim in sigma_calls)
+    for tag in ("separation", "ratio"):
+        lanes = np.concatenate([x for t, x in lane_points if t == tag])
+        steps = np.bincount(lanes).max() - 2
+        assert sum(t == tag for t, _ in sigma_calls) <= 2 + steps

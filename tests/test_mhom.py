@@ -19,12 +19,14 @@ from hybridspec import (
     thom_excitation,
 )
 from hybridspec.estimate import DEFAULT_DELTAS
+from hybridspec.mhom import PEAK_SCAN_POINTS, locate_peak
 
 from conftest import (
     OMEGA_NV,
     REFERENCE_ENSEMBLE,
     REFERENCE_MHOM_PARAMS,
     homogeneous_ensemble,
+    scalar_golden_section_max,
 )
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -403,3 +405,77 @@ class TestMiddlePeakShift:
     def test_guard_on_detuning_range(self):
         with pytest.raises(PeaksNotResolved):
             mhom_middle_peak_shift(REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS, [20.0])
+
+
+def scalar_locate_peak(sigma, params, omega_fq, lo, hi):
+    """The former refinement of one window, the oracle of locate_peak: the
+    scan in one call, then a golden-section search that calls the
+    SelfEnergy on one frequency at a time.  Returns (peak, evaluations)."""
+    p = params.with_(omega_fq=omega_fq)
+    omegas = np.linspace(lo, hi, PEAK_SCAN_POINTS)
+    i = int(np.argmax(mhom_response(sigma, p, omegas)))
+    h = omegas[1] - omegas[0]
+    return scalar_golden_section_max(lambda w: mhom_response(sigma, p, w),
+                                     omegas[i] - h, omegas[i] + h)
+
+
+def pipeline_windows(spec, deltas):
+    """The windows of estimate_separation and of mhom_middle_peak_shift."""
+    nv, cg = spec.omega_nv, spec.collective_g
+    side = [(nv, nv - 2.0 * cg, nv - 0.4 * cg), (nv, nv + 0.4 * cg,
+                                                 nv + 2.0 * cg)]
+    middle = [(nv + d, nv - 0.3 * abs(d) - 0.5, nv + 0.3 * abs(d) + 0.5)
+              for d in deltas]
+    return side, middle
+
+
+class TestLockstepRefinement:
+    """locate_peak refines all windows together; each lane must give the
+    bits of a scalar search of its own window."""
+
+    def assert_matches_scalar_searches(self, sigma, params, windows):
+        report = {}
+        got = locate_peak(sigma, params, windows, report)
+        ref = [scalar_locate_peak(sigma, params, *w) for w in windows]
+        assert np.array_equal(got, [peak for peak, _ in ref])
+        counts = [n for _, n in ref]
+        assert report["golden_section_evaluations"] == sum(counts)
+        return counts
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_reference_ensemble(self, seed):
+        spec = REFERENCE_ENSEMBLE.with_(seed=seed)
+        params = REFERENCE_MHOM_PARAMS
+        sigma = SelfEnergy(sample_ensemble(spec), params.gamma_b,
+                           params.gamma_d)
+        for windows in pipeline_windows(spec, DEFAULT_DELTAS):
+            self.assert_matches_scalar_searches(sigma, params, windows)
+
+    def test_round_trip_ensemble(self):
+        spec = homogeneous_ensemble(g=10.0, j=2.0)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.002, gamma_b=0.01,
+                            gamma_d=0.01)
+        sigma = SelfEnergy(sample_ensemble(spec), 0.01, 0.01)
+        for windows in pipeline_windows(spec, (0.05, 0.10, 0.15)):
+            self.assert_matches_scalar_searches(sigma, params, windows)
+
+    def test_lanes_of_different_widths(self):
+        spec = homogeneous_ensemble(g=10.0, j=2.0)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
+                            gamma_d=0.1)
+        sigma = SelfEnergy(sample_ensemble(spec), 0.1, 0.1)
+        windows = [(OMEGA_NV, OMEGA_NV - 0.01, OMEGA_NV + 0.02),
+                   (OMEGA_NV, OMEGA_NV - 15.0, OMEGA_NV - 4.0),
+                   (OMEGA_NV + 1.0, OMEGA_NV - 2.0, OMEGA_NV + 3.0),
+                   (OMEGA_NV, OMEGA_NV + 9.0, OMEGA_NV + 10.9)]
+        counts = self.assert_matches_scalar_searches(sigma, params, windows)
+        assert len(set(counts)) > 1
+
+    def test_window_without_interior_maximum(self):
+        sigma = SelfEnergy(sample_ensemble(homogeneous_ensemble()), 0.1, 0.1)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
+                            gamma_d=0.1)
+        with pytest.raises(PeaksNotResolved, match="2880.0, 2881.0"):
+            locate_peak(sigma, params, [(OMEGA_NV, OMEGA_NV - 1, OMEGA_NV + 1),
+                                        (OMEGA_NV, OMEGA_NV + 2,
+                                         OMEGA_NV + 3)])

@@ -7,12 +7,13 @@ from hybridspec import (
     PoleAtRealAxis,
     SystemParams,
     fit_lorentzian,
+    thom,
     thom_excitation,
     thom_peak_positions,
     thom_spectrum,
 )
 
-from conftest import REFERENCE_PARAMS, OMEGA_NV
+from conftest import REFERENCE_PARAMS, OMEGA_NV, scalar_golden_section_max
 
 
 def on_resonance_value(p):
@@ -124,3 +125,27 @@ class TestPeakPositions:
     def test_precondition_on_resolved_peaks(self):
         with pytest.raises(ValueError):
             thom_peak_positions(REFERENCE_PARAMS.with_(g=1.0))
+
+    def test_refinement_matches_per_peak_scalar_searches(self, monkeypatch):
+        """The three peaks are refined in lockstep; each must keep the bits
+        of the former per-peak scalar search on its bracket."""
+        brackets = []
+        lanewise = thom.golden_section_max
+
+        def spy(f, a, b):
+            brackets.append((a.copy(), b.copy()))
+            return lanewise(f, a, b)
+
+        monkeypatch.setattr(thom, "golden_section_max", spy)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p = REFERENCE_PARAMS.with_(
+                omega_fq=OMEGA_NV + rng.uniform(-3.0, 3.0),
+                g=rng.uniform(8.0, 20.0), j=rng.uniform(1.0, 5.0),
+                gamma_fq=rng.uniform(0.1, 1.0), gamma_b=rng.uniform(0.2, 2.5),
+                gamma_d=rng.uniform(0.1, 1.0))
+            got = thom_peak_positions(p)
+            f = lambda w: thom_excitation(p, w)
+            a, b = brackets.pop()
+            assert got == tuple(scalar_golden_section_max(f, lo, hi)[0]
+                                for lo, hi in zip(a, b))
