@@ -41,6 +41,7 @@ from .estimate import (
     estimate_separation,
     fit_gammas,
     gamma_fq_from_t1,
+    mhom_middle_peak_shift,
     run_pipeline,
     solve_g_j,
 )
@@ -69,7 +70,6 @@ from .mhom import (
     MhomParams,
     Packets,
     SelfEnergy,
-    mhom_middle_peak_shift,
     mhom_response,
     mhom_spectrum,
     sample_ensemble,

@@ -262,10 +262,13 @@ def _changed(params, **changes):
 
 
 def _excitation(cfg: dict, model: str, args):
-    """Build the chosen model once: (lam=None, omega_fq=None) -> (omegas ->
-    excitation), at the config's parameters but for the arguments that are
-    not None.  MHOM packets are damped by system.gamma_b and gamma_d
-    when given, else by ensemble.fwhm_zfs."""
+    """Build the chosen model once.  Returns (excitation_at, omega_nv,
+    gamma_d): excitation_at(lam=None, omega_fq=None) -> (omegas ->
+    excitation) at the config's parameters but for the arguments that are
+    not None, the model's NV frequency and its dark-mode damping.  MHOM
+    packets are damped by system.gamma_b and gamma_d when given, else by
+    ensemble.fwhm_zfs; its NV frequency is system.omega_nv when given,
+    else ensemble.omega_nv."""
     if model == "mhom":
         ens = _build_ensemble(cfg, args.seed)
         sys_cfg = cfg.get("system", {})
@@ -277,6 +280,8 @@ def _excitation(cfg: dict, model: str, args):
             gamma_d=sys_cfg.get("gamma_d", ens.fwhm_zfs),
             lam=sys_cfg.get("lam", 1.0),
         )
+        omega_nv = sys_cfg.get("omega_nv", ens.omega_nv)
+        _record("system", _require_finite, "omega_nv", omega_nv)
         packets = sample_ensemble(ens)
         if getattr(args, "dump_packets", None):
             _write_csv(args.dump_packets,
@@ -287,13 +292,15 @@ def _excitation(cfg: dict, model: str, args):
         model_at = lambda p: partial(mhom_response, sigma, p)
     else:
         params = _build_system(cfg)
+        omega_nv = params.omega_nv
         if model == "thom":
             model_at = lambda p: partial(thom_excitation, p)
         else:
             layout = _build_layout(cfg, args)
             model_at = lambda p: HermitianGenerator(p, layout).excitation
-    return lambda lam=None, omega_fq=None: model_at(
-        _changed(params, lam=lam, omega_fq=omega_fq))
+    return (lambda lam=None, omega_fq=None: model_at(
+        _changed(params, lam=lam, omega_fq=omega_fq)),
+        omega_nv, params.gamma_d)
 
 
 def _build_layout(cfg: dict, args) -> HilbertLayout:
@@ -310,7 +317,8 @@ def cmd_simulate(args) -> int:
     signal_map = None
     if "signal_map" in cfg:
         signal_map = _record("signal_map", SignalMap, **cfg["signal_map"])
-    values = _excitation(cfg, model, args)(lam=args.drive)(grid.points())
+    excitation_at, _, _ = _excitation(cfg, model, args)
+    values = excitation_at(lam=args.drive)(grid.points())
     spec = Spectrum(grid=grid, values=values, model_tag=model.upper())
     header = "frequency_mhz,excitation"
     columns = [spec.frequencies(), spec.values]
@@ -333,13 +341,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep requires at least 2 axis values")
     grid = _build_grid(cfg)
     omegas = grid.points()
-    excitation_at = _excitation(cfg, model, args)
-    base = cfg.get("system", {}).get(
-        "omega_nv", cfg.get("ensemble", {}).get("omega_nv", 0.0))
+    excitation_at, omega_nv, _ = _excitation(cfg, model, args)
     blocks, failures = [], []
     for v in values:
         change = ({"lam": v} if args.axis == "power"
-                  else {"omega_fq": base + v})
+                  else {"omega_fq": omega_nv + v})
         try:
             spec = Spectrum(grid=grid, values=excitation_at(**change)(omegas),
                             model_tag=model.upper())
@@ -360,6 +366,9 @@ def cmd_sweep(args) -> int:
 def cmd_eigen(args) -> int:
     cfg = load_config(args.config)
     params = _build_system(cfg)
+    for flag, name in (("--delta-min", "delta_min"),
+                       ("--delta-max", "delta_max")):
+        _record(flag, _require_finite, name, getattr(args, name))
     if args.n_deltas < 1:
         raise ConfigError(f"--n-deltas must be >= 1, got {args.n_deltas}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.n_deltas)
@@ -466,10 +475,10 @@ def cmd_sweep_power(args) -> int:
     if not all(0.0 < lam < float("inf") for lam in lambdas):
         raise ConfigError(
             f"drive amplitudes must be finite and > 0, got {lambdas}")
-    params = _build_system(cfg)
     grid = _build_grid(cfg)
-    rows = fwhm_vs_power(_excitation(cfg, model, args), lambdas,
-                         params.omega_nv, max(params.gamma_d, grid.step))
+    excitation_at, omega_nv, gamma_d = _excitation(cfg, model, args)
+    rows = fwhm_vs_power(excitation_at, lambdas, omega_nv,
+                         max(gamma_d, grid.step))
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
     _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", *(
@@ -551,11 +560,9 @@ def cmd_plot_script(args) -> int:
     return 0
 
 
-def _parse_floats(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
+def _parse_floats(text: str) -> list:
     try:
-        return [float(x) for x in str(text).split(",") if x.strip()]
+        return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
 

@@ -105,7 +105,7 @@ def eigen_perturbative(params: SystemParams, delta: float) -> EigenResult:
         [
             (g / (np.sqrt(2) * s)) * (1 - a - bshift),
             -(1 / np.sqrt(2)) * (1 + a),
-            (j / (np.sqrt(2) * s)) * (1 - a + bshift),
+            (j / (np.sqrt(2) * s)) * (1 + 3 * a),
         ]
     )
     middle = np.array([-j / s, delta * g * j / (s2 ** 1.5), g / s])
@@ -113,12 +113,15 @@ def eigen_perturbative(params: SystemParams, delta: float) -> EigenResult:
         [
             (g / (np.sqrt(2) * s)) * (1 + a + bshift),
             (1 / np.sqrt(2)) * (1 - a),
-            (j / (np.sqrt(2) * s)) * (1 + a - bshift),
+            (j / (np.sqrt(2) * s)) * (1 - 3 * a),
         ]
     )
     vectors = np.column_stack(
         [v / np.linalg.norm(v) for v in (left, middle, right)]
     ).astype(complex)
+    # build_h1 at theta is U h U^+ with h its theta = 0 form and U =
+    # diag(1, 1, e^{-i theta}): the dark components carry that phase
+    vectors[2] *= np.exp(-1j * params.theta)
     vectors = _fix_phase(vectors)
     weights = np.abs(vectors[0, :]) ** 2
     return EigenResult(values, vectors, weights)

@@ -16,6 +16,7 @@ from .core import FrequencyGrid, SystemParams
 from .errors import (
     HybridSpecError,
     NonPositiveGamma,
+    PeaksNotResolved,
     PipelineStageError,
 )
 from .mhom import (
@@ -23,7 +24,6 @@ from .mhom import (
     MhomParams,
     SelfEnergy,
     locate_peak,
-    mhom_middle_peak_shift,
     mhom_response,
     sample_ensemble,
 )
@@ -52,39 +52,60 @@ def gamma_fq_from_t1(t1_us: float) -> float:
 
 
 def estimate_separation(spec: EnsembleSpec, params: MhomParams,
-                        packets=None, report: dict = None) -> float:
+                        sigma: SelfEnergy, report: dict = None) -> float:
     """Side-peak separation of the resonant ensemble spectrum.
 
     Locates the left and right peaks in windows scaled by the collective
     coupling; the separation estimates twice the total coupling
-    sqrt(g^2 + j^2).  ``packets`` is the realization of ``spec``, or a
-    SelfEnergy built from it at params' damping.  Both peaks are located
-    in one locate_peak call, which fills ``report``.
+    sqrt(g^2 + j^2).  ``sigma`` is the self-energy of the realization of
+    ``spec`` at params' damping.  Both peaks are located in one locate_peak
+    call, which fills ``report``.
     """
-    if packets is None:
-        packets = sample_ensemble(spec)
     cg = spec.collective_g
-    w_left, w_right = locate_peak(packets, params, [
+    w_left, w_right = locate_peak(sigma, params, [
         (params.omega_fq, spec.omega_nv - 2.0 * cg, spec.omega_nv - 0.4 * cg),
         (params.omega_fq, spec.omega_nv + 0.4 * cg, spec.omega_nv + 2.0 * cg),
     ], report)
     return w_right - w_left
 
 
-def estimate_ratio(spec: EnsembleSpec, params: MhomParams,
-                   deltas=DEFAULT_DELTAS, packets=None,
-                   report: dict = None) -> tuple:
+def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
+                           sigma: SelfEnergy, delta_list,
+                           report: dict = None) -> list:
+    """Middle-peak frequency shift versus qubit detuning.
+
+    For each detuning the qubit is set to omega_nv + delta and the middle
+    peak is tracked near omega_nv.  Detunings must stay within
+    |delta| <= 0.8*collective_g, inside which the shift is still linear.
+    ``sigma`` as in estimate_separation.  The peaks are located in one
+    locate_peak call, which fills ``report``.
+    """
+    guard = 0.8 * spec.collective_g
+    for d in delta_list:
+        if abs(d) > guard:
+            raise PeaksNotResolved(
+                f"detuning {d} outside perturbative range (guard {guard})"
+            )
+    windows = [(params.with_(omega_fq=spec.omega_nv + d).omega_fq,
+                spec.omega_nv - 0.3 * abs(d) - 0.5,
+                spec.omega_nv + 0.3 * abs(d) + 0.5) for d in delta_list]
+    peaks = locate_peak(sigma, params, windows, report)
+    return [(d, w_mid - spec.omega_nv) for d, w_mid in zip(delta_list, peaks)]
+
+
+def estimate_ratio(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
+                   deltas=DEFAULT_DELTAS, report: dict = None) -> tuple:
     """Middle-peak shift slope through the origin, an estimate of
     j^2/(g^2+j^2).
 
     Returns (slope, residual_norm) of the one-parameter least squares
-    shift = slope * delta; ``report`` as in mhom_middle_peak_shift.
+    shift = slope * delta; ``sigma`` and ``report`` as in
+    mhom_middle_peak_shift.
     """
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) < 3:
         raise ValueError("need at least 3 detunings for the slope fit")
-    shifts = mhom_middle_peak_shift(spec, params, deltas, packets=packets,
-                                    report=report)
+    shifts = mhom_middle_peak_shift(spec, params, sigma, deltas, report)
     d = np.array([p[0] for p in shifts])
     s = np.array([p[1] for p in shifts])
     slope = float(d @ s / (d @ d))
@@ -102,41 +123,30 @@ def solve_g_j(separation: float, ratio: float) -> tuple:
     return s * np.sqrt(1.0 - ratio), s * np.sqrt(ratio)
 
 
-def fit_gammas(spec: EnsembleSpec, fixed: dict, grid: FrequencyGrid,
-               packets=None, gamma_nv: float = None,
+def fit_gammas(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
+               g: float, j: float, grid: FrequencyGrid,
                report: dict = None) -> tuple:
     """Fit (gamma_b, gamma_d) of the three-oscillator lineshape to the
     sampled-ensemble spectrum.
 
+    The reference is the ensemble response at ``params`` (``sigma`` as in
+    estimate_separation); the model has couplings g, j and params' qubit.
     Both spectra are normalized to unit peak before the least-squares
-    comparison, so only the lineshape matters.  ``fixed`` supplies g, j and
-    gamma_fq.  Initial guess: the strain and zero-field FWHM widths.
-    ``gamma_nv`` is the per-packet damping rate of the reference model;
-    it defaults to the zero-field width, which doubles as the intrinsic
-    linewidth.  ``packets`` may also be a SelfEnergy built at that
-    damping.  Returns (gamma_b, gamma_d, residual_norm); ``report``, a dict
-    updated in place, receives the fit's ``lm_iterations`` and
-    ``converged`` flag.
+    comparison, so only the lineshape matters.  Initial guess: the strain
+    and zero-field FWHM widths, or the packet damping where it is larger.
+    Returns (gamma_b, gamma_d, residual_norm); ``report``, a dict updated
+    in place, receives the fit's ``lm_iterations`` and ``converged`` flag.
     """
-    if packets is None:
-        packets = sample_ensemble(spec)
-    if gamma_nv is None:
-        gamma_nv = spec.fwhm_zfs
-    mparams = MhomParams(
-        omega_fq=spec.omega_nv, gamma_fq=fixed["gamma_fq"],
-        gamma_b=gamma_nv, gamma_d=gamma_nv,
-    )
     omegas = grid.points()
-    ref = mhom_response(packets, mparams, omegas)
+    ref = mhom_response(sigma, params, omegas)
     peak = ref.max()
     if peak <= 0:
         raise NonPositiveGamma("reference spectrum is identically zero")
     ref = ref / peak
 
     base = SystemParams(
-        omega_fq=spec.omega_nv, omega_nv=spec.omega_nv,
-        g=fixed["g"], j=fixed["j"], gamma_fq=fixed["gamma_fq"],
-        gamma_b=1.0, gamma_d=1.0,
+        omega_fq=params.omega_fq, omega_nv=spec.omega_nv, g=g, j=j,
+        gamma_fq=params.gamma_fq, gamma_b=1.0, gamma_d=1.0,
     )
 
     def residual(x):
@@ -144,8 +154,8 @@ def fit_gammas(spec: EnsembleSpec, fixed: dict, grid: FrequencyGrid,
         model = thom_excitation(p, omegas)
         return model / model.max() - ref
 
-    x0 = np.array([max(spec.fwhm_strain, gamma_nv),
-                   max(spec.fwhm_zfs, gamma_nv)])
+    x0 = np.array([max(spec.fwhm_strain, params.gamma_b),
+                   max(spec.fwhm_zfs, params.gamma_d)])
     x, cost, n_iter, converged = damped_least_squares(residual, x0)
     if report is not None:
         report.update(lm_iterations=n_iter, converged=converged)
@@ -165,11 +175,12 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
 
     ``gamma_nv`` overrides the per-packet damping rate (default: the
     zero-field width).  The default fitting grid spans
-    omega_nv +- 2.3*collective_g.  The ensemble's SelfEnergy is built once
-    and serves every stage; ``provenance["stages"]`` counts, per stage, the
-    MHOM frequencies evaluated and the golden-section evaluations (the
-    frequencies of the peak refinements), and for fit_gammas the fit's
-    iterations and convergence.
+    omega_nv +- 2.3*collective_g.  The ensemble is sampled once, here; its
+    SelfEnergy and one MhomParams (qubit at omega_nv, packets damped by
+    gamma_nv) serve every stage.  ``provenance["stages"]`` counts, per
+    stage, the MHOM frequencies evaluated and the golden-section
+    evaluations (the frequencies of the peak refinements), and for
+    fit_gammas the fit's iterations and convergence.
     """
     if gamma_nv is None:
         gamma_nv = spec.fwhm_zfs
@@ -185,13 +196,13 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
 
     stages = {}
 
-    def counted(tag, fn, *args, **kwargs):
+    def counted(tag, fn, *args):
         """stage(), recording its report (fit_gammas' fit, the peak
         stages' golden-section evaluations) and the MHOM frequencies it
         evaluated."""
         before = sigma.n_frequencies
         report = {}
-        out = stage(tag, fn, *args, report=report, **kwargs)
+        out = stage(tag, fn, *args, report=report)
         golden = report.pop("golden_section_evaluations", 0)
         stages[tag] = dict(report,
                            mhom_frequencies=sigma.n_frequencies - before,
@@ -206,15 +217,12 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
         gamma_b=gamma_nv, gamma_d=gamma_nv,
     )
     separation = counted("separation", estimate_separation, spec, params,
-                         packets=sigma)
+                         sigma)
     ratio, slope_residual = counted("ratio", estimate_ratio, spec, params,
-                                    deltas=deltas, packets=sigma)
+                                    sigma, deltas)
     g, j = stage("solve_g_j", solve_g_j, separation, ratio)
     gamma_b, gamma_d, gamma_residual = counted(
-        "fit_gammas", fit_gammas, spec,
-        {"g": g, "j": j, "gamma_fq": gamma_fq}, grid, packets=sigma,
-        gamma_nv=gamma_nv,
-    )
+        "fit_gammas", fit_gammas, spec, params, sigma, g, j, grid)
     return PipelineResult(
         g=g, j=j, gamma_fq=gamma_fq, gamma_b=gamma_b, gamma_d=gamma_d,
         intermediate={

@@ -42,6 +42,9 @@ KRYLOV_TOL = 1e-14
 _KRYLOV_CHECK = 5
 _CHUNK = 32
 MIN_MODEL_POINTS = 8
+# truncation_convergence passes when one more Fock level on each mode moves
+# no point of the spectrum by this much, relative
+CONVERGENCE_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -663,7 +666,7 @@ def me_spectrum(params: SystemParams, grid: FrequencyGrid,
 
 
 def truncation_convergence(params: SystemParams, grid: FrequencyGrid,
-                           layout: HilbertLayout, rel_tol: float = 1e-3) -> dict:
+                           layout: HilbertLayout) -> dict:
     """Compare the spectrum against one extra Fock level on each mode."""
     coarse = me_spectrum(params, grid, layout).values
     finer_layout = HilbertLayout(layout.n_max_bright + 1, layout.n_max_dark + 1)
@@ -675,5 +678,5 @@ def truncation_convergence(params: SystemParams, grid: FrequencyGrid,
         "n_b": layout.n_max_bright,
         "n_d": layout.n_max_dark,
         "max_rel_dev": max_dev,
-        "pass": max_dev < rel_tol,
+        "pass": max_dev < CONVERGENCE_REL_TOL,
     }

@@ -430,29 +430,3 @@ def locate_peak(ensemble, params: MhomParams, windows,
         report.update(golden_section_evaluations=evaluations)
     return peaks
 
-
-def mhom_middle_peak_shift(spec: EnsembleSpec, params: MhomParams,
-                           delta_list, packets: Packets = None,
-                           report: dict = None) -> list:
-    """Middle-peak frequency shift versus qubit detuning.
-
-    For each detuning the qubit is set to omega_nv + delta and the middle
-    peak is tracked near omega_nv.  Detunings must stay within
-    |delta| <= 0.8*collective_g, inside which the shift is still linear.
-    ``packets`` is the realization of ``spec`` (or a SelfEnergy built from
-    it at params' damping); it is sampled when omitted.  The peaks are
-    located in one locate_peak call, which fills ``report``.
-    """
-    guard = 0.8 * spec.collective_g
-    for d in delta_list:
-        if abs(d) > guard:
-            raise PeaksNotResolved(
-                f"detuning {d} outside perturbative range (guard {guard})"
-            )
-    if packets is None:
-        packets = sample_ensemble(spec)
-    windows = [(params.with_(omega_fq=spec.omega_nv + d).omega_fq,
-                spec.omega_nv - 0.3 * abs(d) - 0.5,
-                spec.omega_nv + 0.3 * abs(d) + 0.5) for d in delta_list]
-    peaks = locate_peak(packets, params, windows, report)
-    return [(d, w_mid - spec.omega_nv) for d, w_mid in zip(delta_list, peaks)]

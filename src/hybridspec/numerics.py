@@ -9,6 +9,10 @@ from .errors import NotConverged
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
 # golden-section search stops once the bracket is this narrow
 GOLDEN_TOL = 1e-9
+# stopping rules of damped_least_squares
+LM_MAX_ITER = 200
+LM_STEP_TOL = 1e-13
+LM_COST_TOL = 1e-15
 
 
 def golden_section_max(f, a, b) -> np.ndarray:
@@ -55,21 +59,15 @@ def _numeric_jacobian(residual, x, r0):
     return jac
 
 
-def damped_least_squares(
-    residual,
-    x0,
-    jacobian=None,
-    max_iter: int = 200,
-    step_tol: float = 1e-13,
-    cost_tol: float = 1e-15,
-):
+def damped_least_squares(residual, x0, jacobian=None):
     """Levenberg-Marquardt minimization of 0.5*||residual(x)||^2.
 
     Multiplicative damping on the normal equations; damping adapted by the
     gain ratio (actual vs predicted cost reduction).  Converges when the
-    relative step drops below step_tol or an accepted step reduces the cost
-    by less than cost_tol relative, else raises NotConverged carrying the
-    best iterate.  Returns (x, cost, n_iter, True).
+    relative step drops below LM_STEP_TOL or an accepted step reduces the
+    cost by less than LM_COST_TOL relative, else raises NotConverged
+    carrying the best iterate after LM_MAX_ITER iterations.  Returns (x,
+    cost, n_iter, True).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
@@ -78,7 +76,7 @@ def damped_least_squares(
     mu = 1e-3 * max(np.max(np.diag(jac.T @ jac)), 1e-30)
     nu = 2.0
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, LM_MAX_ITER + 1):
         a = jac.T @ jac
         grad = jac.T @ r
         try:
@@ -87,7 +85,8 @@ def damped_least_squares(
             mu *= nu
             nu *= 2.0
             continue
-        if np.linalg.norm(step) <= step_tol * (np.linalg.norm(x) + step_tol):
+        if (np.linalg.norm(step)
+                <= LM_STEP_TOL * (np.linalg.norm(x) + LM_STEP_TOL)):
             return x, cost, n_iter, True
         x_new = x + step
         r_new = np.asarray(residual(x_new), dtype=float)
@@ -95,7 +94,7 @@ def damped_least_squares(
         predicted = 0.5 * float(step @ (mu * step - grad))
         gain = (cost - cost_new) / predicted if predicted > 0 else -1.0
         if gain > 0:
-            stagnant = cost - cost_new <= cost_tol * max(cost, 1e-300)
+            stagnant = cost - cost_new <= LM_COST_TOL * max(cost, 1e-300)
             x, r, cost = x_new, r_new, cost_new
             if stagnant:
                 return x, cost, n_iter, True
@@ -106,5 +105,5 @@ def damped_least_squares(
             mu *= nu
             nu *= 2.0
     raise NotConverged(
-        f"no convergence in {max_iter} iterations", best=(x, cost, n_iter)
+        f"no convergence in {LM_MAX_ITER} iterations", best=(x, cost, n_iter)
     )

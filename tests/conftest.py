@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridspec import EnsembleSpec, MhomParams, SystemParams
+from hybridspec import (EnsembleSpec, MhomParams, SelfEnergy, SystemParams,
+                         sample_ensemble)
 
 OMEGA_NV = 2878.0
 
@@ -47,6 +48,12 @@ def homogeneous_ensemble(g=10.0, j=2.0, n_packets=8, seed=7,
         fwhm_strain=0.0, fwhm_zfs=0.0, collective_g=g,
         omega_nv=omega_nv, seed=seed,
     )
+
+
+def sampled_self_energy(spec, params):
+    """The SelfEnergy of spec's realization at the packet damping of
+    params, as run_pipeline hands it to its stages."""
+    return SelfEnergy(sample_ensemble(spec), params.gamma_b, params.gamma_d)
 
 
 def rel_dev(a, b):

@@ -467,6 +467,33 @@ class TestSweepPower:
             assert list(widths[tag]) == expected
         assert widths["rates"][0] > widths["zfs"][0]
 
+    @pytest.mark.parametrize("system", [None, {"gamma_fq": 0.3, "gamma_b": 0.5,
+                                               "gamma_d": 0.5}])
+    def test_mhom_config_without_system_parameters(self, tmp_path, system):
+        # as for simulate and sweep, an MHOM config needs no SystemParams:
+        # omega_nv comes from the ensemble and the initial width guess is
+        # the packet damping gamma_d (0.5 here, above the grid step 0.3)
+        grid = {"start_mhz": OMEGA_NV - 3, "stop_mhz": OMEGA_NV + 3,
+                "n_points": 21}
+        ensemble = dict(ENSEMBLE, mean_zeeman=3.5, distribution="gaussian",
+                        hyperfine=0.0)
+        cfg = dict(ensemble=ensemble, grid=grid, model="mhom")
+        if system is not None:
+            cfg["system"] = system
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config",
+                     write_config(tmp_path, **cfg), "--out", str(out),
+                     "--lambdas", "1,4"]) == 0
+        system = system or {"gamma_fq": 0.0, "gamma_b": 0.2, "gamma_d": 0.2}
+        params = MhomParams(omega_fq=OMEGA_NV, **system)
+        packets = sample_ensemble(EnsembleSpec(**ensemble))
+        rows = fwhm_vs_power(
+            lambda lam: partial(mhom_response, packets,
+                                params.with_(lam=lam)),
+            [1.0, 4.0], OMEGA_NV, max(params.gamma_d, 0.3))
+        assert list(read_csv(out / "fwhm.csv")[1][:, 1]) == [
+            float(f"{r[1]:.12e}") for r in rows]
+
 
 class TestPlotScript:
     def test_emits_gnuplot_for_each_kind(self, tmp_path):
@@ -561,6 +588,10 @@ INVALID_INPUTS = {
     "config-not-utf8": (b'{"model": "thom\xe9"}', ["simulate"]),
     "csv-header-not-utf8": (b"frequency_mhz\xe9,excitation\n1,2\n",
                             ["plot-script", "--kind", "spectrum"]),
+    "eigen-delta-min-nan": (THOM, ["eigen", "--delta-min", "nan"]),
+    "eigen-delta-max-inf": (THOM, ["eigen", "--delta-max=-inf"]),
+    "mhom-omega_nv-str": (_with(MHOM, "system", omega_nv="x"),
+                          SWEEP + ["--values=1,2"]),
 }
 
 

@@ -177,6 +177,31 @@ class TestPerturbative:
         factor = err(4.0) / err(2.0)
         assert 3.0 <= factor <= 5.0
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, np.pi / 2])
+    def test_equals_exact_at_zero_for_any_phase(self, theta):
+        p = params(theta=theta)
+        pert = eigen_perturbative(p, 0.0)
+        exact = eigen_exact_resonant(p)
+        assert np.allclose(pert.values, exact.values, rtol=1e-12)
+        assert np.allclose(pert.vectors, exact.vectors, atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.7, np.pi / 2, -2.0])
+    @pytest.mark.parametrize("g, j", [(13.0, 3.5), (5.0, 7.0)])
+    def test_residual_is_second_order_in_detuning(self, theta, g, j):
+        # first-order values and vectors leave ||H1 v - E v|| = O(delta^2)
+        # for every level, whatever the phase of the dark coupling
+        p = params(g=g, j=j, theta=theta)
+
+        def residual(d):
+            r = eigen_perturbative(p, d)
+            h = build_h1(p, d)
+            return np.linalg.norm(h @ r.vectors - r.vectors * r.values,
+                                  axis=0)
+
+        assert np.all(residual(0.0) < 1e-12)
+        factor = residual(1.0) / residual(0.5)
+        assert np.all((3.5 <= factor) & (factor <= 4.5))
+
     def test_weights_in_unit_interval(self):
         r = eigen_perturbative(params(), 4.0)
         assert np.all(r.qubit_weights >= 0)

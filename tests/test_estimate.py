@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     REFERENCE_ENSEMBLE,
     T1_REFERENCE_US,
     homogeneous_ensemble,
+    sampled_self_energy,
 )
 
 
@@ -44,14 +46,17 @@ class TestSeparation:
         ens = homogeneous_ensemble(g=g, j=j)
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
                             gamma_d=0.1)
-        sep = estimate_separation(ens, params)
+        sep = estimate_separation(ens, params,
+                                  sampled_self_energy(ens, params))
         assert sep == pytest.approx(2 * np.hypot(g, j), abs=0.3)
 
     def test_scales_with_collective_coupling(self):
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
                             gamma_d=0.1)
-        s1 = estimate_separation(homogeneous_ensemble(g=8.0, j=1.0), params)
-        s2 = estimate_separation(homogeneous_ensemble(g=16.0, j=2.0), params)
+        s1, s2 = (estimate_separation(ens, params,
+                                      sampled_self_energy(ens, params))
+                  for ens in (homogeneous_ensemble(g=8.0, j=1.0),
+                              homogeneous_ensemble(g=16.0, j=2.0)))
         assert s2 == pytest.approx(2 * s1, rel=0.05)
 
 
@@ -61,7 +66,9 @@ class TestRatio:
         ens = homogeneous_ensemble(g=10.0, j=1.0)
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.01, gamma_b=0.01,
                             gamma_d=0.01)
-        slope, _ = estimate_ratio(ens, params, deltas=(0.5, 1.0, 1.5))
+        slope, _ = estimate_ratio(ens, params,
+                                  sampled_self_energy(ens, params),
+                                  deltas=(0.5, 1.0, 1.5))
         assert slope == pytest.approx(1.0 / 101.0, abs=0.005)
 
     def test_known_homogeneous_slope(self):
@@ -69,7 +76,9 @@ class TestRatio:
         ens = homogeneous_ensemble(g=g, j=j)
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.01, gamma_b=0.05,
                             gamma_d=0.05)
-        slope, residual = estimate_ratio(ens, params, deltas=(0.5, 1.0, 1.5))
+        slope, residual = estimate_ratio(ens, params,
+                                         sampled_self_energy(ens, params),
+                                         deltas=(0.5, 1.0, 1.5))
         assert slope == pytest.approx(j ** 2 / (g ** 2 + j ** 2), abs=0.005)
         assert residual < 0.01
 
@@ -78,7 +87,8 @@ class TestRatio:
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.01, gamma_b=0.05,
                             gamma_d=0.05)
         with pytest.raises(ValueError):
-            estimate_ratio(ens, params, deltas=(1.0, 2.0))
+            estimate_ratio(ens, params, sampled_self_energy(ens, params),
+                           deltas=(1.0, 2.0))
 
 
 class TestSolveGJ:
@@ -105,28 +115,29 @@ class TestSolveGJ:
 
 
 class TestFitGammas:
+    @staticmethod
+    def fit(g, j, gamma_nv):
+        """fit_gammas on a homogeneous ensemble whose packets are damped by
+        gamma_nv, with the qubit at omega_nv and gamma_fq = 0.05."""
+        ens = homogeneous_ensemble(g=g, j=j)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05,
+                            gamma_b=gamma_nv, gamma_d=gamma_nv)
+        grid = FrequencyGrid(OMEGA_NV - 23, OMEGA_NV + 23, 801)
+        return fit_gammas(ens, params, sampled_self_energy(ens, params), g,
+                          j, grid)
+
     def test_recovers_injected_rates(self):
         # homogeneous packets with injected per-packet damping make the
         # sampled model coincide with the oscillator form, so the fit must
         # return the injected rates exactly
-        g, j = 10.0, 2.0
-        ens = homogeneous_ensemble(g=g, j=j)
-        grid = FrequencyGrid(OMEGA_NV - 23, OMEGA_NV + 23, 801)
-        gamma_b, gamma_d, residual = fit_gammas(
-            ens, {"g": g, "j": j, "gamma_fq": 0.05}, grid, gamma_nv=0.2,
-        )
+        gamma_b, gamma_d, residual = self.fit(10.0, 2.0, 0.2)
         assert gamma_b == pytest.approx(0.2, abs=1e-6)
         assert gamma_d == pytest.approx(0.2, abs=1e-6)
         assert residual < 1e-6
 
     def test_distinct_rates_change_peak_widths(self):
-        g, j = 10.0, 2.0
-        ens = homogeneous_ensemble(g=g, j=j)
-        grid = FrequencyGrid(OMEGA_NV - 23, OMEGA_NV + 23, 801)
-        b1, d1, _ = fit_gammas(ens, {"g": g, "j": j, "gamma_fq": 0.05},
-                               grid, gamma_nv=0.1)
-        b2, d2, _ = fit_gammas(ens, {"g": g, "j": j, "gamma_fq": 0.05},
-                               grid, gamma_nv=0.4)
+        b1, d1, _ = self.fit(10.0, 2.0, 0.1)
+        b2, d2, _ = self.fit(10.0, 2.0, 0.4)
         assert b2 > b1 and d2 > d1
 
 
@@ -189,6 +200,26 @@ class TestRunPipeline:
         assert abs(r1.j - r2.j) / r1.j < 0.05
         # the broad side-peak width fluctuates more across disjoint draws
         assert abs(r1.gamma_b - r2.gamma_b) / r1.gamma_b < 0.10
+
+
+def test_pipeline_samples_the_ensemble_once(monkeypatch):
+    """run_pipeline samples the ensemble and the stages take that
+    realization: one sample_ensemble call per run, wherever the package
+    binds the function."""
+    sample = mhom.sample_ensemble
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return sample(spec)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "hybridspec"
+                and getattr(module, "sample_ensemble", None) is sample):
+            monkeypatch.setattr(module, "sample_ensemble", counted)
+    ens = homogeneous_ensemble(g=10.0, j=2.0)
+    run_pipeline(ens, t1_us=10.0, deltas=(0.5, 1.0, 1.5), gamma_nv=0.1)
+    assert calls == [ens]
 
 
 def test_peak_stages_refine_in_lockstep(monkeypatch):

@@ -197,8 +197,7 @@ class TestTruncation:
     def test_convergence_report_weak_drive(self):
         p = small_params(lam=0.1)
         grid = FrequencyGrid(OMEGA_NV - 15, OMEGA_NV + 15, 7)
-        report = truncation_convergence(p, grid, HilbertLayout(3, 3),
-                                        rel_tol=1e-3)
+        report = truncation_convergence(p, grid, HilbertLayout(3, 3))
         assert report["pass"]
         assert report["max_rel_dev"] < 1e-3
 

@@ -26,6 +26,7 @@ from conftest import (
     REFERENCE_ENSEMBLE,
     REFERENCE_MHOM_PARAMS,
     homogeneous_ensemble,
+    sampled_self_energy,
     scalar_golden_section_max,
 )
 
@@ -377,15 +378,20 @@ class TestSpectrum:
         assert rel.max() < 0.02
 
 
+def reference_shifts(deltas):
+    return mhom_middle_peak_shift(
+        REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS,
+        sampled_self_energy(REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS),
+        deltas)
+
+
 class TestMiddlePeakShift:
     def test_zero_detuning_zero_shift(self):
-        shifts = mhom_middle_peak_shift(REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS,
-                                        [0.0])
+        shifts = reference_shifts([0.0])
         assert shifts[0][1] == pytest.approx(0.0, abs=0.01)
 
     def test_slope_matches_quoted_ratio(self):
-        shifts = mhom_middle_peak_shift(REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS,
-                                        [2.0, 6.0, 10.0])
+        shifts = reference_shifts([2.0, 6.0, 10.0])
         d = np.array([s[0] for s in shifts])
         s = np.array([s[1] for s in shifts])
         slope = d @ s / (d @ d)
@@ -396,7 +402,9 @@ class TestMiddlePeakShift:
         ens = homogeneous_ensemble(g=g, j=j)
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.01,
                             gamma_b=0.05, gamma_d=0.05)
-        shifts = mhom_middle_peak_shift(ens, params, [0.5, 1.0, 1.5])
+        shifts = mhom_middle_peak_shift(ens, params,
+                                        sampled_self_energy(ens, params),
+                                        [0.5, 1.0, 1.5])
         d = np.array([s[0] for s in shifts])
         s = np.array([s[1] for s in shifts])
         slope = d @ s / (d @ d)
@@ -404,7 +412,7 @@ class TestMiddlePeakShift:
 
     def test_guard_on_detuning_range(self):
         with pytest.raises(PeaksNotResolved):
-            mhom_middle_peak_shift(REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS, [20.0])
+            reference_shifts([20.0])
 
 
 def scalar_locate_peak(sigma, params, omega_fq, lo, hi):
@@ -420,7 +428,8 @@ def scalar_locate_peak(sigma, params, omega_fq, lo, hi):
 
 
 def pipeline_windows(spec, deltas):
-    """The windows of estimate_separation and of mhom_middle_peak_shift."""
+    """The windows of estimate.estimate_separation and of
+    estimate.mhom_middle_peak_shift."""
     nv, cg = spec.omega_nv, spec.collective_g
     side = [(nv, nv - 2.0 * cg, nv - 0.4 * cg), (nv, nv + 0.4 * cg,
                                                  nv + 2.0 * cg)]
