@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from datetime import datetime, timezone
 from functools import partial
 
@@ -48,18 +49,15 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-# config section -> its keys
+# config section -> its keys: the fields of the record it builds, with the
+# grid's start and stop as start_mhz and stop_mhz
 _SECTIONS = {
-    "system": {"omega_fq", "omega_nv", "g", "j", "theta", "gamma_fq",
-               "gamma_b", "gamma_d", "lam"},
-    "ensemble": {"n_packets", "mean_zeeman", "fwhm_zeeman", "fwhm_strain",
-                 "fwhm_zfs", "collective_g", "omega_nv", "seed",
-                 "distribution", "hyperfine"},
-    "grid": {"start_mhz", "stop_mhz", "n_points"},
-    "me_options": {"n_max_bright", "n_max_dark"},
-    "signal_map": {"scale", "offset"},
-    "estimate": {"t1_us", "deltas"},
-}
+    name: {f.name + "_mhz" if f.name in ("start", "stop") else f.name
+           for f in fields(record)}
+    for name, record in (("system", SystemParams), ("ensemble", EnsembleSpec),
+                         ("grid", FrequencyGrid), ("me_options", HilbertLayout),
+                         ("signal_map", SignalMap))}
+_SECTIONS["estimate"] = {"t1_us", "deltas"}
 _MODELS = {"thom", "mhom", "me"}
 
 
@@ -432,8 +430,10 @@ def _read_csv(path: str):
 
 def cmd_fit_lorentzian(args) -> int:
     window = _parse_floats(args.window)
-    if len(window) != 2:
-        raise ConfigError(f"--window needs lo,hi, got {args.window!r}")
+    if not (len(window) == 2 and np.isfinite(window).all()
+            and window[0] < window[1]):
+        raise ConfigError(f"--window needs lo,hi with finite lo < hi, got "
+                          f"{args.window!r}")
     names, rows = _read_csv(args.input)
     if "frequency_mhz" not in names or "excitation" not in names:
         raise ConfigError(

@@ -105,7 +105,6 @@ class Spectrum:
     grid: FrequencyGrid
     values: np.ndarray
     model_tag: str
-    params_snapshot: object = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -140,16 +139,10 @@ class SignalMap:
 
 def apply_signal_map(spec: Spectrum, sigmap: SignalMap) -> Spectrum:
     """Convert an excitation spectrum to switching-probability units."""
-    mapped = sigmap(spec.values)
-    meta = dict(spec.metadata)
-    meta["signal_map"] = {"scale": sigmap.scale, "offset": sigmap.offset}
-    return Spectrum(
-        grid=spec.grid,
-        values=mapped,
-        model_tag=spec.model_tag,
-        params_snapshot=spec.params_snapshot,
-        metadata=meta,
-    )
+    return Spectrum(grid=spec.grid, values=sigmap(spec.values),
+                    model_tag=spec.model_tag,
+                    metadata={**spec.metadata, "signal_map": {
+                        "scale": sigmap.scale, "offset": sigmap.offset}})
 
 
 def lambda_from_dbm(p_dbm: float, lambda_ref: float, p_ref_dbm: float) -> float:

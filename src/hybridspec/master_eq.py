@@ -192,23 +192,37 @@ def _check_unique(rho: np.ndarray, rho2: np.ndarray) -> None:
 
 
 def _validate_density_matrix(rho: np.ndarray) -> None:
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise SolverFailure(f"trace {np.trace(rho)} violates unit-trace bound")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    """Raise unless rho, one matrix or a stack, has unit trace, is
+    Hermitian and has no negative eigenvalue; a stack raises what its first
+    failing matrix raises alone."""
+    rhos = rho.reshape((-1,) + rho.shape[-2:])
+    trace = np.trace(rhos, axis1=1, axis2=2)
+    off = np.abs(trace.real - 1.0) > 1e-8
+    skew = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10
+    low = np.linalg.eigvalsh(rhos).min(axis=-1)
+    failed = off | skew | (low < -1e-8)
+    if not failed.any():
+        return
+    k = np.argmax(failed)
+    if off[k]:
+        raise SolverFailure(f"trace {trace[k]} violates unit-trace bound")
+    if skew[k]:
         raise SolverFailure("steady state not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -1e-8:
-        raise SolverFailure(f"negative eigenvalue {w.min():.3e} in steady state")
+    raise SolverFailure(f"negative eigenvalue {low[k]:.3e} in steady state")
 
 
-def qubit_excitation(rho: np.ndarray, layout: HilbertLayout,
-                     ops: ModeOperators = None) -> float:
-    """<sigma+ sigma-> in the given state."""
-    o = ops if ops is not None else build_operators(layout)
-    val = np.trace(o.sigma_plus @ o.sigma_minus @ rho)
-    if abs(val.imag) > 1e-10:
-        raise SolverFailure(f"excitation has imaginary part {val.imag:.3e}")
-    return float(val.real)
+def qubit_excitation(rho: np.ndarray, layout: HilbertLayout):
+    """<sigma+ sigma-> in one state (a float) or in each state of a stack
+    (an array): the populations from ``layout.index(1, 0, 0)`` on, as the
+    qubit is the slowest index."""
+    # the whole diagonal, ground half zeroed: summed as np.trace sums it
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).copy()
+    diag[..., : layout.index(1, 0, 0)] = 0.0
+    val = diag.sum(axis=-1)
+    imag = np.extract(np.abs(val.imag) > 1e-10, val.imag)
+    if imag.size:
+        raise SolverFailure(f"excitation has imaginary part {imag[0]:.3e}")
+    return val.real if val.ndim else float(val.real)
 
 
 def _coo(m: np.ndarray) -> tuple:
@@ -453,7 +467,6 @@ class HermitianGenerator:
     def __init__(self, params: SystemParams, layout: HilbertLayout):
         o = build_operators(layout)
         self.layout = layout
-        self.ops = o
         self.omega_ref = params.omega_nv
         h = build_rotating_hamiltonian(params, self.omega_ref, layout, o)
         n = layout.dim
@@ -508,11 +521,12 @@ class HermitianGenerator:
         a2, ad, d2 = self._norm2
         return np.linalg.norm(r, axis=0) / np.sqrt(a2 + s * (ad + s * d2))
 
-    def _density_matrix(self, x: np.ndarray) -> np.ndarray:
-        # vec(rho) = T' x (T unitary), x in block order
+    def _density_matrices(self, x: np.ndarray) -> np.ndarray:
+        # one rho per column x (block order): vec(rho) = T' x, T unitary
         gu, gv, cu, cv = self._basis
         n = self.layout.dim
-        return (cu * x[gu] + cv * x[gv]).reshape((n, n), order="F")
+        vecs = cu * x.T[:, gu] + cv * x.T[:, gv]
+        return vecs.reshape(-1, n, n).swapaxes(1, 2)
 
     def _krylov(self, factor: _BlockFactor, row: int,
                 sigmas: np.ndarray) -> tuple:
@@ -559,12 +573,12 @@ class HermitianGenerator:
             basis[:, k] = w / hess[k, k - 1]
 
     def _interval(self, omegas: np.ndarray, check_unique: bool) -> tuple:
-        """Steady states at the sorted omegas from reduced models expanded
-        at the interval's centre (the exact solve at a single point), their
-        worst residual and the models' Krylov dimensions.  Raises the first
-        check a point fails: each model's estimate, the residual, the
-        density-matrix checks, then with ``check_unique`` agreement with
-        the last-row model and that model's residual."""
+        """Stacked steady states at the sorted omegas from reduced models
+        expanded at the interval's centre (the exact solve at a single
+        point), their worst residual and the models' Krylov dimensions.
+        Raises the first check a point fails: each model's estimate, the
+        residual, the density-matrix checks, then with ``check_unique``
+        agreement with the last-row model and that model's residual."""
         s = omegas - self.omega_ref
         centre = 0.5 * (s[0] + s[-1])
         factor = _BlockFactor(self, centre)
@@ -577,22 +591,20 @@ class HermitianGenerator:
         x = models[0][0]
         residuals = self._residuals(x, s)
         _check_residual(residuals)
-        rhos = [self._density_matrix(col) for col in x.T]
-        for rho in rhos:
-            _validate_density_matrix(rho)
+        rhos = self._density_matrices(x)
+        _validate_density_matrix(rhos)
         if check_unique:
             x2 = models[1][0]
-            _check_unique(np.array(rhos),
-                          np.array([self._density_matrix(c) for c in x2.T]))
+            _check_unique(rhos, self._density_matrices(x2))
             _check_residual(self._residuals(x2, s))
         return rhos, float(residuals.max()), [k for _, _, k in models]
 
     def states(self, omegas, check_unique: bool = False,
-               report: dict = None):
-        """Yield (index, rho) for the validated steady state at each drive
-        frequency, in no fixed order.  An interval of fewer than
-        ``MIN_MODEL_POINTS`` points becomes one-point models; an interval
-        that fails a check is split, and a single point raises.
+               report: dict = None) -> np.ndarray:
+        """The validated steady states at the drive frequencies, as one
+        (len(omegas), n, n) stack in the order of omegas.  An interval of
+        fewer than ``MIN_MODEL_POINTS`` points becomes one-point models; an
+        interval that fails a check is split, and a single point raises.
 
         ``report``, a dict updated in place, receives ``krylov_dims`` (the
         Krylov dimension of every reduced model whose points were
@@ -607,6 +619,7 @@ class HermitianGenerator:
                       rejection_reasons=[], points_solved_per_point=0,
                       worst_residual=0.0)
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        states = np.empty((len(omegas),) + 2 * (self.layout.dim,), complex)
         pending = [np.argsort(omegas, kind="stable")]
         while pending:
             idx = pending.pop()
@@ -631,19 +644,14 @@ class HermitianGenerator:
             else:
                 report["krylov_dims"] += dims
             report["worst_residual"] = max(report["worst_residual"], residual)
-            yield from zip(idx, rhos)
+            states[idx] = rhos
+        return states
 
     def excitation(self, omegas, check_unique: bool = False,
                    report: dict = None) -> np.ndarray:
         """<sigma+ sigma-> in the steady state at each drive frequency."""
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        values = np.empty(len(omegas))
-        for k, rho in self.states(omegas, check_unique, report):
-            try:
-                values[k] = qubit_excitation(rho, self.layout, self.ops)
-            except SolverFailure as exc:
-                raise SolverFailure(f"at omega={omegas[k]}: {exc}") from exc
-        return values
+        return qubit_excitation(self.states(omegas, check_unique, report),
+                                self.layout)
 
 
 def me_excitation(params: SystemParams, omega: float, layout: HilbertLayout,
@@ -660,7 +668,6 @@ def me_spectrum(params: SystemParams, grid: FrequencyGrid,
     values = HermitianGenerator(params, layout).excitation(
         grid.points(), check_unique=check_unique, report=report)
     return Spectrum(grid=grid, values=values, model_tag="ME",
-                    params_snapshot=params,
                     metadata={"n_max_bright": layout.n_max_bright,
                               "n_max_dark": layout.n_max_dark, **report})
 

@@ -388,9 +388,8 @@ def mhom_response(ensemble, params: MhomParams, omega):
 
 def mhom_spectrum(ensemble, params: MhomParams,
                   grid: FrequencyGrid) -> Spectrum:
-    return Spectrum(grid=grid, values=mhom_response(ensemble, params,
-                                                    grid.points()),
-                    model_tag="MHOM", params_snapshot=params)
+    values = mhom_response(ensemble, params, grid.points())
+    return Spectrum(grid=grid, values=values, model_tag="MHOM")
 
 
 def locate_peak(ensemble, params: MhomParams, windows,

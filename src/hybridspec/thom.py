@@ -42,8 +42,7 @@ def thom_excitation(params: SystemParams, omega):
 
 def thom_spectrum(params: SystemParams, grid: FrequencyGrid) -> Spectrum:
     values = thom_excitation(params, grid.points())
-    return Spectrum(grid=grid, values=values, model_tag="THOM",
-                    params_snapshot=params)
+    return Spectrum(grid=grid, values=values, model_tag="THOM")
 
 
 def thom_peak_positions(params: SystemParams) -> tuple:
@@ -81,6 +80,6 @@ def thom_peak_positions(params: SystemParams) -> tuple:
 
     # one scalar call per point: THOM's array evaluation differs from the
     # scalar one in the last bit, which moves the refined peaks
-    f = lambda x, lanes: np.array([thom_excitation(params, w) for w in x])
+    f = lambda x, _lanes: np.array([thom_excitation(params, w) for w in x])
     h = omegas[1] - omegas[0]
     return tuple(golden_section_max(f, omegas[idx] - h, omegas[idx] + h))

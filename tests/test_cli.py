@@ -336,6 +336,9 @@ class TestFitLorentzian:
     @pytest.mark.parametrize("text, window, message", [
         (LORENTZ, "2876", "--window needs lo,hi"),
         (LORENTZ, "2876,2878,2880", "--window needs lo,hi"),
+        (LORENTZ, "nan,2880", "with finite lo < hi"),
+        (LORENTZ, "2880,2870", "with finite lo < hi"),
+        (LORENTZ, "inf,-inf", "with finite lo < hi"),
         (spectrum_text(np.zeros(1)), "2876,2880", "has 1 rows, need >= 2"),
         (b"frequency_mhz,excitation\n", "2876,2880",
          "has 0 rows, need >= 2"),
@@ -351,7 +354,8 @@ class TestFitLorentzian:
         (LORENTZ + b"2.878e+03,abc\n", "2876,2880", "cannot read"),
         (LORENTZ.replace(b",1.000000000000e+00", b",nan"), "2876,2880",
          "invalid spectrum"),
-    ], ids=["one-value-window", "three-value-window", "one-row",
+    ], ids=["one-value-window", "three-value-window", "nan-window",
+            "reversed-window", "infinite-window", "one-row",
             "header-only", "non-uniform", "ragged-row", "extra-cell",
             "every-row-wider-than-header", "empty-file", "non-utf-8",
             "non-numeric", "nan-cell"])

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package reads the names it binds: its imports, its
+private definitions and the parameters of its functions."""
 
 import ast
 import pathlib
@@ -63,3 +64,34 @@ def test_detects_an_unread_private_name():
 def test_package_reads_its_private_definitions():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) of every parameter of a function or lambda in
+    the source that its body does not read; a parameter that a callback
+    must accept but ignores is named with a leading underscore."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (a.posonlyargs + a.args + a.kwonlyargs
+                                  + [a.vararg, a.kwarg]) if p is not None]
+        body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(getattr(node, "name", "<lambda>"), p) for p in params
+                   if p not in read and not p.startswith("_")]
+    return unread
+
+
+def test_detects_an_unread_parameter():
+    source = ("def f(a, b, *c, d=1, **e):\n    return a + d\n\n\n"
+              "def g(_x, y):\n    h = lambda z, _w: z\n    return y\n")
+    assert unread_parameters(source) == [
+        ("f", "b"), ("f", "c"), ("f", "e")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_its_parameters(path):
+    assert unread_parameters(path.read_text()) == []

@@ -150,12 +150,13 @@ class TestSteadyState:
 
     def test_qubit_excitation_readout(self):
         layout = HilbertLayout(1, 1)
-        ops = None
         ground = np.zeros((2, 2))
         ground[0, 0] = 1.0
-        assert qubit_excitation(ground, layout, ops) == 0.0
+        assert qubit_excitation(ground, layout) == 0.0
         mixed = 0.5 * np.eye(2)
-        assert qubit_excitation(mixed, layout, ops) == pytest.approx(0.5)
+        assert qubit_excitation(mixed, layout) == pytest.approx(0.5)
+        assert np.array_equal(qubit_excitation(np.array([ground, mixed]),
+                                               layout), [0.0, 0.5])
 
 
 class TestWeakDriveLimit:
@@ -208,13 +209,19 @@ class TestTruncation:
         assert np.max(np.abs(vals)) < 1e-12
 
 
+def trace_excitation(rho, ops):
+    """Per-state oracle: <sigma+ sigma-> as the trace of the operator
+    product."""
+    return float(np.trace(ops.sigma_plus @ ops.sigma_minus @ rho).real)
+
+
 def direct_excitation(params, omega, layout):
     """Per-point oracle: column-stacked complex generator, dense solve."""
     ops = build_operators(layout)
     h = build_rotating_hamiltonian(params, omega, layout, ops)
     rho = steady_state(build_liouvillian(h, params, layout, ops),
                        check_unique=False)
-    return qubit_excitation(rho, layout, ops)
+    return trace_excitation(rho, ops)
 
 
 def basis_change(n):
@@ -422,10 +429,10 @@ class TestReducedModel:
             e[row] = 1.0
             x = master_eq._BlockFactor(gen, w - gen.omega_ref).solve(e, row)
             report = {}
-            [(_, rho)] = gen.states([w], check_unique=True, report=report)
+            [rho] = gen.states([w], check_unique=True, report=report)
             assert report["points_solved_per_point"] == 1
             assert not report["krylov_dims"]
-            assert np.array_equal(rho, gen._density_matrix(x))
+            assert np.array_equal(rho, gen._density_matrices(x[:, None])[0])
             assert gen.excitation([w])[0] == qubit_excitation(rho, layout)
 
     def test_matches_per_point_and_dense_solves(self):
@@ -531,7 +538,7 @@ class TestProductionPathValidity:
                       for w in omegas]
         for grid, keep in groups:
             report = {}
-            rhos = dict(gen.states(grid, check_unique=True, report=report))
+            rhos = gen.states(grid, check_unique=True, report=report)
             assert report["krylov_dims"]
             assert report["points_solved_per_point"] == 0
             yield from (rhos[k] for k in keep)
@@ -540,7 +547,7 @@ class TestProductionPathValidity:
     def per_point_states(gen, omegas):
         for w in omegas:
             report = {}
-            [(_, rho)] = gen.states([w], check_unique=True, report=report)
+            [rho] = gen.states([w], check_unique=True, report=report)
             assert report["points_solved_per_point"] == 1
             yield rho
 
@@ -566,3 +573,76 @@ class TestProductionPathValidity:
         assert worst["herm"] < 1e-10
         assert worst["neg"] < 1e-8
         assert worst["residual"] < 1e-10
+
+
+# id -> (layout, lambda, half width of the window about omega_nv)
+STACK_CASES = {"4x4-lam1": (HilbertLayout(4, 4), 1.0, 4.5),
+               "4x4-lam20": (HilbertLayout(4, 4), 20.0, 4.5),
+               "3x3-lam0.1": (HilbertLayout(3, 3), 0.1, 20.0),
+               "4x8-lam5": (HilbertLayout(4, 8), 5.0, 1.0),
+               "2x3-lam2": (HilbertLayout(2, 3), 2.0, 10.0)}
+# what each density-matrix check raises
+BROKEN = {"trace": "violates unit-trace bound",
+          "hermitian": "not Hermitian within tolerance",
+          "negative": "negative eigenvalue"}
+
+
+class TestStateStack:
+    """``states`` returns one stack, validated and read as a stack."""
+
+    @staticmethod
+    def stack(layout, lam, half, n=MIN_MODEL_POINTS + 1):
+        gen = HermitianGenerator(small_params(lam=lam), layout)
+        return gen.states(np.linspace(OMEGA_NV - half, OMEGA_NV + half, n))
+
+    @pytest.mark.parametrize("layout, lam, half", STACK_CASES.values(),
+                             ids=STACK_CASES)
+    def test_excitation_of_a_stack_is_the_trace_bit_for_bit(self, layout,
+                                                            lam, half):
+        rhos = self.stack(layout, lam, half)
+        ops = build_operators(layout)
+        oracle = [trace_excitation(rho, ops) for rho in rhos]
+        assert np.array_equal(qubit_excitation(rhos, layout), oracle)
+        assert [qubit_excitation(rho, layout) for rho in rhos] == oracle
+
+    @staticmethod
+    def broken(rho, check):
+        if check == "trace":
+            return 1.1 * rho
+        if check == "hermitian":
+            out = rho.copy()
+            out[0, 1] += 1e-6
+            return out
+        # the smallest eigenvalue moved to -1e-6, the largest by as much
+        # the other way
+        w, v = np.linalg.eigh(rho)
+        w[0], w[-1] = -1e-6, w[-1] + w[0] + 1e-6
+        out = (v * w) @ v.conj().T
+        return 0.5 * (out + out.conj().T)
+
+    @pytest.mark.parametrize("check", BROKEN)
+    def test_a_stack_raises_what_its_broken_matrix_raises(self, check):
+        rhos = self.stack(LAYOUT, 1.0, 10.0)
+        master_eq._validate_density_matrix(rhos)
+        bad = self.broken(rhos[3], check)
+        with pytest.raises(SolverFailure, match=BROKEN[check]) as alone:
+            master_eq._validate_density_matrix(bad)
+        rhos[3] = bad
+        with pytest.raises(SolverFailure) as stacked:
+            master_eq._validate_density_matrix(rhos)
+        assert str(stacked.value) == str(alone.value)
+        # a later matrix failing an earlier check does not take its place
+        rhos[5] = self.broken(rhos[5], "trace")
+        with pytest.raises(SolverFailure) as first:
+            master_eq._validate_density_matrix(rhos)
+        assert str(first.value) == str(alone.value)
+
+    # one model, and a window split down to one-point models
+    @pytest.mark.parametrize("lam, half, n", [(10.0, 4.5, 21),
+                                              (20.0, 25.0, 31)])
+    def test_states_follow_the_order_of_omegas(self, lam, half, n):
+        gen = HermitianGenerator(small_params(lam=lam), HilbertLayout(4, 4))
+        omegas = np.linspace(OMEGA_NV - half, OMEGA_NV + half, n)
+        perm = np.random.default_rng(3).permutation(n)
+        assert np.array_equal(gen.states(omegas[perm]),
+                              gen.states(omegas)[perm])
