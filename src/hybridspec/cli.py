@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -31,9 +32,9 @@ from .core import (
     _require_finite,
     apply_signal_map,
 )
-from .errors import HybridSpecError
+from .errors import HybridSpecError, SolverFailure
 from .eigen import eigen_numeric
-from .estimate import run_pipeline
+from .estimate import gamma_fq_from_t1, run_pipeline, slope_deltas
 from .fitting import fit_lorentzian, fwhm_vs_power
 from .master_eq import (
     HermitianGenerator,
@@ -86,7 +87,8 @@ def load_config(path: str) -> dict:
     for name, keys in _SECTIONS.items():
         if name in cfg:
             _check_keys(cfg[name], keys, name)
-    if "model" in cfg and cfg["model"] not in _MODELS:
+    if "model" in cfg and not (isinstance(cfg["model"], str)
+                               and cfg["model"] in _MODELS):
         raise ConfigError(f"model must be one of {sorted(_MODELS)}")
     cfg["_sha256"] = hashlib.sha256(raw.encode()).hexdigest()
     return cfg
@@ -296,9 +298,21 @@ def _excitation(cfg: dict, model: str, args):
         else:
             layout = _build_layout(cfg, args)
             model_at = lambda p: HermitianGenerator(p, layout).excitation
-    return (lambda lam=None, omega_fq=None: model_at(
-        _changed(params, lam=lam, omega_fq=omega_fq)),
+    return (lambda lam=None, omega_fq=None: partial(_finite, model_at(
+        _changed(params, lam=lam, omega_fq=omega_fq))),
         omega_nv, params.gamma_d)
+
+
+def _finite(excitation, omegas) -> np.ndarray:
+    """excitation(omegas); arithmetic that overflows or values that are not
+    finite (a parameter too large for the model) are a solver error."""
+    try:
+        values = excitation(omegas)
+    except OverflowError as exc:
+        raise SolverFailure(f"model arithmetic overflowed: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise SolverFailure("model values are not finite")
+    return values
 
 
 def _build_layout(cfg: dict, args) -> HilbertLayout:
@@ -386,12 +400,14 @@ def cmd_estimate(args) -> int:
     if "t1_us" not in est_cfg:
         raise ConfigError("estimate requires config key estimate.t1_us")
     _record("estimate.t1_us", _require_finite, "t1_us", est_cfg["t1_us"])
+    _record("estimate.t1_us", gamma_fq_from_t1, est_cfg["t1_us"])
     kwargs = {}
     if "deltas" in est_cfg:
         kwargs["deltas"] = _record("estimate.deltas", tuple,
                                    est_cfg["deltas"])
         for delta in kwargs["deltas"]:
             _record("estimate.deltas", _require_finite, "delta", delta)
+        _record("estimate.deltas", slope_deltas, kwargs["deltas"])
     if "grid" in cfg:
         kwargs["grid"] = _build_grid(cfg)
     result = run_pipeline(ens, est_cfg["t1_us"], **kwargs)
@@ -504,37 +520,19 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-_PLOT_TEMPLATES = {
-    "spectrum": """\
-set datafile separator ","
-set xlabel "frequency (x2pi MHz)"
-set ylabel "excitation"
-set key off
-plot "{csv}" using 1:2 skip 1 with lines
-pause -1
-""",
-    "heatmap": """\
-set datafile separator ","
-set xlabel "axis value"
-set ylabel "frequency (x2pi MHz)"
-set view map
-splot "{csv}" using 1:2:3 skip 1 with points palette pointtype 5
-pause -1
-""",
-    "fwhm": """\
-set datafile separator ","
-set xlabel "drive amplitude lambda (x2pi MHz)"
-set ylabel "middle-peak FWHM (x2pi MHz)"
-set key off
-plot "{csv}" using 1:2 skip 1 with linespoints
-pause -1
-""",
-}
-
-_EXPECTED_HEADERS = {
-    "spectrum": ("frequency_mhz", "excitation"),
-    "heatmap": ("axis_value", "frequency_mhz", "excitation"),
-    "fwhm": ("lambda", "fwhm"),
+# plot-script kind -> (the CSV's first columns, x label, y label, the
+# gnuplot lines that draw it)
+_PLOTS = {
+    "spectrum": (("frequency_mhz", "excitation"), "frequency (x2pi MHz)",
+                 "excitation",
+                 'set key off\nplot "{csv}" using 1:2 skip 1 with lines'),
+    "heatmap": (("axis_value", "frequency_mhz", "excitation"), "axis value",
+                "frequency (x2pi MHz)",
+                'set view map\nsplot "{csv}" using 1:2:3 skip 1 with points '
+                'palette pointtype 5'),
+    "fwhm": (("lambda", "fwhm"), "drive amplitude lambda (x2pi MHz)",
+             "middle-peak FWHM (x2pi MHz)",
+             'set key off\nplot "{csv}" using 1:2 skip 1 with linespoints'),
 }
 
 
@@ -546,15 +544,14 @@ def cmd_plot_script(args) -> int:
         raise ConfigError(f"cannot read {args.input}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"invalid {args.input}: {exc}") from exc
-    cols = header.split(",")
-    expected = _EXPECTED_HEADERS[args.kind]
-    if tuple(cols[: len(expected)]) != expected:
+    expected, xlabel, ylabel, draw = _PLOTS[args.kind]
+    if tuple(header.split(",")[:len(expected)]) != expected:
         raise ConfigError(
             f"CSV header {header!r} does not match kind {args.kind!r}"
         )
-    script = _PLOT_TEMPLATES[args.kind].format(
-        csv=os.path.relpath(args.input, args.out or ".")
-    )
+    script = (f'set datafile separator ","\nset xlabel "{xlabel}"\n'
+              f'set ylabel "{ylabel}"\n{draw}\npause -1\n').format(
+        csv=os.path.relpath(args.input, args.out or "."))
     out = args.out or "."
     _atomic_write(os.path.join(out, f"plot_{args.kind}.gp"), script.encode())
     return 0
@@ -567,8 +564,17 @@ def _parse_floats(text: str) -> list:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a minus sign and a number (-3,0,4, -5,5, -inf,2) for a value,
+    as argparse takes -3."""
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d|\.\d|inf|nan)", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridspec",
         description="Spectroscopy simulator for a driven qubit coupled to "
                     "bright/dark collective spin modes.",
@@ -628,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("plot-script", cmd_plot_script,
                 "emit a gnuplot script for a CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=("spectrum", "heatmap", "fwhm"),
+    p.add_argument("--kind", choices=tuple(_PLOTS),
                    required=True)
     p.add_argument("--out", default=None)
 

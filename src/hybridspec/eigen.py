@@ -78,53 +78,29 @@ def perturbation_guard(params: SystemParams) -> float:
 def eigen_perturbative(params: SystemParams, delta: float) -> EigenResult:
     """First-order eigenstructure in the detuning.
 
-    Valid for |delta| <= 0.5*sqrt(g^2+J^2); larger detunings should use
-    eigen_numeric.
+    Perturbation theory in V = delta |0><0| on the resonant eigenbasis:
+    with E_k, v_k and c = the qubit row of eigen_exact_resonant, the values
+    are E_k + delta |c_k|^2 and the vectors v_k + delta sum_{m != k}
+    conj(c_m) c_k / (E_k - E_m) v_m, normalized.  Valid for
+    |delta| <= 0.5*sqrt(g^2+J^2) (only delta = 0 when g = J = 0); larger
+    detunings should use eigen_numeric.
     """
-    g, j = params.g, params.j
-    w = params.omega_nv
-    s2 = g * g + j * j
-    s = np.sqrt(s2)
-    if abs(delta) > perturbation_guard(params):
+    guard = perturbation_guard(params)
+    if abs(delta) > guard:
         raise PerturbationOutOfRange(
-            f"|delta|={abs(delta)} exceeds guard 0.5*sqrt(g^2+J^2)={0.5 * s}"
+            f"|delta|={abs(delta)} exceeds guard 0.5*sqrt(g^2+J^2)={guard}"
         )
-    if s == 0.0:
-        values = np.array([w, w, w + delta])
-        return EigenResult(values, np.eye(3, dtype=complex)[:, [1, 2, 0]],
-                           np.array([0.0, 0.0, 1.0]))
-
-    side_shift = 0.5 * delta * g * g / s2
-    values = np.array(
-        [w - s + side_shift, w + delta * j * j / s2, w + s + side_shift]
-    )
-
-    a = g * g * delta / (4.0 * s2 ** 1.5)
-    bshift = j * j * delta / (s2 ** 1.5)
-    left = np.array(
-        [
-            (g / (np.sqrt(2) * s)) * (1 - a - bshift),
-            -(1 / np.sqrt(2)) * (1 + a),
-            (j / (np.sqrt(2) * s)) * (1 + 3 * a),
-        ]
-    )
-    middle = np.array([-j / s, delta * g * j / (s2 ** 1.5), g / s])
-    right = np.array(
-        [
-            (g / (np.sqrt(2) * s)) * (1 + a + bshift),
-            (1 / np.sqrt(2)) * (1 - a),
-            (j / (np.sqrt(2) * s)) * (1 - 3 * a),
-        ]
-    )
-    vectors = np.column_stack(
-        [v / np.linalg.norm(v) for v in (left, middle, right)]
-    ).astype(complex)
-    # build_h1 at theta is U h U^+ with h its theta = 0 form and U =
-    # diag(1, 1, e^{-i theta}): the dark components carry that phase
-    vectors[2] *= np.exp(-1j * params.theta)
-    vectors = _fix_phase(vectors)
+    exact = eigen_exact_resonant(params)
+    if delta == 0:
+        return exact
+    e, v, c = exact.values, exact.vectors, exact.vectors[0]
+    gaps = e[None, :] - e[:, None]  # gaps[m, k] = E_k - E_m
+    np.fill_diagonal(gaps, np.inf)
+    # column k: v_k plus its first-order admixture of the other levels
+    vectors = v @ (np.eye(3) + delta * np.outer(np.conj(c), c) / gaps)
+    vectors = _fix_phase(vectors / np.linalg.norm(vectors, axis=0))
     weights = np.abs(vectors[0, :]) ** 2
-    return EigenResult(values, vectors, weights)
+    return EigenResult(e + delta * exact.qubit_weights, vectors, weights)
 
 
 def eigen_numeric(params: SystemParams, delta) -> EigenResult:

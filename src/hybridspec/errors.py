@@ -26,7 +26,8 @@ class NonUniqueSteadyState(HybridSpecError):
 
 
 class SolverFailure(HybridSpecError):
-    """Linear solve for the steady state failed."""
+    """A model could not be evaluated: its steady-state solve failed, or
+    its arithmetic overflowed."""
 
 
 class NoInteriorPeak(HybridSpecError):

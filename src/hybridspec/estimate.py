@@ -46,9 +46,20 @@ class PipelineResult:
 
 def gamma_fq_from_t1(t1_us: float) -> float:
     """Qubit decay rate 1/(2*T1) from an energy-relaxation time in us."""
-    if not t1_us > 0:
-        raise ValueError(f"T1 must be > 0, got {t1_us}")
+    if not (t1_us > 0 and np.isfinite(1.0 / (2.0 * t1_us))):
+        raise ValueError(f"T1 must be > 0 with a finite 1/(2*T1), got {t1_us}")
     return 1.0 / (2.0 * t1_us)
+
+
+def slope_deltas(deltas) -> tuple:
+    """The detunings of the middle-peak slope fit as floats: at least 3,
+    not all zero."""
+    deltas = tuple(float(d) for d in deltas)
+    if len(deltas) < 3:
+        raise ValueError("need at least 3 detunings for the slope fit")
+    if not any(deltas):
+        raise ValueError("the detunings must not all be zero")
+    return deltas
 
 
 def estimate_separation(spec: EnsembleSpec, params: MhomParams,
@@ -102,9 +113,7 @@ def estimate_ratio(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
     shift = slope * delta; ``sigma`` and ``report`` as in
     mhom_middle_peak_shift.
     """
-    deltas = tuple(float(d) for d in deltas)
-    if len(deltas) < 3:
-        raise ValueError("need at least 3 detunings for the slope fit")
+    deltas = slope_deltas(deltas)
     shifts = mhom_middle_peak_shift(spec, params, sigma, deltas, report)
     d = np.array([p[0] for p in shifts])
     s = np.array([p[1] for p in shifts])
@@ -184,15 +193,17 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
     """
     if gamma_nv is None:
         gamma_nv = spec.fwhm_zfs
-    if grid is None:
-        half = 2.3 * spec.collective_g
-        grid = FrequencyGrid(spec.omega_nv - half, spec.omega_nv + half, 1201)
 
     def stage(tag, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (HybridSpecError, ValueError, np.linalg.LinAlgError) as exc:
             raise PipelineStageError(tag, exc) from exc
+
+    if grid is None:
+        half = 2.3 * spec.collective_g
+        grid = stage("fit_gammas", FrequencyGrid, spec.omega_nv - half,
+                     spec.omega_nv + half, 1201)
 
     stages = {}
 

@@ -272,8 +272,8 @@ def real_liouvillian(h: np.ndarray, collapse,
     an excitation number N that only the drive changes, and only by one.
     The basis is unitary, so norms and residuals equal those of the
     column-stacked generator.  The result is real exactly when the map
-    preserves Hermiticity; an imaginary part above 1e-12 of the largest
-    entry raises SolverFailure.
+    preserves Hermiticity; an entry that is not finite, or an imaginary
+    part above 1e-12 of the largest entry, raises SolverFailure.
     """
     n = h.shape[0]
     eye = (np.arange(n), np.arange(n), np.ones(n, dtype=complex))
@@ -285,6 +285,8 @@ def real_liouvillian(h: np.ndarray, collapse,
                   _sandwich(_coo(cdc), eye, n),
                   _sandwich(eye, _coo(cdc), n)]
     rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
+    if not np.all(np.isfinite(vals)):
+        raise SolverFailure("generator entries are not finite")
 
     # L_real[p, q] = sum_rs T[p, r] L[r, s] conj(T[q, s]); column s of T
     # has its nonzeros at the u- and v-slot of s's pair (cv = 0 on the

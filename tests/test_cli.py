@@ -18,8 +18,8 @@ from hybridspec import (
     mhom_response,
     sample_ensemble,
 )
-from hybridspec.cli import (_CHUNK_ROWS, ConfigError, _read_csv, _rows,
-                            load_config, main)
+from hybridspec.cli import (_CHUNK_ROWS, _SECTIONS, ConfigError, _read_csv,
+                            _rows, load_config, main)
 
 from conftest import OMEGA_NV
 
@@ -75,6 +75,12 @@ class TestLoadConfig:
     def test_rejects_bad_model(self, tmp_path):
         path = write_config(tmp_path, system=SYSTEM, grid=GRID,
                             model="magic")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("model", [["thom"], {}, []])
+    def test_rejects_model_that_is_not_a_string(self, tmp_path, model):
+        path = write_config(tmp_path, system=SYSTEM, grid=GRID, model=model)
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -200,6 +206,20 @@ class TestSweep:
                      "--axis", "power", f"--values={values}"]) == 2
         assert not out.exists()
 
+    def test_values_may_start_with_a_minus(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom")
+        outputs = []
+        for values in (["--values", "-3,0,4"], ["--values=-3,0,4"]):
+            out = tmp_path / values[-1]
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--axis", "detuning", *values]) == 0
+            meta = json.loads((out / "sweep_meta.json").read_text())
+            del meta["timestamp"]
+            outputs.append(((out / "sweep.csv").read_bytes(), meta,
+                            capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]["values"] == [-3.0, 0.0, 4.0]
+
     def test_detuning_sweep_moves_qubit(self, tmp_path):
         grid = dict(GRID, n_points=81)
         cfg = write_config(tmp_path, system=SYSTEM, grid=grid, model="thom")
@@ -314,6 +334,21 @@ class TestFitLorentzian:
         assert fit["converged"]
         assert fit["omega_center"] == pytest.approx(OMEGA_NV, abs=1e-3)
         assert 0.3 < fit["fwhm"] < 1.5
+
+    def test_window_may_start_with_a_minus(self, tmp_path, capsys):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("frequency_mhz,excitation\n" + "".join(
+            f"{x:.12e},{1.0 / (1.0 + x ** 2):.12e}\n"
+            for x in np.linspace(-10.0, 10.0, 201)))
+        outputs = []
+        for window in (["--window", "-5,5"], ["--window=-5,5"]):
+            out = tmp_path / window[-1]
+            assert main(["fit-lorentzian", "--input", str(path),
+                         "--out", str(out), *window]) == 0
+            outputs.append(((out / "fit.json").read_bytes(),
+                            capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["converged"]
 
     def test_accepts_rounded_uniform_grid(self, tmp_path):
         # 200,001 points: the CSV's rounding is a few 1e-6 of a step
@@ -596,6 +631,14 @@ INVALID_INPUTS = {
     "eigen-delta-max-inf": (THOM, ["eigen", "--delta-max=-inf"]),
     "mhom-omega_nv-str": (_with(MHOM, "system", omega_nv="x"),
                           SWEEP + ["--values=1,2"]),
+    "t1_us-zero": (_with(ESTIMATE, "estimate", t1_us=0), ["estimate"]),
+    "t1_us-negative": (_with(ESTIMATE, "estimate", t1_us=-1), ["estimate"]),
+    "t1_us-subnormal": (_with(ESTIMATE, "estimate", t1_us=1e-320),
+                        ["estimate"]),
+    "deltas-two": (_with(ESTIMATE, "estimate", deltas=[1, 2]), ["estimate"]),
+    "deltas-empty": (_with(ESTIMATE, "estimate", deltas=[]), ["estimate"]),
+    "deltas-zero": (_with(ESTIMATE, "estimate", deltas=[0, 0, 0]),
+                    ["estimate"]),
 }
 
 
@@ -615,6 +658,76 @@ class TestInvalidInput:
                      *argv[1:]]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: invalid ")
+
+
+SMALL_GRID = dict(GRID, n_points=21)
+SMALL_ENSEMBLE = {"n_packets": 8, "mean_zeeman": 2.0, "fwhm_zeeman": 0.0,
+                  "fwhm_strain": 0.0, "fwhm_zfs": 0.1, "collective_g": 10.0,
+                  "omega_nv": OMEGA_NV, "seed": 7, "hyperfine": 0.0}
+# a working config per command, and the commands that read each section
+SWEEP_BASES = {
+    "thom": dict(THOM, grid=SMALL_GRID),
+    "mhom": dict(MHOM, ensemble=SMALL_ENSEMBLE, grid=SMALL_GRID),
+    "me": dict(model="me", system=SYSTEM, grid=dict(GRID, n_points=5),
+               me_options={"n_max_bright": 2, "n_max_dark": 2}),
+    "estimate": dict(ensemble=SMALL_ENSEMBLE,
+                     estimate={"t1_us": 10.0, "deltas": [0.5, 1.0, 1.5]}),
+}
+READERS = {"system": ("thom", "mhom", "me"), "grid": ("thom", "mhom", "me"),
+           "signal_map": ("thom",), "me_options": ("me",),
+           "ensemble": ("mhom", "estimate"), "estimate": ("estimate",)}
+SWEEP_VALUES = ([1], {}, [], None, True, "x", -1, 0, 1e308)
+SWEEP_CASES = [
+    (base, section, key, value)
+    for section in sorted(_SECTIONS) for key in sorted(_SECTIONS[section])
+    for base in READERS[section] for value in SWEEP_VALUES
+] + [("thom", None, "model", value) for value in SWEEP_VALUES]
+
+
+# a finite value too large for the model: its arithmetic overflows
+HUGE_VALUES = [
+    *(("thom", "system", key) for key in (
+        "g", "j", "lam", "gamma_fq", "gamma_b", "gamma_d", "omega_fq",
+        "omega_nv")),
+    *(("mhom", "system", key) for key in ("lam", "gamma_b", "gamma_d")),
+    *(("me", "system", key) for key in ("gamma_fq", "gamma_b", "gamma_d")),
+    ("thom", "grid", "stop_mhz"),
+    *(("mhom", "ensemble", key) for key in (
+        "mean_zeeman", "fwhm_zeeman", "fwhm_strain", "hyperfine",
+        "collective_g", "omega_nv")),
+    *(("estimate", "ensemble", key) for key in ("collective_g", "omega_nv")),
+]
+
+
+class TestConfigSweep:
+    @pytest.mark.parametrize("base, section, key", HUGE_VALUES)
+    def test_huge_value_is_a_solver_error(self, tmp_path, capsys, base,
+                                          section, key):
+        path = write_config(tmp_path, **_with(SWEEP_BASES[base], section,
+                                              **{key: 1e308}))
+        out = tmp_path / "run"
+        command = "estimate" if base == "estimate" else "simulate"
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "solver error: ")
+
+    @pytest.mark.parametrize("base, section, key, value", SWEEP_CASES,
+                             ids=lambda x: json.dumps(x).strip('"'))
+    def test_exits_0_2_or_3(self, tmp_path, capsys, base, section, key,
+                            value):
+        cfg = SWEEP_BASES[base]
+        if section is None:
+            cfg = dict(cfg, **{key: value})
+        else:
+            cfg = _with(cfg, section, **{key: value})
+        path = write_config(tmp_path, **cfg)
+        out = tmp_path / "run"
+        command = "estimate" if base == "estimate" else "simulate"
+        rc = main([command, "--config", path, "--out", str(out)])
+        assert rc in (0, 2, 3)
+        assert out.exists() == (rc == 0)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def per_value(table):

@@ -11,12 +11,43 @@ from hybridspec import (
     eigen_perturbative,
     perturbation_guard,
 )
+from hybridspec.eigen import EigenResult, _fix_phase
 
 W = 2878.0
 
 
 def params(g=13.0, j=3.46, theta=0.0):
     return SystemParams(omega_fq=W, omega_nv=W, g=g, j=j, theta=theta)
+
+
+def hand_expanded_perturbative(p, delta):
+    """Oracle: the first-order eigenstructure written out component by
+    component for s = sqrt(g^2+J^2) > 0 (eigen_perturbative derives it from
+    the resonant eigenbasis)."""
+    g, j, w = p.g, p.j, p.omega_nv
+    s2 = g * g + j * j
+    s = np.sqrt(s2)
+    side_shift = 0.5 * delta * g * g / s2
+    values = np.array(
+        [w - s + side_shift, w + delta * j * j / s2, w + s + side_shift]
+    )
+    a = g * g * delta / (4.0 * s2 ** 1.5)
+    bshift = j * j * delta / (s2 ** 1.5)
+    left = np.array([(g / (np.sqrt(2) * s)) * (1 - a - bshift),
+                     -(1 / np.sqrt(2)) * (1 + a),
+                     (j / (np.sqrt(2) * s)) * (1 + 3 * a)])
+    middle = np.array([-j / s, delta * g * j / (s2 ** 1.5), g / s])
+    right = np.array([(g / (np.sqrt(2) * s)) * (1 + a + bshift),
+                      (1 / np.sqrt(2)) * (1 - a),
+                      (j / (np.sqrt(2) * s)) * (1 - 3 * a)])
+    vectors = np.column_stack(
+        [v / np.linalg.norm(v) for v in (left, middle, right)]
+    ).astype(complex)
+    # build_h1 at theta is U h U^+ with h its theta = 0 form and U =
+    # diag(1, 1, e^{-i theta}): the dark components carry that phase
+    vectors[2] *= np.exp(-1j * p.theta)
+    vectors = _fix_phase(vectors)
+    return EigenResult(values, vectors, np.abs(vectors[0, :]) ** 2)
 
 
 class TestBuildH1:
@@ -201,6 +232,44 @@ class TestPerturbative:
         assert np.all(residual(0.0) < 1e-12)
         factor = residual(1.0) / residual(0.5)
         assert np.all((3.5 <= factor) & (factor <= 4.5))
+
+    @given(
+        g=st.floats(0.5, 30.0),
+        j=st.floats(0.0, 10.0),
+        theta=st.floats(-np.pi, np.pi).filter(lambda t: t != 0.0),
+        x=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hand_expanded_oracle(self, g, j, theta, x):
+        p = params(g=g, j=j, theta=theta)
+        delta = x * perturbation_guard(p)
+        r = eigen_perturbative(p, delta)
+        oracle = hand_expanded_perturbative(p, delta)
+        assert np.all(np.abs(r.values - oracle.values)
+                      <= 1e-15 * np.abs(oracle.values))
+        # _fix_phase makes a column's largest component real positive;
+        # where two components tie in magnitude (g = J puts the middle
+        # vector's qubit and dark parts level) rounding picks either, so
+        # such a column is compared after matching its phase
+        top = np.sort(np.abs(oracle.vectors), axis=0)
+        overlap = np.sum(np.conj(oracle.vectors) * r.vectors, axis=0)
+        phase = np.where(top[-1] - top[-2] < 1e-12,
+                         np.abs(overlap) / overlap, 1.0)
+        assert np.max(np.abs(r.vectors * phase - oracle.vectors)) <= 1e-13
+        assert np.max(np.abs(r.qubit_weights - oracle.qubit_weights)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_uncoupled_is_exact_resonant(self, theta):
+        # g = J = 0: the guard admits only delta = 0, and the degenerate
+        # levels keep the resonant basis
+        p = params(g=0.0, j=0.0, theta=theta)
+        r = eigen_perturbative(p, 0.0)
+        exact = eigen_exact_resonant(p)
+        assert np.array_equal(r.values, exact.values)
+        assert np.array_equal(r.vectors, exact.vectors)
+        assert np.array_equal(r.qubit_weights, exact.qubit_weights)
+        with pytest.raises(PerturbationOutOfRange):
+            eigen_perturbative(p, 1e-300)
 
     def test_weights_in_unit_interval(self):
         r = eigen_perturbative(params(), 4.0)

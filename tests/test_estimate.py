@@ -39,6 +39,11 @@ class TestGammaFqFromT1:
         with pytest.raises(ValueError):
             gamma_fq_from_t1(-1.0)
 
+    def test_rejects_rate_that_overflows(self):
+        # 1/(2*T1) is inf for a subnormal T1
+        with pytest.raises(ValueError):
+            gamma_fq_from_t1(1e-320)
+
 
 class TestSeparation:
     def test_homogeneous_separation(self):
@@ -89,6 +94,14 @@ class TestRatio:
         with pytest.raises(ValueError):
             estimate_ratio(ens, params, sampled_self_energy(ens, params),
                            deltas=(1.0, 2.0))
+
+    def test_rejects_all_zero_detunings(self):
+        ens = homogeneous_ensemble()
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.01, gamma_b=0.05,
+                            gamma_d=0.05)
+        with pytest.raises(ValueError, match="not all be zero"):
+            estimate_ratio(ens, params, sampled_self_energy(ens, params),
+                           deltas=(0.0, 0.0, 0.0))
 
 
 class TestSolveGJ:
