@@ -30,7 +30,6 @@ from .core import (
     Spectrum,
     SystemParams,
     _require_finite,
-    apply_signal_map,
 )
 from .errors import HybridSpecError, SolverFailure
 from .eigen import eigen_numeric
@@ -50,15 +49,17 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-# config section -> its keys: the fields of the record it builds, with the
-# grid's start and stop as start_mhz and stop_mhz
-_SECTIONS = {
-    name: {f.name + "_mhz" if f.name in ("start", "stop") else f.name
-           for f in fields(record)}
-    for name, record in (("system", SystemParams), ("ensemble", EnsembleSpec),
-                         ("grid", FrequencyGrid), ("me_options", HilbertLayout),
-                         ("signal_map", SignalMap))}
+# config section -> the record it builds; its keys are the record's fields,
+# with the grid's start and stop as start_mhz and stop_mhz
+_RECORDS = {"system": SystemParams, "ensemble": EnsembleSpec,
+            "grid": FrequencyGrid, "me_options": HilbertLayout,
+            "signal_map": SignalMap}
+_SECTIONS = {name: {f.name + "_mhz" if f.name in ("start", "stop") else f.name
+                    for f in fields(record)}
+             for name, record in _RECORDS.items()}
 _SECTIONS["estimate"] = {"t1_us", "deltas"}
+# the Fock layout of a config without me_options
+_LAYOUT = {"n_max_bright": 4, "n_max_dark": 4}
 _MODELS = {"thom", "mhom", "me"}
 
 
@@ -94,12 +95,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ConfigError(f"config requires a '{name}' object")
-    return cfg[name]
-
-
 def _record(where: str, build, *args, **kw):
     """build(*args, **kw): a record checks its own fields, and a field it
     rejects is a config error in ``where``."""
@@ -109,23 +104,16 @@ def _record(where: str, build, *args, **kw):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _build_system(cfg: dict) -> SystemParams:
-    return _record("system", SystemParams, **_section(cfg, "system"))
-
-
-def _build_grid(cfg: dict) -> FrequencyGrid:
-    # the keys start_mhz, stop_mhz, n_points are the fields start, stop,
-    # n_points
-    return _record("grid", FrequencyGrid, **{
-        key.removesuffix("_mhz"): v
-        for key, v in _section(cfg, "grid").items()})
-
-
-def _build_ensemble(cfg: dict, seed) -> EnsembleSpec:
-    fields = dict(_section(cfg, "ensemble"))
-    if seed is not None:
-        fields["seed"] = seed
-    return _record("ensemble", EnsembleSpec, **fields)
+def _build(cfg: dict, name: str, default: dict = None, **overrides):
+    """The record of config section ``name``: the keys of ``default``, then
+    the section's, then the overrides that are not None.  Without a
+    ``default`` the section is required."""
+    if default is None and name not in cfg:
+        raise ConfigError(f"config requires a '{name}' object")
+    kw = {**(default or {}), **cfg.get(name, {})}
+    kw.update((k, v) for k, v in overrides.items() if v is not None)
+    return _record(name, _RECORDS[name], **{
+        key.removesuffix("_mhz"): v for key, v in kw.items()})
 
 
 def _model(cfg: dict, args) -> str:
@@ -261,16 +249,25 @@ def _changed(params, **changes):
         k: v for k, v in changes.items() if v is not None})
 
 
+# Models are built and evaluated, and the pipeline run, without numpy's
+# floating-point warnings: their results are judged (by _finite, the ME
+# generator's real_liouvillian or a pipeline stage), and a warning would
+# only precede the solver error of a parameter too large for the arithmetic.
+_judged = np.errstate(all="ignore")
+
+
+@_judged
 def _excitation(cfg: dict, model: str, args):
     """Build the chosen model once.  Returns (excitation_at, omega_nv,
-    gamma_d): excitation_at(lam=None, omega_fq=None) -> (omegas ->
+    gamma_d, packets): excitation_at(lam=None, omega_fq=None) -> (omegas ->
     excitation) at the config's parameters but for the arguments that are
-    not None, the model's NV frequency and its dark-mode damping.  MHOM
-    packets are damped by system.gamma_b and gamma_d when given, else by
-    ensemble.fwhm_zfs; its NV frequency is system.omega_nv when given,
-    else ensemble.omega_nv."""
+    not None, the model's NV frequency, its dark-mode damping and the MHOM
+    packets (None for THOM and ME).  MHOM packets are damped by
+    system.gamma_b and gamma_d when given, else by ensemble.fwhm_zfs; its
+    NV frequency is system.omega_nv when given, else ensemble.omega_nv."""
+    packets = None
     if model == "mhom":
-        ens = _build_ensemble(cfg, args.seed)
+        ens = _build(cfg, "ensemble", seed=args.seed)
         sys_cfg = cfg.get("system", {})
         params = _record(
             "system", MhomParams,
@@ -283,26 +280,24 @@ def _excitation(cfg: dict, model: str, args):
         omega_nv = sys_cfg.get("omega_nv", ens.omega_nv)
         _record("system", _require_finite, "omega_nv", omega_nv)
         packets = sample_ensemble(ens)
-        if getattr(args, "dump_packets", None):
-            _write_csv(args.dump_packets,
-                       "zeta,omega_b,omega_d,j_zeeman,j_strain",
-                       _rows(packets.zeta, packets.omega_b, packets.omega_d,
-                             packets.j_zeeman, packets.j_strain))
         sigma = SelfEnergy(packets, params.gamma_b, params.gamma_d)
         model_at = lambda p: partial(mhom_response, sigma, p)
     else:
-        params = _build_system(cfg)
+        params = _build(cfg, "system")
         omega_nv = params.omega_nv
         if model == "thom":
             model_at = lambda p: partial(thom_excitation, p)
         else:
-            layout = _build_layout(cfg, args)
-            model_at = lambda p: HermitianGenerator(p, layout).excitation
+            layout = _build(cfg, "me_options", _LAYOUT,
+                            n_max_bright=args.n_max_b, n_max_dark=args.n_max_d)
+            model_at = _judged(
+                lambda p: HermitianGenerator(p, layout).excitation)
     return (lambda lam=None, omega_fq=None: partial(_finite, model_at(
         _changed(params, lam=lam, omega_fq=omega_fq))),
-        omega_nv, params.gamma_d)
+        omega_nv, params.gamma_d, packets)
 
 
+@_judged
 def _finite(excitation, omegas) -> np.ndarray:
     """excitation(omegas); arithmetic that overflows or values that are not
     finite (a parameter too large for the model) are a solver error."""
@@ -315,28 +310,24 @@ def _finite(excitation, omegas) -> np.ndarray:
     return values
 
 
-def _build_layout(cfg: dict, args) -> HilbertLayout:
-    opts = cfg.get("me_options", {})
-    nb = opts.get("n_max_bright", 4) if args.n_max_b is None else args.n_max_b
-    nd = opts.get("n_max_dark", 4) if args.n_max_d is None else args.n_max_d
-    return _record("me_options", HilbertLayout, nb, nd)
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     model = _model(cfg, args)
-    grid = _build_grid(cfg)
-    signal_map = None
-    if "signal_map" in cfg:
-        signal_map = _record("signal_map", SignalMap, **cfg["signal_map"])
-    excitation_at, _, _ = _excitation(cfg, model, args)
-    values = excitation_at(lam=args.drive)(grid.points())
-    spec = Spectrum(grid=grid, values=values, model_tag=model.upper())
+    grid = _build(cfg, "grid")
+    signal_map = (_build(cfg, "signal_map") if "signal_map" in cfg
+                  else None)
+    excitation_at, _, _, packets = _excitation(cfg, model, args)
+    omegas = grid.points()
+    values = excitation_at(lam=args.drive)(omegas)
     header = "frequency_mhz,excitation"
-    columns = [spec.frequencies(), spec.values]
+    columns = [omegas, values]
     if signal_map is not None:
         header += ",switching_prob"
-        columns.append(apply_signal_map(spec, signal_map).values)
+        columns.append(_finite(signal_map, values))
+    if args.dump_packets and packets is not None:
+        _write_csv(args.dump_packets, "zeta,omega_b,omega_d,j_zeeman,j_strain",
+                   _rows(packets.zeta, packets.omega_b, packets.omega_d,
+                         packets.j_zeeman, packets.j_strain))
     out = args.out or "."
     _write_csv(os.path.join(out, "spectrum.csv"), header, _rows(*columns))
     _write_metadata(os.path.join(out, "spectrum_meta.json"), cfg,
@@ -351,20 +342,18 @@ def cmd_sweep(args) -> int:
     values = _parse_floats(args.values)
     if len(values) < 2:
         raise ConfigError("sweep requires at least 2 axis values")
-    grid = _build_grid(cfg)
-    omegas = grid.points()
-    excitation_at, omega_nv, _ = _excitation(cfg, model, args)
+    omegas = _build(cfg, "grid").points()
+    excitation_at, omega_nv, _, _ = _excitation(cfg, model, args)
     blocks, failures = [], []
     for v in values:
         change = ({"lam": v} if args.axis == "power"
                   else {"omega_fq": omega_nv + v})
         try:
-            spec = Spectrum(grid=grid, values=excitation_at(**change)(omegas),
-                            model_tag=model.upper())
+            excitation = excitation_at(**change)(omegas)
         except HybridSpecError as exc:
             failures.append({"axis_value": v, "error": str(exc)})
             continue
-        blocks.append(_rows(np.full(len(omegas), v), omegas, spec.values))
+        blocks.append(_rows(np.full(len(omegas), v), omegas, excitation))
     out = args.out or "."
     _write_csv(os.path.join(out, "sweep.csv"),
                "axis_value,frequency_mhz,excitation", *blocks)
@@ -377,7 +366,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eigen(args) -> int:
     cfg = load_config(args.config)
-    params = _build_system(cfg)
+    params = _build(cfg, "system")
     for flag, name in (("--delta-min", "delta_min"),
                        ("--delta-max", "delta_max")):
         _record(flag, _require_finite, name, getattr(args, name))
@@ -393,23 +382,21 @@ def cmd_eigen(args) -> int:
     return 0
 
 
+@_judged
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
-    ens = _build_ensemble(cfg, args.seed)
+    ens = _build(cfg, "ensemble", seed=args.seed)
     est_cfg = cfg.get("estimate", {})
     if "t1_us" not in est_cfg:
         raise ConfigError("estimate requires config key estimate.t1_us")
-    _record("estimate.t1_us", _require_finite, "t1_us", est_cfg["t1_us"])
     _record("estimate.t1_us", gamma_fq_from_t1, est_cfg["t1_us"])
     kwargs = {}
     if "deltas" in est_cfg:
-        kwargs["deltas"] = _record("estimate.deltas", tuple,
-                                   est_cfg["deltas"])
-        for delta in kwargs["deltas"]:
-            _record("estimate.deltas", _require_finite, "delta", delta)
-        _record("estimate.deltas", slope_deltas, kwargs["deltas"])
+        # checked here, passed as given: provenance records them unchanged
+        _record("estimate.deltas", slope_deltas, est_cfg["deltas"])
+        kwargs["deltas"] = est_cfg["deltas"]
     if "grid" in cfg:
-        kwargs["grid"] = _build_grid(cfg)
+        kwargs["grid"] = _build(cfg, "grid")
     result = run_pipeline(ens, est_cfg["t1_us"], **kwargs)
     payload = {
         "g": result.g, "j": result.j, "gamma_fq": result.gamma_fq,
@@ -491,8 +478,8 @@ def cmd_sweep_power(args) -> int:
     if not all(0.0 < lam < float("inf") for lam in lambdas):
         raise ConfigError(
             f"drive amplitudes must be finite and > 0, got {lambdas}")
-    grid = _build_grid(cfg)
-    excitation_at, omega_nv, gamma_d = _excitation(cfg, model, args)
+    grid = _build(cfg, "grid")
+    excitation_at, omega_nv, gamma_d, _ = _excitation(cfg, model, args)
     rows = fwhm_vs_power(excitation_at, lambdas, omega_nv,
                          max(gamma_d, grid.step))
     out = args.out or "."
@@ -508,9 +495,10 @@ def cmd_sweep_power(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    params = _changed(_build_system(cfg), lam=args.drive)
-    grid = _build_grid(cfg)
-    layout = _build_layout(cfg, args)
+    params = _build(cfg, "system", lam=args.drive)
+    grid = _build(cfg, "grid")
+    layout = _build(cfg, "me_options", _LAYOUT, n_max_bright=args.n_max_b,
+                    n_max_dark=args.n_max_d)
     report = truncation_convergence(params, grid, layout)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

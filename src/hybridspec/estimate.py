@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrequencyGrid, SystemParams
+from .core import FrequencyGrid, SystemParams, _require_finite
 from .errors import (
     HybridSpecError,
     NonPositiveGamma,
@@ -46,20 +46,23 @@ class PipelineResult:
 
 def gamma_fq_from_t1(t1_us: float) -> float:
     """Qubit decay rate 1/(2*T1) from an energy-relaxation time in us."""
+    _require_finite("t1_us", t1_us)
     if not (t1_us > 0 and np.isfinite(1.0 / (2.0 * t1_us))):
         raise ValueError(f"T1 must be > 0 with a finite 1/(2*T1), got {t1_us}")
     return 1.0 / (2.0 * t1_us)
 
 
 def slope_deltas(deltas) -> tuple:
-    """The detunings of the middle-peak slope fit as floats: at least 3,
-    not all zero."""
-    deltas = tuple(float(d) for d in deltas)
+    """The detunings of the middle-peak slope fit as floats: finite numbers
+    (not bools or strings), at least 3, not all zero."""
+    deltas = tuple(deltas)
+    for d in deltas:
+        _require_finite("delta", d)
     if len(deltas) < 3:
         raise ValueError("need at least 3 detunings for the slope fit")
     if not any(deltas):
         raise ValueError("the detunings must not all be zero")
-    return deltas
+    return tuple(map(float, deltas))
 
 
 def estimate_separation(spec: EnsembleSpec, params: MhomParams,
@@ -221,12 +224,13 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
         return out
 
     gamma_fq = stage("gamma_fq", gamma_fq_from_t1, t1_us)
-    packets = stage("sampling", sample_ensemble, spec)
-    sigma = stage("sampling", SelfEnergy, packets, gamma_nv, gamma_nv)
     params = MhomParams(
         omega_fq=spec.omega_nv, gamma_fq=gamma_fq,
         gamma_b=gamma_nv, gamma_d=gamma_nv,
     )
+    packets = stage("sampling", sample_ensemble, spec)
+    sigma = stage("sampling", SelfEnergy, packets, params.gamma_b,
+                  params.gamma_d)
     separation = counted("separation", estimate_separation, spec, params,
                          sigma)
     ratio, slope_residual = counted("ratio", estimate_ratio, spec, params,

@@ -337,53 +337,36 @@ class SelfEnergy:
                 im + np.bincount(tgt, near.imag, n))
 
 
-def as_self_energy(ensemble, params: MhomParams) -> SelfEnergy:
-    """The SelfEnergy of ``ensemble`` (Packets, or a SelfEnergy built from
-    them) at the packet damping of ``params``."""
-    if not isinstance(ensemble, SelfEnergy):
-        return SelfEnergy(ensemble, params.gamma_b, params.gamma_d)
-    if (ensemble.gamma_b, ensemble.gamma_d) != (params.gamma_b,
-                                                params.gamma_d):
+def _excitation(sigma: SelfEnergy, omegas, omega_fq, params: MhomParams):
+    """|c|^2 at the array ``omegas``; ``omega_fq`` is a scalar or an array
+    that broadcasts with them, and ``sigma`` must be built at params'
+    packet damping.  hypot and float_power give the bits of Python's
+    abs(c) ** 2, which np.abs (a SIMD path) and ** 2 (a multiply) on a
+    complex array would each move in the last bit."""
+    if (sigma.gamma_b, sigma.gamma_d) != (params.gamma_b, params.gamma_d):
         raise ValueError(
-            f"self-energy built at gamma_b={ensemble.gamma_b}, gamma_d="
-            f"{ensemble.gamma_d}, params give {params.gamma_b}, "
+            f"self-energy built at gamma_b={sigma.gamma_b}, gamma_d="
+            f"{sigma.gamma_d}, params give {params.gamma_b}, "
             f"{params.gamma_d}")
-    return ensemble
-
-
-def _amplitude(sigma, omegas, omega_fq, params: MhomParams):
-    """c = (lam/2)/(omega - omega_fq + i gamma_fq - sigma) from the
-    self-energy values ``sigma`` at ``omegas``; ``omega_fq`` is a scalar or
-    an array that broadcasts with them."""
-    w = omegas - omega_fq + 1j * params.gamma_fq - sigma
+    w = omegas - omega_fq + 1j * params.gamma_fq - sigma(omegas)
     if np.any(np.abs(w) < 1e-300):
         raise DivergentResponse("qubit response denominator vanished")
-    return (params.lam / 2.0) / w
-
-
-def _excitation(c):
-    """|c|^2 by the scalar path's modulus and square: np.abs on a complex
-    array takes a SIMD path and ** 2 on an array multiplies, each moving
-    the last bit."""
+    c = (params.lam / 2.0) / w
     return np.float_power(np.hypot(c.real, c.imag), 2)
 
 
-def mhom_amplitude(ensemble, params: MhomParams, omega):
-    """Complex steady-state qubit amplitude c at scalar or array omega.
+def mhom_response(ensemble, params: MhomParams, omega):
+    """Qubit excitation |c|^2, c = (lam/2)/(omega - omega_fq + i gamma_fq
+    - sigma(omega)), at scalar or array omega.
 
     ``ensemble`` is the Packets, or a SelfEnergy built from them once at
     params' packet damping for repeated calls."""
+    sigma = ensemble
+    if not isinstance(ensemble, SelfEnergy):
+        sigma = SelfEnergy(ensemble, params.gamma_b, params.gamma_d)
     omegas = np.asarray(omega, dtype=float)
-    sigma = as_self_energy(ensemble, params)(omegas).reshape(-1)
-    c = _amplitude(sigma, omegas.reshape(-1), params.omega_fq, params)
-    return complex(c[0]) if omegas.ndim == 0 else c.reshape(omegas.shape)
-
-
-def mhom_response(ensemble, params: MhomParams, omega):
-    """Qubit excitation |c|^2 at scalar or array omega; ``ensemble`` as in
-    mhom_amplitude."""
-    out = _excitation(np.asarray(mhom_amplitude(ensemble, params, omega)))
-    return float(out) if out.ndim == 0 else out
+    out = _excitation(sigma, omegas.reshape(-1), params.omega_fq, params)
+    return float(out[0]) if omegas.ndim == 0 else out.reshape(omegas.shape)
 
 
 def mhom_spectrum(ensemble, params: MhomParams,
@@ -392,12 +375,12 @@ def mhom_spectrum(ensemble, params: MhomParams,
     return Spectrum(grid=grid, values=values, model_tag="MHOM")
 
 
-def locate_peak(ensemble, params: MhomParams, windows,
+def locate_peak(sigma: SelfEnergy, params: MhomParams, windows,
                 report: dict = None) -> np.ndarray:
     """One local maximum of |c|^2 in each window (omega_fq, lo, hi), which
     must lie inside [lo, hi], with the qubit at that window's omega_fq and
-    the other parameters from ``params``; ``ensemble`` as in
-    mhom_amplitude.
+    the other parameters from ``params``; ``sigma`` is the ensemble's
+    SelfEnergy at params' packet damping.
 
     Every window is scanned at PEAK_SCAN_POINTS points, all in one
     self-energy call, and its best scan point refined by golden section;
@@ -405,12 +388,10 @@ def locate_peak(ensemble, params: MhomParams, windows,
     ``report``, a dict updated in place, receives the refinement's
     ``golden_section_evaluations`` (frequencies, summed over windows).
     """
-    sigma = as_self_energy(ensemble, params)
     omega_fq = np.array([w[0] for w in windows], dtype=float)
     omegas = np.reshape([np.linspace(lo, hi, PEAK_SCAN_POINTS)
                          for _, lo, hi in windows], (-1, PEAK_SCAN_POINTS))
-    vals = _excitation(_amplitude(sigma(omegas), omegas, omega_fq[:, None],
-                                  params))
+    vals = _excitation(sigma, omegas, omega_fq[:, None], params)
     best = np.argmax(vals, axis=1)
     for (_, lo, hi), i in zip(windows, best):
         if i == 0 or i == PEAK_SCAN_POINTS - 1:
@@ -422,7 +403,7 @@ def locate_peak(ensemble, params: MhomParams, windows,
     def refine(x, lanes):
         nonlocal evaluations
         evaluations += x.size
-        return _excitation(_amplitude(sigma(x), x, omega_fq[lanes], params))
+        return _excitation(sigma, x, omega_fq[lanes], params)
 
     peaks = golden_section_max(refine, centre - h, centre + h)
     if report is not None:

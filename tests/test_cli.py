@@ -124,6 +124,40 @@ class TestSimulate:
         assert (out1 / "spectrum.csv").read_bytes() == \
             (out2 / "spectrum.csv").read_bytes()
 
+    def test_dump_packets_writes_the_sampled_ensemble(self, tmp_path):
+        cfg = write_config(tmp_path, ensemble=ENSEMBLE, grid=GRID,
+                           model="mhom")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--dump-packets", str(out / "packets.csv")]) == 0
+        header, data = read_csv(out / "packets.csv")
+        assert header == ["zeta", "omega_b", "omega_d", "j_zeeman",
+                          "j_strain"]
+        pk = sample_ensemble(EnsembleSpec(**ENSEMBLE))
+        assert (out / "packets.csv").read_bytes().splitlines()[1:] == [
+            ",".join(f"{x:.12e}" for x in row).encode()
+            for row in zip(pk.zeta, pk.omega_b, pk.omega_d, pk.j_zeeman,
+                           pk.j_strain)]
+
+    def test_failed_run_dumps_no_packets(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **_with(MHOM, "system", lam=1e308))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--dump-packets", str(out / "packets.csv")]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("solver error: ")
+
+    def test_switching_prob_that_overflows_is_a_solver_error(self, tmp_path,
+                                                             capsys):
+        cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom",
+                           signal_map={"scale": 1e308, "offset": 0.0})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--lambda", "100"]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            "solver error: model values are not finite\n"
+
     def test_missing_grid_exits_2_without_files(self, tmp_path):
         cfg = write_config(tmp_path, system=SYSTEM, model="thom")
         out = tmp_path / "run"
@@ -298,6 +332,18 @@ class TestEstimate:
         )
         assert payload["gamma_fq"] == pytest.approx(0.05)
         assert payload["provenance"]["seed"] == 7
+
+    @pytest.mark.parametrize("deltas", [[1, 2, 3], [0.5, 1.0, 1.5]])
+    def test_provenance_keeps_the_deltas_as_given(self, tmp_path, deltas):
+        cfg = write_config(tmp_path, ensemble=ENSEMBLE,
+                           estimate={"t1_us": 10, "deltas": deltas})
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        provenance = json.loads((out / "estimate.json").read_text())[
+            "provenance"]
+        # 1 == 1.0: the types tell an int written as given from a float
+        assert [(d, type(d)) for d in provenance["deltas"]] == \
+            [(d, type(d)) for d in deltas]
 
     def test_missing_t1_exits_2(self, tmp_path):
         ens = {"n_packets": 8, "mean_zeeman": 2.0, "fwhm_zeeman": 0.0,
@@ -700,6 +746,8 @@ HUGE_VALUES = [
 
 
 class TestConfigSweep:
+    # the solver error is the only output: no RuntimeWarning precedes it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("base, section, key", HUGE_VALUES)
     def test_huge_value_is_a_solver_error(self, tmp_path, capsys, base,
                                           section, key):
@@ -709,8 +757,8 @@ class TestConfigSweep:
         command = "estimate" if base == "estimate" else "simulate"
         assert main([command, "--config", path, "--out", str(out)]) == 3
         assert not out.exists()
-        assert capsys.readouterr().err.splitlines()[-1].startswith(
-            "solver error: ")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: ")
 
     @pytest.mark.parametrize("base, section, key, value", SWEEP_CASES,
                              ids=lambda x: json.dumps(x).strip('"'))

@@ -18,6 +18,7 @@ from hybridspec import (
     run_pipeline,
     solve_g_j,
 )
+from hybridspec.estimate import slope_deltas
 
 from conftest import (
     OMEGA_NV,
@@ -43,6 +44,28 @@ class TestGammaFqFromT1:
         # 1/(2*T1) is inf for a subnormal T1
         with pytest.raises(ValueError):
             gamma_fq_from_t1(1e-320)
+
+    @pytest.mark.parametrize("t1_us", [True, "1", None, [1.0]])
+    def test_rejects_what_is_not_a_number(self, t1_us):
+        with pytest.raises(TypeError, match="t1_us must be a number"):
+            gamma_fq_from_t1(t1_us)
+
+
+class TestSlopeDeltas:
+    def test_floats_of_the_detunings(self):
+        deltas = slope_deltas(d for d in [1, 2.5, np.float32(3)])
+        assert deltas == (1.0, 2.5, 3.0)
+        assert all(type(d) is float for d in deltas)
+
+    @pytest.mark.parametrize("deltas", [[True, 1, 2], ["1", "2", "3"],
+                                        [1, 2, None]])
+    def test_rejects_what_is_not_a_number(self, deltas):
+        with pytest.raises(TypeError, match="delta must be a number"):
+            slope_deltas(deltas)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            slope_deltas([1, 2, np.inf])
 
 
 class TestSeparation:
@@ -198,6 +221,16 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError) as e:
             run_pipeline(ens, t1_us=-1.0)
         assert e.value.stage == "gamma_fq"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma_nv, error, message", [
+        (np.nan, ValueError, "gamma_b must be finite"),
+        ("x", TypeError, "gamma_b must be a number"),
+    ])
+    def test_damping_is_checked_before_use(self, gamma_nv, error, message):
+        with pytest.raises(error, match=message):
+            run_pipeline(homogeneous_ensemble(), t1_us=10.0,
+                         gamma_nv=gamma_nv)
 
     def test_stage_error_tags_unresolved_detuning(self):
         ens = homogeneous_ensemble(g=10.0, j=2.0)

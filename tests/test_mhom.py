@@ -480,6 +480,22 @@ class TestLockstepRefinement:
         counts = self.assert_matches_scalar_searches(sigma, params, windows)
         assert len(set(counts)) > 1
 
+    def test_takes_a_self_energy_only(self):
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
+                            gamma_d=0.1)
+        packets = sample_ensemble(homogeneous_ensemble())
+        with pytest.raises(AttributeError):
+            locate_peak(packets, params,
+                        [(OMEGA_NV, OMEGA_NV - 15.0, OMEGA_NV - 4.0)])
+
+    def test_rejects_damping_other_than_its_own(self):
+        sigma = SelfEnergy(sample_ensemble(homogeneous_ensemble()), 0.1, 0.1)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
+                            gamma_d=0.2)
+        with pytest.raises(ValueError, match="self-energy built at"):
+            locate_peak(sigma, params,
+                        [(OMEGA_NV, OMEGA_NV - 15.0, OMEGA_NV - 4.0)])
+
     def test_window_without_interior_maximum(self):
         sigma = SelfEnergy(sample_ensemble(homogeneous_ensemble()), 0.1, 0.1)
         params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
