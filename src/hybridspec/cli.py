@@ -480,8 +480,9 @@ def cmd_sweep_power(args) -> int:
             f"drive amplitudes must be finite and > 0, got {lambdas}")
     grid = _build(cfg, "grid")
     excitation_at, omega_nv, gamma_d, _ = _excitation(cfg, model, args)
+    report = {}
     rows = fwhm_vs_power(excitation_at, lambdas, omega_nv,
-                         max(gamma_d, grid.step))
+                         max(gamma_d, grid.step), report)
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
     _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", *(
@@ -489,7 +490,8 @@ def cmd_sweep_power(args) -> int:
                                b"true" if converged else b"false")
         for lam, fwhm, converged in rows))
     _write_metadata(os.path.join(out, "fwhm_meta.json"), cfg, "sweep-power",
-                    seed=args.seed, extra={"model": model})
+                    seed=args.seed,
+                    extra={"model": model, "failures": report["failures"]})
     return 0
 
 

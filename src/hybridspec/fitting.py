@@ -171,21 +171,26 @@ def middle_peak_fwhm(spectrum_fn, omega_nv: float, gamma_guess: float,
 
 
 def fwhm_vs_power(excitation_at, lambdas, omega_nv: float,
-                  gamma_guess: float) -> list:
+                  gamma_guess: float, report: dict = None) -> list:
     """Middle-peak FWHM for each drive amplitude.
 
     ``excitation_at(lam)`` returns the model's excitation at that drive, a
     callable omegas -> values.  Returns (lambda, fwhm, converged) triples;
     per-lambda fit errors are recorded as (lambda, None, False) without
-    aborting the sweep.
+    aborting the sweep.  ``report``, a dict updated in place, receives
+    ``failures``: one {lambda, reason} per failed fit, in the order of
+    ``lambdas``.
     """
-    results = []
+    results, failures = [], []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("drive amplitudes must be > 0")
         try:
             fit = middle_peak_fwhm(excitation_at(lam), omega_nv, gamma_guess)
             results.append((lam, fit.fwhm, fit.converged))
-        except (NoInteriorPeak, NotConverged):
+        except (NoInteriorPeak, NotConverged) as exc:
             results.append((lam, None, False))
+            failures.append({"lambda": lam, "reason": str(exc)})
+    if report is not None:
+        report.update(failures=failures)
     return results

@@ -30,8 +30,14 @@ _LEAF = 32
 _THETA = 0.25
 _TERMS = 26
 # frequencies per tree traversal: holds its (frequency, box) lists to a few
-# MB (about 60 accepted boxes per frequency at 36,000 packets)
+# MB.  At 36,000 packets a frequency accepts about 60 boxes (about 115 at
+# gamma_b, gamma_d = 6.433, 0.493), and the largest temporary of a chunk is
+# the (_TERMS, n_far) moment gather: about 6.5 MB (12-18 MB)
 _CHUNK = 256
+# (frequency, leaf) pairs per near-field block: caps its (_LEAF, pairs)
+# temporaries at 2 MiB each.  Unequal damping makes boxes tall, and a chunk
+# can then hold hundreds of thousands of near pairs
+_NEAR_BLOCK = 4096
 # pole-form residues of a packet near a double root grow as |e|/|r| and
 # would cancel to that factor; above _PAIR_GAIN zeta^2 (only possible with
 # gamma_b != gamma_d) the packet is summed in its rational form
@@ -314,25 +320,34 @@ class SelfEnergy:
             tgt, node = tgt[~accept], node[~accept]
             if level < self._levels:
                 tgt = np.repeat(tgt, 2)
-                node = np.stack([2 * node + 1, 2 * node + 2], axis=1).ravel()
+                node = (2 * node[:, None] + (1, 2)).ravel()  # children
         far_t = np.concatenate(far_t)
         far_node = np.concatenate(far_node)
         d = t[far_t] - self._centre[far_node]
         ratio = self._scale[far_node] / d
-        acc = self._moments[_TERMS - 1, far_node]
+        # Horner over the rows of one gather: np.take keeps it C-contiguous
+        moments = np.take(self._moments, far_node, axis=1)
+        acc = moments[_TERMS - 1].copy()
         for k in range(_TERMS - 2, -1, -1):
-            acc = acc * ratio + self._moments[k, far_node]
+            acc *= ratio
+            acc += moments[k]
         acc /= d
         re = np.bincount(far_t, acc.real, n)
         im = np.bincount(far_t, acc.imag, n)
 
+        # near field in (_LEAF, pairs) blocks: the sum over axis 0 of a
+        # C-contiguous array adds the rows in order, pole by pole (the
+        # fancy index self._leaf_p[:, leaf] is not C-contiguous, and numpy
+        # would sum it pairwise, in other bits)
         leaf = node - self._first_leaf
-        near = np.zeros(len(tgt), dtype=complex)
-        for p, a in zip(self._leaf_p, self._leaf_a):
-            d = t[tgt] - p[leaf]
+        near = np.empty(len(tgt), dtype=complex)
+        for k in range(0, len(tgt), _NEAR_BLOCK):
+            cols = slice(k, k + _NEAR_BLOCK)
+            d = t[tgt[cols]] - np.take(self._leaf_p, leaf[cols], axis=1)
             if np.any(np.abs(d) < 1e-300):
                 raise DivergentResponse("packet denominator vanished")
-            near += a[leaf] / d
+            near[cols] = (np.take(self._leaf_a, leaf[cols], axis=1)
+                          / d).sum(axis=0)
         return (re + np.bincount(tgt, near.real, n),
                 im + np.bincount(tgt, near.imag, n))
 

@@ -502,6 +502,26 @@ class TestSweepPower:
         assert data.shape[0] == 3
         widths = data[:, 1]
         assert np.max(widths) - np.min(widths) < 1e-6 * widths[0]
+        with open(out / "fwhm_meta.json") as fh:
+            assert json.load(fh)["failures"] == []
+
+    def test_failed_fits_are_explained_in_the_metadata(self, tmp_path):
+        # an uncoupled qubit 50 MHz above omega_nv: the excitation rises
+        # across the middle-peak window at every drive
+        system = dict(SYSTEM, g=0.0, omega_fq=OMEGA_NV + 50.0)
+        cfg = write_config(tmp_path, system=system, grid=GRID, model="thom")
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config", cfg, "--out", str(out),
+                     "--lambdas", "2,0.5"]) == 0
+        assert (out / "fwhm.csv").read_bytes() == (
+            b"lambda,fwhm,converged\n"
+            b"2.000000000000e+00,nan,false\n"
+            b"5.000000000000e-01,nan,false\n")
+        with open(out / "fwhm_meta.json") as fh:
+            assert json.load(fh)["failures"] == [
+                {"lambda": lam,
+                 "reason": "maximum sits on the window boundary"}
+                for lam in (2.0, 0.5)]
 
     @pytest.mark.parametrize("lambdas", ["0,1", "1,-2", "1,nan"])
     def test_non_positive_drive_exits_2(self, tmp_path, lambdas):

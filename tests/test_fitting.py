@@ -229,3 +229,22 @@ class TestFwhmVsPower:
     def test_rejects_non_positive_drive(self):
         with pytest.raises(ValueError):
             fwhm_vs_power(thom_at, [0.0], OMEGA_NV, REFERENCE_PARAMS.gamma_d)
+
+    def test_reports_the_reason_of_each_failed_fit(self):
+        # at lam = 2 and 4 the excitation rises across the whole window,
+        # so its maximum sits on the boundary
+        def excitation_at(lam):
+            return (lambda w: w - OMEGA_NV) if lam in (2.0, 4.0) \
+                else thom_at(lam)
+
+        report = {}
+        rows = fwhm_vs_power(excitation_at, [4.0, 1.0, 2.0], OMEGA_NV,
+                             REFERENCE_PARAMS.gamma_d, report)
+        assert [r[1:] for r in rows[::2]] == [(None, False), (None, False)]
+        assert rows[1][1] is not None and rows[1][2]
+        assert report["failures"] == [
+            {"lambda": lam, "reason": "maximum sits on the window boundary"}
+            for lam in (4.0, 2.0)]
+        with pytest.raises(NoInteriorPeak, match="window boundary"):
+            middle_peak_fwhm(excitation_at(2.0), OMEGA_NV,
+                             REFERENCE_PARAMS.gamma_d)

@@ -194,6 +194,24 @@ class TestWeakDriveLimit:
         assert np.allclose(vals, vals[::-1], rtol=0.01)
 
 
+class TestTwoLevelOracle:
+    """With g = J = 0 the qubit is a driven two-level system:
+    <sigma+ sigma-> = (lam^2/4)/(Delta^2 + gamma_fq^2 + lam^2/2), Delta =
+    omega - omega_fq, at any drive and with any oscillator truncation."""
+
+    @pytest.mark.parametrize("layout", [HilbertLayout(1, 1),
+                                        HilbertLayout(3, 4)])
+    @pytest.mark.parametrize("lam", [0.1, 10.0, 40.0])
+    @pytest.mark.parametrize("gamma_fq", [0.1, 0.33, 1.0])
+    def test_power_broadened_line(self, gamma_fq, lam, layout):
+        p = small_params(g=0.0, j=0.0, gamma_fq=gamma_fq, lam=lam)
+        omegas = np.linspace(OMEGA_NV - 30.0, OMEGA_NV + 30.0, 61)
+        got = HermitianGenerator(p, layout).excitation(omegas)
+        ref = (lam ** 2 / 4.0) / ((omegas - p.omega_fq) ** 2 + gamma_fq ** 2
+                                  + lam ** 2 / 2.0)
+        assert np.max(np.abs(got / ref - 1.0)) <= 2e-11
+
+
 class TestTruncation:
     def test_convergence_report_weak_drive(self):
         p = small_params(lam=0.1)

@@ -19,7 +19,8 @@ from hybridspec import (
     thom_excitation,
 )
 from hybridspec.estimate import DEFAULT_DELTAS
-from hybridspec.mhom import PEAK_SCAN_POINTS, locate_peak
+from hybridspec.mhom import (_CHUNK, _TERMS, _THETA, PEAK_SCAN_POINTS,
+                             locate_peak)
 
 from conftest import (
     OMEGA_NV,
@@ -87,6 +88,18 @@ SMALL_ENSEMBLES = {
                                          hyperfine=0.0, seed=4),
     "lorentzian-hyperfine": REFERENCE_ENSEMBLE.with_(n_packets=12, seed=4),
 }
+
+
+def pipeline_scans(spec):
+    """(lo, hi, qubit detuning, points) of the scans of estimate_separation
+    and estimate_ratio and of the fit_gammas grid, at run_pipeline's
+    defaults."""
+    nv, cg = spec.omega_nv, spec.collective_g
+    scans = [(nv - 2.0 * cg, nv - 0.4 * cg, 0.0, 401),
+             (nv + 0.4 * cg, nv + 2.0 * cg, 0.0, 401),
+             (nv - 2.3 * cg, nv + 2.3 * cg, 0.0, 1201)]
+    return scans + [(nv - 0.3 * d - 0.5, nv + 0.3 * d + 0.5, d, 401)
+                    for d in DEFAULT_DELTAS]
 
 
 class TestSampling:
@@ -224,18 +237,10 @@ class TestSelfEnergy:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_reference_ensemble_on_pipeline_grids(self, seed):
-        # the scans of estimate_separation and estimate_ratio and the
-        # fit_gammas grid of run_pipeline's defaults
         pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(seed=seed))
         params = REFERENCE_MHOM_PARAMS
         sigma = SelfEnergy(pk, params.gamma_b, params.gamma_d)
-        cg = REFERENCE_ENSEMBLE.collective_g
-        scans = [(OMEGA_NV - 2.0 * cg, OMEGA_NV - 0.4 * cg, 0.0, 401),
-                 (OMEGA_NV + 0.4 * cg, OMEGA_NV + 2.0 * cg, 0.0, 401),
-                 (OMEGA_NV - 2.3 * cg, OMEGA_NV + 2.3 * cg, 0.0, 1201)]
-        scans += [(OMEGA_NV - 0.3 * d - 0.5, OMEGA_NV + 0.3 * d + 0.5, d, 401)
-                  for d in DEFAULT_DELTAS]
-        for lo, hi, delta, n in scans:
+        for lo, hi, delta, n in pipeline_scans(REFERENCE_ENSEMBLE):
             p = params.with_(omega_fq=OMEGA_NV + delta)
             omegas = np.linspace(lo, hi, n)
             assert max_rel(mhom_response(sigma, p, omegas),
@@ -343,6 +348,90 @@ class TestSelfEnergy:
                                 seed=seed, distribution="lorentzian")
             got = mhom_response(sample_ensemble(spec), params, omegas)
             assert np.all(np.abs(got / ref - 1) <= 1 / (1 - x) ** 2 - 1)
+
+
+class LoopSelfEnergy(SelfEnergy):
+    """The former treecode evaluation, the oracle of SelfEnergy._tree_sum:
+    the same traversal, then Horner with the moments gathered again at each
+    step and the near field added one leaf pole at a time."""
+
+    def _tree_sum(self, t):
+        n = len(t)
+        tgt = np.arange(n)
+        node = np.zeros(n, dtype=np.intp)
+        far_t, far_node = [], []
+        for level in range(self._levels + 1):
+            d = t[tgt] - self._centre[node]
+            accept = self._radius[node] < _THETA * np.hypot(d.real, d.imag)
+            far_t.append(tgt[accept])
+            far_node.append(node[accept])
+            tgt, node = tgt[~accept], node[~accept]
+            if level < self._levels:
+                tgt = np.repeat(tgt, 2)
+                node = np.stack([2 * node + 1, 2 * node + 2], axis=1).ravel()
+        far_t = np.concatenate(far_t)
+        far_node = np.concatenate(far_node)
+        d = t[far_t] - self._centre[far_node]
+        ratio = self._scale[far_node] / d
+        acc = self._moments[_TERMS - 1, far_node]
+        for k in range(_TERMS - 2, -1, -1):
+            acc = acc * ratio + self._moments[k, far_node]
+        acc /= d
+        re = np.bincount(far_t, acc.real, n)
+        im = np.bincount(far_t, acc.imag, n)
+
+        leaf = node - self._first_leaf
+        near = np.zeros(len(tgt), dtype=complex)
+        for p, a in zip(self._leaf_p, self._leaf_a):
+            d = t[tgt] - p[leaf]
+            if np.any(np.abs(d) < 1e-300):
+                raise DivergentResponse("packet denominator vanished")
+            near += a[leaf] / d
+        return (re + np.bincount(tgt, near.real, n),
+                im + np.bincount(tgt, near.imag, n))
+
+
+class TestTreeSumOracle:
+    """SelfEnergy's whole-stage array evaluation gives the bits of the
+    per-pole, per-moment loop it replaced."""
+
+    def assert_bit_identical(self, packets, gamma_b, gamma_d, omegas):
+        got = SelfEnergy(packets, gamma_b, gamma_d)(omegas)
+        ref = LoopSelfEnergy(packets, gamma_b, gamma_d)(omegas)
+        assert np.array_equal(got.view(float), ref.view(float))
+
+    def test_reference_ensemble_on_pipeline_grids(self):
+        params = REFERENCE_MHOM_PARAMS
+        omegas = np.concatenate([np.linspace(lo, hi, n) for lo, hi, _, n
+                                 in pipeline_scans(REFERENCE_ENSEMBLE)])
+        self.assert_bit_identical(sample_ensemble(REFERENCE_ENSEMBLE),
+                                  params.gamma_b, params.gamma_d, omegas)
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    @pytest.mark.parametrize("name", sorted(SMALL_ENSEMBLES))
+    def test_small_ensembles(self, name, n):
+        pk = sample_ensemble(SMALL_ENSEMBLES[name].with_(n_packets=n))
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 301)
+        for gammas in ((0.2, 0.2), (6.433, 0.493), (0.05, 0.7)):
+            self.assert_bit_identical(pk, *gammas, omegas)
+
+    def test_call_of_several_chunks(self):
+        # at the unequal damping a chunk also spans several near-field
+        # blocks
+        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=2000))
+        omegas = np.linspace(OMEGA_NV - 40, OMEGA_NV + 40, 3 * _CHUNK + 17)
+        self.assert_bit_identical(pk, 0.2, 0.2, omegas)
+        self.assert_bit_identical(pk, 6.433, 0.493, omegas)
+
+    @pytest.mark.parametrize("n_packets", [8, 100])
+    def test_pole_on_the_real_axis_diverges(self, n_packets):
+        # every packet has its poles at omega_nv +- 2 exactly
+        pk = sample_ensemble(homogeneous_ensemble(g=10.0, j=2.0,
+                                                  n_packets=n_packets))
+        omegas = np.array([OMEGA_NV - 5.0, OMEGA_NV + 2.0, OMEGA_NV + 5.0])
+        for cls in (SelfEnergy, LoopSelfEnergy):
+            with pytest.raises(DivergentResponse):
+                cls(pk, 0.0, 0.0)(omegas)
 
 
 class TestSpectrum:
