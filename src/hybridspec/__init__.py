@@ -11,8 +11,6 @@ from .core import (
     SignalMap,
     Spectrum,
     SystemParams,
-    apply_signal_map,
-    lambda_from_dbm,
 )
 from .eigen import (
     EigenResult,
@@ -59,7 +57,6 @@ from .master_eq import (
     build_liouvillian,
     build_operators,
     build_rotating_hamiltonian,
-    me_excitation,
     me_spectrum,
     qubit_excitation,
     steady_state,
@@ -71,7 +68,6 @@ from .mhom import (
     Packets,
     SelfEnergy,
     mhom_response,
-    mhom_spectrum,
     sample_ensemble,
 )
 from .thom import thom_excitation, thom_peak_positions, thom_spectrum

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -30,6 +31,7 @@ from .core import (
     Spectrum,
     SystemParams,
     _require_finite,
+    _require_nonneg,
 )
 from .errors import HybridSpecError, SolverFailure
 from .eigen import eigen_numeric
@@ -57,7 +59,7 @@ _RECORDS = {"system": SystemParams, "ensemble": EnsembleSpec,
 _SECTIONS = {name: {f.name + "_mhz" if f.name in ("start", "stop") else f.name
                     for f in fields(record)}
              for name, record in _RECORDS.items()}
-_SECTIONS["estimate"] = {"t1_us", "deltas"}
+_SECTIONS["estimate"] = {"t1_us", "deltas", "gamma_nv"}
 # the Fock layout of a config without me_options
 _LAYOUT = {"n_max_bright": 4, "n_max_dark": 4}
 _MODELS = {"thom", "mhom", "me"}
@@ -123,7 +125,11 @@ def _model(cfg: dict, args) -> str:
     return model
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, data) -> None:
+    """Write ``data``, bytes or an iterable of byte chunks, to ``path``
+    through a temp file in its directory.  Each chunk is written as it
+    arrives, and the file replaces ``path`` only when all are written: on
+    an error the temp file is removed and ``path`` is left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -131,7 +137,7 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines((data,) if isinstance(data, bytes) else data)
         # mkstemp creates 0600; give the file the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -145,7 +151,12 @@ def _atomic_write(path: str, data: bytes) -> None:
 # [pad, sign or pad, d0, '.'], three groups of four digits, ['e', exponent
 # sign, two exponent digits], [separator, pad, pad, pad]; the pad bytes are
 # zero and are dropped at the end.
-_CHUNK_ROWS = 1 << 15
+# Rows are formatted and written _CHUNK_ROWS at a time, so a chunk's
+# temporaries stay near 1 MB.  Formatting a 200,001-row table (medians of
+# 9, one BLAS thread, 2-core host) took 48-51 ms for three columns and
+# 35-37 ms for two, against 59 and 38 ms at 2^15; every size from 2^10 to
+# 2^15 gave the same bytes.
+_CHUNK_ROWS = 1 << 12
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 # _GROUPS[i] holds the four digits of i, 0 <= i < 10000 (built in uint8: the
 # import costs no memory to speak of)
@@ -211,22 +222,23 @@ def _format_records(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     return records
 
 
-def _rows(*columns) -> bytes:
+def _rows(*columns):
     """CSV rows of the columns (1-D, or 2-D for several), every value as
-    %.12e: the bytes of f"{x:.12e}", -0.0, nan and inf included."""
-    table = np.column_stack(columns)
-    seps = np.full(table.shape[1], ord(","), dtype="<u4")
-    seps[-1] = ord("\n")
-    # the pad bytes, the only zero bytes of a record, are deleted
-    return b"".join(
-        _format_records(table[start:start + _CHUNK_ROWS], seps).tobytes()
-        .translate(None, b"\0")
-        for start in range(0, len(table), _CHUNK_ROWS))
+    %.12e: the bytes of f"{x:.12e}", -0.0, nan and inf included.  Yields
+    them in chunks of _CHUNK_ROWS rows, each stacked and formatted on its
+    own, so that no more than one chunk of the table is held as text."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        table = np.column_stack([c[start:start + _CHUNK_ROWS]
+                                 for c in columns])
+        seps = np.full(table.shape[1], ord(","), dtype="<u4")
+        seps[-1] = ord("\n")
+        # the pad bytes, the only zero bytes of a record, are deleted
+        yield _format_records(table, seps).tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str, header: str, *blocks: bytes) -> None:
-    """Write the header line, then the blocks of CSV rows."""
-    _atomic_write(path, b"".join((header.encode(), b"\n", *blocks)))
+def _write_csv(path: str, header: str, chunks) -> None:
+    """Write the header line, then the chunks of CSV rows as they come."""
+    _atomic_write(path, itertools.chain((header.encode() + b"\n",), chunks))
 
 
 def _write_metadata(path: str, cfg: dict, command: str, seed=None,
@@ -258,13 +270,13 @@ _judged = np.errstate(all="ignore")
 
 @_judged
 def _excitation(cfg: dict, model: str, args):
-    """Build the chosen model once.  Returns (excitation_at, omega_nv,
-    gamma_d, packets): excitation_at(lam=None, omega_fq=None) -> (omegas ->
-    excitation) at the config's parameters but for the arguments that are
-    not None, the model's NV frequency, its dark-mode damping and the MHOM
-    packets (None for THOM and ME).  MHOM packets are damped by
-    system.gamma_b and gamma_d when given, else by ensemble.fwhm_zfs; its
-    NV frequency is system.omega_nv when given, else ensemble.omega_nv."""
+    """Build the chosen model once.  Returns (excitation_at, params,
+    omega_nv, packets): excitation_at(p) -> (omegas -> excitation) at
+    parameters p (the config's ``params``, or a change of them made by
+    _changed), the model's NV frequency and the MHOM packets (None for THOM
+    and ME).  MHOM packets are damped by system.gamma_b and gamma_d when
+    given, else by ensemble.fwhm_zfs; its NV frequency is system.omega_nv
+    when given, else ensemble.omega_nv."""
     packets = None
     if model == "mhom":
         ens = _build(cfg, "ensemble", seed=args.seed)
@@ -292,9 +304,8 @@ def _excitation(cfg: dict, model: str, args):
                             n_max_bright=args.n_max_b, n_max_dark=args.n_max_d)
             model_at = _judged(
                 lambda p: HermitianGenerator(p, layout).excitation)
-    return (lambda lam=None, omega_fq=None: partial(_finite, model_at(
-        _changed(params, lam=lam, omega_fq=omega_fq))),
-        omega_nv, params.gamma_d, packets)
+    return (lambda p: partial(_finite, model_at(p)), params, omega_nv,
+            packets)
 
 
 @_judged
@@ -316,9 +327,9 @@ def cmd_simulate(args) -> int:
     grid = _build(cfg, "grid")
     signal_map = (_build(cfg, "signal_map") if "signal_map" in cfg
                   else None)
-    excitation_at, _, _, packets = _excitation(cfg, model, args)
+    excitation_at, params, _, packets = _excitation(cfg, model, args)
     omegas = grid.points()
-    values = excitation_at(lam=args.drive)(omegas)
+    values = excitation_at(_changed(params, lam=args.drive))(omegas)
     header = "frequency_mhz,excitation"
     columns = [omegas, values]
     if signal_map is not None:
@@ -343,20 +354,26 @@ def cmd_sweep(args) -> int:
     if len(values) < 2:
         raise ConfigError("sweep requires at least 2 axis values")
     omegas = _build(cfg, "grid").points()
-    excitation_at, omega_nv, _, _ = _excitation(cfg, model, args)
-    blocks, failures = [], []
-    for v in values:
-        change = ({"lam": v} if args.axis == "power"
-                  else {"omega_fq": omega_nv + v})
-        try:
-            excitation = excitation_at(**change)(omegas)
-        except HybridSpecError as exc:
-            failures.append({"axis_value": v, "error": str(exc)})
-            continue
-        blocks.append(_rows(np.full(len(omegas), v), omegas, excitation))
+    excitation_at, params, omega_nv, _ = _excitation(cfg, model, args)
+    # every axis value is checked before the file is begun
+    changed = [_changed(params, **({"lam": v} if args.axis == "power"
+                                   else {"omega_fq": omega_nv + v}))
+               for v in values]
+    failures = []
+
+    def blocks():
+        """Each axis value's rows, as soon as it is evaluated."""
+        for v, p in zip(values, changed):
+            try:
+                excitation = excitation_at(p)(omegas)
+            except HybridSpecError as exc:
+                failures.append({"axis_value": v, "error": str(exc)})
+                continue
+            yield from _rows(np.full(len(omegas), v), omegas, excitation)
+
     out = args.out or "."
     _write_csv(os.path.join(out, "sweep.csv"),
-               "axis_value,frequency_mhz,excitation", *blocks)
+               "axis_value,frequency_mhz,excitation", blocks())
     _write_metadata(os.path.join(out, "sweep_meta.json"), cfg, "sweep",
                     seed=args.seed,
                     extra={"model": model, "axis": args.axis,
@@ -395,6 +412,11 @@ def cmd_estimate(args) -> int:
         # checked here, passed as given: provenance records them unchanged
         _record("estimate.deltas", slope_deltas, est_cfg["deltas"])
         kwargs["deltas"] = est_cfg["deltas"]
+    if "gamma_nv" in est_cfg:
+        # the packet damping of every stage, a rate as MhomParams takes it
+        _record("estimate.gamma_nv", _require_nonneg, "gamma_nv",
+                est_cfg["gamma_nv"])
+        kwargs["gamma_nv"] = est_cfg["gamma_nv"]
     if "grid" in cfg:
         kwargs["grid"] = _build(cfg, "grid")
     result = run_pipeline(ens, est_cfg["t1_us"], **kwargs)
@@ -479,13 +501,14 @@ def cmd_sweep_power(args) -> int:
         raise ConfigError(
             f"drive amplitudes must be finite and > 0, got {lambdas}")
     grid = _build(cfg, "grid")
-    excitation_at, omega_nv, gamma_d, _ = _excitation(cfg, model, args)
+    excitation_at, params, omega_nv, _ = _excitation(cfg, model, args)
     report = {}
-    rows = fwhm_vs_power(excitation_at, lambdas, omega_nv,
-                         max(gamma_d, grid.step), report)
+    rows = fwhm_vs_power(
+        lambda lam: excitation_at(_changed(params, lam=lam)), lambdas,
+        omega_nv, max(params.gamma_d, grid.step), report)
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
-    _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", *(
+    _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", (
         b"%.12e,%.12e,%s\n" % (lam, np.nan if fwhm is None else fwhm,
                                b"true" if converged else b"false")
         for lam, fwhm, converged in rows))

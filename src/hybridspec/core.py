@@ -135,21 +135,3 @@ class SignalMap:
 
     def __call__(self, values):
         return self.offset - self.scale * np.asarray(values, dtype=float)
-
-
-def apply_signal_map(spec: Spectrum, sigmap: SignalMap) -> Spectrum:
-    """Convert an excitation spectrum to switching-probability units."""
-    return Spectrum(grid=spec.grid, values=sigmap(spec.values),
-                    model_tag=spec.model_tag,
-                    metadata={**spec.metadata, "signal_map": {
-                        "scale": sigmap.scale, "offset": sigmap.offset}})
-
-
-def lambda_from_dbm(p_dbm: float, lambda_ref: float, p_ref_dbm: float) -> float:
-    """Documented hook for mapping source power to drive amplitude.
-
-    The attenuation between source and qubit is not known a priori, so the
-    reference pair (lambda_ref, p_ref_dbm) must be supplied by the user.
-    """
-    _require_nonneg("lambda_ref", lambda_ref)
-    return lambda_ref * 10.0 ** ((p_dbm - p_ref_dbm) / 20.0)

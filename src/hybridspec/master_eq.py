@@ -656,12 +656,6 @@ class HermitianGenerator:
                                 self.layout)
 
 
-def me_excitation(params: SystemParams, omega: float, layout: HilbertLayout,
-                  check_unique: bool = False) -> float:
-    gen = HermitianGenerator(params, layout)
-    return float(gen.excitation(omega, check_unique=check_unique)[0])
-
-
 def me_spectrum(params: SystemParams, grid: FrequencyGrid,
                 layout: HilbertLayout, check_unique: bool = False) -> Spectrum:
     """Steady-state excitation at every grid frequency; ``metadata`` also

@@ -14,8 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .core import (FrequencyGrid, Spectrum, _require_finite, _require_int,
-                   _require_nonneg)
+from .core import _require_finite, _require_int, _require_nonneg
 from .errors import DivergentResponse, PeaksNotResolved
 from .numerics import golden_section_max
 
@@ -382,12 +381,6 @@ def mhom_response(ensemble, params: MhomParams, omega):
     omegas = np.asarray(omega, dtype=float)
     out = _excitation(sigma, omegas.reshape(-1), params.omega_fq, params)
     return float(out[0]) if omegas.ndim == 0 else out.reshape(omegas.shape)
-
-
-def mhom_spectrum(ensemble, params: MhomParams,
-                  grid: FrequencyGrid) -> Spectrum:
-    values = mhom_response(ensemble, params, grid.points())
-    return Spectrum(grid=grid, values=values, model_tag="MHOM")
 
 
 def locate_peak(sigma: SelfEnergy, params: MhomParams, windows,

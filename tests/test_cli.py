@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,16 +11,19 @@ from hybridspec import (
     EnsembleSpec,
     FrequencyGrid,
     MhomParams,
+    SolverFailure,
     Spectrum,
     SystemParams,
     eigen_numeric,
     fit_lorentzian,
     fwhm_vs_power,
     mhom_response,
+    run_pipeline,
     sample_ensemble,
+    thom_excitation,
 )
 from hybridspec.cli import (_CHUNK_ROWS, _SECTIONS, ConfigError, _read_csv,
-                            _rows, load_config, main)
+                            _rows, _write_csv, load_config, main)
 
 from conftest import OMEGA_NV
 
@@ -224,6 +228,27 @@ class TestSweep:
         block = data[:41, 2]
         assert np.allclose(data[41:82, 2], 4.0 * block, rtol=1e-10)
 
+    def test_failed_value_leaves_the_other_blocks(self, tmp_path):
+        # the middle drive's values are not finite: a solver error that
+        # the sweep records and steps over
+        grid = dict(GRID, n_points=41)
+        cfg = write_config(tmp_path, system=SYSTEM, grid=grid, model="thom")
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--axis", "power", "--values=0.5,1e308,2"]) == 0
+        omegas = np.linspace(grid["start_mhz"], grid["stop_mhz"], 41)
+        table = np.concatenate([np.column_stack([
+            np.full(41, v), omegas,
+            thom_excitation(SystemParams(**dict(SYSTEM, lam=v)), omegas)])
+            for v in (0.5, 2.0)])
+        assert (out / "sweep.csv").read_bytes() == (
+            b"axis_value,frequency_mhz,excitation\n" + per_value(table))
+        meta = json.loads((out / "sweep_meta.json").read_text())
+        assert meta["values"] == [0.5, 1e308, 2.0]
+        assert [f["axis_value"] for f in meta["failures"]] == [1e308]
+        assert meta["failures"][0]["error"].startswith(
+            "model arithmetic overflowed")
+
     def test_single_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, system=SYSTEM, grid=GRID, model="thom")
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -344,6 +369,26 @@ class TestEstimate:
         # 1 == 1.0: the types tell an int written as given from a float
         assert [(d, type(d)) for d in provenance["deltas"]] == \
             [(d, type(d)) for d in deltas]
+
+    def test_packet_damping_key_runs_the_zero_width_round_trip(self,
+                                                               tmp_path):
+        # at zero width the default packet damping, fwhm_zfs, is 0: an
+        # undamped packet pole lies on the fit grid and the run exits 3
+        ens = dict(SMALL_ENSEMBLE, fwhm_zfs=0.0)
+        est = {"t1_us": 10.0, "deltas": [0.5, 1.0, 1.5]}
+        cfg = write_config(tmp_path, ensemble=ens, estimate=est)
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 3
+        cfg = write_config(tmp_path, ensemble=ens,
+                           estimate=dict(est, gamma_nv=0.01))
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        result = run_pipeline(EnsembleSpec(**ens), 10.0,
+                              deltas=[0.5, 1.0, 1.5], gamma_nv=0.01)
+        for key in ("g", "j", "gamma_fq", "gamma_b", "gamma_d"):
+            assert payload[key] == getattr(result, key)
+        assert payload["intermediate"] == result.intermediate
 
     def test_missing_t1_exits_2(self, tmp_path):
         ens = {"n_packets": 8, "mean_zeeman": 2.0, "fwhm_zeeman": 0.0,
@@ -705,6 +750,14 @@ INVALID_INPUTS = {
     "deltas-empty": (_with(ESTIMATE, "estimate", deltas=[]), ["estimate"]),
     "deltas-zero": (_with(ESTIMATE, "estimate", deltas=[0, 0, 0]),
                     ["estimate"]),
+    "gamma_nv-nan": (_with(ESTIMATE, "estimate", gamma_nv=float("nan")),
+                     ["estimate"]),
+    "gamma_nv-negative": (_with(ESTIMATE, "estimate", gamma_nv=-0.1),
+                          ["estimate"]),
+    "gamma_nv-bool": (_with(ESTIMATE, "estimate", gamma_nv=True),
+                      ["estimate"]),
+    "gamma_nv-str": (_with(ESTIMATE, "estimate", gamma_nv="0.1"),
+                     ["estimate"]),
 }
 
 
@@ -812,13 +865,14 @@ class TestWriter:
                             * 10.0 ** rng.integers(-300, 300, 400)])
         b = rng.permutation(a)
         c = rng.standard_normal((len(a), 3))
-        assert _rows(a, b, c) == per_value(np.column_stack([a, b, c]))
+        assert b"".join(_rows(a, b, c)) == per_value(
+            np.column_stack([a, b, c]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
     def test_any_bit_pattern(self, bits):
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert _rows(x) == per_value(x[:, None])
+        assert b"".join(_rows(x)) == per_value(x[:, None])
 
     def test_rounding_boundaries(self):
         # powers of ten, the values just below them that round up to the
@@ -835,21 +889,57 @@ class TestWriter:
         x = np.concatenate([tens, (1 - 5e-14) * tens, halves])
         x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
         x = np.concatenate([x, -x])
-        assert _rows(x) == per_value(x[:, None])
+        assert b"".join(_rows(x)) == per_value(x[:, None])
 
     @pytest.mark.parametrize("n_columns", range(1, 8))
     def test_column_counts(self, n_columns):
         rng = np.random.default_rng(n_columns)
         table = (rng.standard_normal((50, n_columns))
                  * 10.0 ** rng.integers(-120, 120, (50, n_columns)))
-        assert _rows(*table.T) == per_value(table)
+        assert b"".join(_rows(*table.T)) == per_value(table)
 
-    @pytest.mark.parametrize("n_rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
-                                        _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n_rows", [k * _CHUNK_ROWS + d for k in (1, 8)
+                                        for d in (-1, 0, 1)])
     def test_chunk_edges(self, n_rows):
         rng = np.random.default_rng(n_rows)
         table = rng.standard_normal((n_rows, 2)) * 1e3
-        assert _rows(table[:, 0], table[:, 1]) == per_value(table)
+        assert (b"".join(_rows(table[:, 0], table[:, 1]))
+                == per_value(table))
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # the writer holds one chunk of text at a time, not the file
+        def peak(n_rows):
+            omegas = np.linspace(0.0, 1.0, n_rows)
+            values = np.random.default_rng(n_rows).random(n_rows)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _write_csv(str(tmp_path / "t.csv"), "a,b",
+                           _rows(omegas, values))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_001) - peak(20_001) < 1e6
+
+    @pytest.mark.parametrize("existing", [None, b"old,file\n"])
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path,
+                                                      existing):
+        target = tmp_path / "out.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+
+        def chunks():
+            yield b"1,2\n"
+            raise SolverFailure("stopped partway")
+
+        with pytest.raises(SolverFailure):
+            _write_csv(str(target), "a,b", chunks())
+        assert not list(tmp_path.glob("*.tmp"))
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
 
     @pytest.mark.parametrize("axis, values", [("power", [0.5, 2.0, 1.0]),
                                               ("detuning", [-3.0, 2.5])])

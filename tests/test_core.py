@@ -9,8 +9,6 @@ from hybridspec import (
     SignalMap,
     Spectrum,
     SystemParams,
-    apply_signal_map,
-    lambda_from_dbm,
 )
 
 
@@ -88,23 +86,3 @@ class TestSignalMap:
         lhs = m(alpha * v1 + (1 - alpha) * v2)
         rhs = alpha * m(v1) + (1 - alpha) * m(v2)
         assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    def test_apply_records_map_in_metadata(self):
-        grid = FrequencyGrid(0.0, 1.0, 3)
-        spec = Spectrum(grid=grid, values=np.array([0.0, 0.5, 1.0]),
-                        model_tag="X")
-        mapped = apply_signal_map(spec, SignalMap(scale=1.0, offset=1.0))
-        assert np.allclose(mapped.values, [1.0, 0.5, 0.0])
-        assert mapped.metadata["signal_map"] == {"scale": 1.0, "offset": 1.0}
-
-
-class TestLambdaFromDbm:
-    def test_reference_point(self):
-        assert lambda_from_dbm(-20.0, 1.0, -20.0) == 1.0
-
-    def test_twenty_db_is_factor_ten(self):
-        assert lambda_from_dbm(0.0, 1.0, -20.0) == pytest.approx(10.0)
-
-    def test_rejects_negative_reference(self):
-        with pytest.raises(ValueError):
-            lambda_from_dbm(0.0, -1.0, 0.0)

@@ -12,7 +12,6 @@ from hybridspec import (
     build_liouvillian,
     build_operators,
     build_rotating_hamiltonian,
-    me_excitation,
     me_spectrum,
     qubit_excitation,
     steady_state,
@@ -164,7 +163,7 @@ class TestWeakDriveLimit:
         p = small_params(lam=0.1)
         for w in (OMEGA_NV - 13.4, OMEGA_NV - 5.0, OMEGA_NV,
                   OMEGA_NV + 13.4):
-            me = me_excitation(p, w, LAYOUT)
+            me = HermitianGenerator(p, LAYOUT).excitation(w)[0]
             osc = thom_excitation(p, w)
             assert me == pytest.approx(osc, rel=0.05)
 
@@ -172,7 +171,8 @@ class TestWeakDriveLimit:
         p1 = small_params(lam=0.05)
         p2 = small_params(lam=0.1)
         w = OMEGA_NV - 13.4
-        r = me_excitation(p2, w, LAYOUT) / me_excitation(p1, w, LAYOUT)
+        r = (HermitianGenerator(p2, LAYOUT).excitation(w)[0]
+             / HermitianGenerator(p1, LAYOUT).excitation(w)[0])
         assert r == pytest.approx(4.0, rel=0.01)
 
     def test_frame_shift_invariance(self):
@@ -183,8 +183,8 @@ class TestWeakDriveLimit:
         p2 = small_params(lam=0.3, omega_fq=p.omega_fq + shift,
                           omega_nv=p.omega_nv + shift)
         w = OMEGA_NV - 6.0
-        a = me_excitation(p, w, LAYOUT)
-        b = me_excitation(p2, w + shift, LAYOUT)
+        a = HermitianGenerator(p, LAYOUT).excitation(w)[0]
+        b = HermitianGenerator(p2, LAYOUT).excitation(w + shift)[0]
         assert b == pytest.approx(a, rel=1e-8)
 
     def test_symmetric_spectrum_at_zero_detuning(self):
@@ -316,7 +316,7 @@ class TestHermitianGenerator:
                          for w in grid.points()])
         assert np.max(np.abs(fast - slow) / np.abs(slow)) <= 1e-10
         w = OMEGA_NV - 13.4
-        assert me_excitation(p, w, layout) == pytest.approx(
+        assert HermitianGenerator(p, layout).excitation(w)[0] == pytest.approx(
             direct_excitation(p, w, layout), rel=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -330,7 +330,7 @@ class TestHermitianGenerator:
         p = small_params(lam=lam, theta=theta,
                          omega_fq=OMEGA_NV + detuning)
         w = OMEGA_NV + offset
-        assert me_excitation(p, w, layout) == pytest.approx(
+        assert HermitianGenerator(p, layout).excitation(w)[0] == pytest.approx(
             direct_excitation(p, w, layout), rel=1e-10)
 
     def test_check_unique_runs_a_second_solve(self, monkeypatch):
@@ -360,9 +360,10 @@ class TestHermitianGenerator:
 
         monkeypatch.setattr(master_eq._BlockFactor, "solve", disagreeing)
         p = small_params(lam=1.0)
-        assert me_excitation(p, OMEGA_NV, LAYOUT) > 0.0
+        assert HermitianGenerator(p, LAYOUT).excitation(OMEGA_NV)[0] > 0.0
         with pytest.raises(NonUniqueSteadyState):
-            me_excitation(p, OMEGA_NV, LAYOUT, check_unique=True)
+            HermitianGenerator(p, LAYOUT).excitation(OMEGA_NV,
+                                                     check_unique=True)
         # a reduced model is split down to its first point, which raises
         grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0,
                              MIN_MODEL_POINTS + 1)
@@ -385,7 +386,8 @@ class TestHermitianGenerator:
             master_eq._BlockFactor, "solve",
             lambda factor, rhs, row: solve(factor, rhs, row) + 1e-6 * rhs[::-1])
         with pytest.raises(SolverFailure, match="residual"):
-            me_excitation(small_params(lam=1.0), OMEGA_NV, LAYOUT)
+            HermitianGenerator(small_params(lam=1.0), LAYOUT).excitation(
+                OMEGA_NV)
 
 
 STRUCTURE_LAYOUTS = [(1, 1), (2, 3), (3, 2), (5, 2), (1, 6), (3, 3)]

@@ -10,11 +10,11 @@ from hybridspec import (
     Packets,
     PeaksNotResolved,
     SelfEnergy,
+    Spectrum,
     SystemParams,
     find_peaks,
     mhom_middle_peak_shift,
     mhom_response,
-    mhom_spectrum,
     sample_ensemble,
     thom_excitation,
 )
@@ -192,7 +192,9 @@ class TestResponse:
         pk = sample_ensemble(REFERENCE_ENSEMBLE)
         params = REFERENCE_MHOM_PARAMS.with_(lam=20.0)
         grid = FrequencyGrid(OMEGA_NV - 25, OMEGA_NV + 25, 801)
-        spec = mhom_spectrum(pk, params, grid)
+        spec = Spectrum(grid=grid, values=mhom_response(pk, params,
+                                                        grid.points()),
+                        model_tag="MHOM")
         # prominence above the sampled-ensemble roughness on the side peaks
         peaks = find_peaks(spec, min_prominence=0.1 * spec.values.max())
         assert len(peaks) == 3
@@ -438,15 +440,16 @@ class TestSpectrum:
     def test_normalized_lineshape_independent_of_drive(self):
         pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=2000))
         grid = FrequencyGrid(OMEGA_NV - 20, OMEGA_NV + 20, 101)
-        s1 = mhom_spectrum(pk, REFERENCE_MHOM_PARAMS, grid).values
-        s20 = mhom_spectrum(pk, REFERENCE_MHOM_PARAMS.with_(lam=20.0),
-                            grid).values
+        s1 = mhom_response(pk, REFERENCE_MHOM_PARAMS, grid.points())
+        s20 = mhom_response(pk, REFERENCE_MHOM_PARAMS.with_(lam=20.0),
+                            grid.points())
         assert np.allclose(s20 / 400.0, s1, rtol=1e-12)
 
     def test_side_peak_separation_near_27(self):
         pk = sample_ensemble(REFERENCE_ENSEMBLE)
         grid = FrequencyGrid(OMEGA_NV - 25, OMEGA_NV + 25, 2001)
-        spec = mhom_spectrum(pk, REFERENCE_MHOM_PARAMS, grid)
+        spec = Spectrum(grid=grid, values=mhom_response(
+            pk, REFERENCE_MHOM_PARAMS, grid.points()), model_tag="MHOM")
         peaks = find_peaks(spec, min_prominence=0.1 * spec.values.max())
         assert len(peaks) == 3
         assert peaks[2].omega - peaks[0].omega == pytest.approx(27.0, abs=1.0)
@@ -459,10 +462,10 @@ class TestSpectrum:
                                         distribution="gaussian",
                                         hyperfine=0.0, seed=11)
         grid = FrequencyGrid(OMEGA_NV - 20, OMEGA_NV + 20, 161)
-        s1 = mhom_spectrum(sample_ensemble(gaussian), REFERENCE_MHOM_PARAMS,
-                           grid).values
-        s2 = mhom_spectrum(sample_ensemble(gaussian.with_(seed=12)),
-                           REFERENCE_MHOM_PARAMS, grid).values
+        s1 = mhom_response(sample_ensemble(gaussian), REFERENCE_MHOM_PARAMS,
+                           grid.points())
+        s2 = mhom_response(sample_ensemble(gaussian.with_(seed=12)),
+                           REFERENCE_MHOM_PARAMS, grid.points())
         rel = np.abs(s1 - s2) / np.maximum(s1, s2)
         assert rel.max() < 0.02
 
