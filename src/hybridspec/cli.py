@@ -241,18 +241,25 @@ def _write_csv(path: str, header: str, chunks) -> None:
     _atomic_write(path, itertools.chain((header.encode() + b"\n",), chunks))
 
 
+def _write_json(path, payload) -> str:
+    """The indented JSON text of ``payload``, written to ``path`` unless it
+    is None.  A number that is not finite is a solver error, raised before
+    anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SolverFailure(f"output is not finite: {exc}") from exc
+    if path is not None:
+        _atomic_write(path, text.encode())
+    return text
+
+
 def _write_metadata(path: str, cfg: dict, command: str, seed=None,
-                    extra: dict = None) -> None:
-    meta = {
-        "command": command,
-        "config_sha256": cfg.get("_sha256"),
-        "seed": seed,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    if extra:
-        meta.update(extra)
-    _atomic_write(path, (json.dumps(meta, indent=2) + "\n").encode())
+                    **extra) -> None:
+    _write_json(path, {
+        "command": command, "config_sha256": cfg.get("_sha256"),
+        "seed": seed, "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(), **extra})
 
 
 def _changed(params, **changes):
@@ -261,54 +268,40 @@ def _changed(params, **changes):
         k: v for k, v in changes.items() if v is not None})
 
 
-# Models are built and evaluated, and the pipeline run, without numpy's
-# floating-point warnings: their results are judged (by _finite, the ME
-# generator's real_liouvillian or a pipeline stage), and a warning would
-# only precede the solver error of a parameter too large for the arithmetic.
-_judged = np.errstate(all="ignore")
+def _layout(cfg: dict, args) -> HilbertLayout:
+    """The ME Fock layout: me_options (4x4 without it), then the flags."""
+    return _build(cfg, "me_options", _LAYOUT, n_max_bright=args.n_max_b,
+                  n_max_dark=args.n_max_d)
 
 
-@_judged
 def _excitation(cfg: dict, model: str, args):
     """Build the chosen model once.  Returns (excitation_at, params,
-    omega_nv, packets): excitation_at(p) -> (omegas -> excitation) at
-    parameters p (the config's ``params``, or a change of them made by
-    _changed), the model's NV frequency and the MHOM packets (None for THOM
-    and ME).  MHOM packets are damped by system.gamma_b and gamma_d when
-    given, else by ensemble.fwhm_zfs; its NV frequency is system.omega_nv
-    when given, else ensemble.omega_nv."""
+    packets): excitation_at(p) -> (omegas -> excitation) at the
+    SystemParams p (the config's ``params``, or a change of them made by
+    _changed), and the MHOM packets (None for THOM and ME).  An MHOM system
+    defaults to the ensemble: omega_fq and omega_nv to ensemble.omega_nv,
+    the packet damping gamma_b and gamma_d to ensemble.fwhm_zfs, and g and
+    j, which MHOM does not read, to 0."""
     packets = None
     if model == "mhom":
         ens = _build(cfg, "ensemble", seed=args.seed)
-        sys_cfg = cfg.get("system", {})
-        params = _record(
-            "system", MhomParams,
-            omega_fq=sys_cfg.get("omega_fq", ens.omega_nv),
-            gamma_fq=sys_cfg.get("gamma_fq", 0.0),
-            gamma_b=sys_cfg.get("gamma_b", ens.fwhm_zfs),
-            gamma_d=sys_cfg.get("gamma_d", ens.fwhm_zfs),
-            lam=sys_cfg.get("lam", 1.0),
-        )
-        omega_nv = sys_cfg.get("omega_nv", ens.omega_nv)
-        _record("system", _require_finite, "omega_nv", omega_nv)
+        params = _build(cfg, "system", {
+            "omega_fq": ens.omega_nv, "omega_nv": ens.omega_nv, "g": 0.0,
+            "j": 0.0, "gamma_b": ens.fwhm_zfs, "gamma_d": ens.fwhm_zfs})
         packets = sample_ensemble(ens)
         sigma = SelfEnergy(packets, params.gamma_b, params.gamma_d)
-        model_at = lambda p: partial(mhom_response, sigma, p)
+        model_at = lambda p: partial(mhom_response, sigma, MhomParams(**{
+            f.name: getattr(p, f.name) for f in fields(MhomParams)}))
     else:
         params = _build(cfg, "system")
-        omega_nv = params.omega_nv
         if model == "thom":
             model_at = lambda p: partial(thom_excitation, p)
         else:
-            layout = _build(cfg, "me_options", _LAYOUT,
-                            n_max_bright=args.n_max_b, n_max_dark=args.n_max_d)
-            model_at = _judged(
-                lambda p: HermitianGenerator(p, layout).excitation)
-    return (lambda p: partial(_finite, model_at(p)), params, omega_nv,
-            packets)
+            layout = _layout(cfg, args)
+            model_at = lambda p: HermitianGenerator(p, layout).excitation
+    return lambda p: partial(_finite, model_at(p)), params, packets
 
 
-@_judged
 def _finite(excitation, omegas) -> np.ndarray:
     """excitation(omegas); arithmetic that overflows or values that are not
     finite (a parameter too large for the model) are a solver error."""
@@ -327,7 +320,7 @@ def cmd_simulate(args) -> int:
     grid = _build(cfg, "grid")
     signal_map = (_build(cfg, "signal_map") if "signal_map" in cfg
                   else None)
-    excitation_at, params, _, packets = _excitation(cfg, model, args)
+    excitation_at, params, packets = _excitation(cfg, model, args)
     omegas = grid.points()
     values = excitation_at(_changed(params, lam=args.drive))(omegas)
     header = "frequency_mhz,excitation"
@@ -342,8 +335,8 @@ def cmd_simulate(args) -> int:
     out = args.out or "."
     _write_csv(os.path.join(out, "spectrum.csv"), header, _rows(*columns))
     _write_metadata(os.path.join(out, "spectrum_meta.json"), cfg,
-                    "simulate", seed=args.seed,
-                    extra={"model": model, "n_points": grid.n_points})
+                    "simulate", seed=args.seed, model=model,
+                    n_points=grid.n_points)
     return 0
 
 
@@ -354,10 +347,10 @@ def cmd_sweep(args) -> int:
     if len(values) < 2:
         raise ConfigError("sweep requires at least 2 axis values")
     omegas = _build(cfg, "grid").points()
-    excitation_at, params, omega_nv, _ = _excitation(cfg, model, args)
+    excitation_at, params, _ = _excitation(cfg, model, args)
     # every axis value is checked before the file is begun
     changed = [_changed(params, **({"lam": v} if args.axis == "power"
-                                   else {"omega_fq": omega_nv + v}))
+                                   else {"omega_fq": params.omega_nv + v}))
                for v in values]
     failures = []
 
@@ -375,9 +368,8 @@ def cmd_sweep(args) -> int:
     _write_csv(os.path.join(out, "sweep.csv"),
                "axis_value,frequency_mhz,excitation", blocks())
     _write_metadata(os.path.join(out, "sweep_meta.json"), cfg, "sweep",
-                    seed=args.seed,
-                    extra={"model": model, "axis": args.axis,
-                           "values": values, "failures": failures})
+                    seed=args.seed, model=model, axis=args.axis,
+                    values=values, failures=failures)
     return 0
 
 
@@ -391,15 +383,16 @@ def cmd_eigen(args) -> int:
         raise ConfigError(f"--n-deltas must be >= 1, got {args.n_deltas}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.n_deltas)
     r = eigen_numeric(params, deltas)
+    # judged like model values: an eigenvalue that overflows is a solver error
+    columns = [_finite(np.asarray, c) for c in (r.values, r.qubit_weights)]
     out = args.out or "."
     _write_csv(os.path.join(out, "eigen.csv"),
                "delta_mhz,e_left,e_middle,e_right,w0_left,w0_middle,w0_right",
-               _rows(deltas, r.values, r.qubit_weights))
+               _rows(deltas, *columns))
     _write_metadata(os.path.join(out, "eigen_meta.json"), cfg, "eigen")
     return 0
 
 
-@_judged
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     ens = _build(cfg, "ensemble", seed=args.seed)
@@ -428,10 +421,8 @@ def cmd_estimate(args) -> int:
         "config_sha256": cfg.get("_sha256"),
         "version": __version__,
     }
-    text = json.dumps(payload, indent=2) + "\n"
     out = args.out or "."
-    _atomic_write(os.path.join(out, "estimate.json"), text.encode())
-    sys.stdout.write(text)
+    sys.stdout.write(_write_json(os.path.join(out, "estimate.json"), payload))
     return 0
 
 
@@ -484,10 +475,8 @@ def cmd_fit_lorentzian(args) -> int:
         "c": fit.c, "fwhm": fit.fwhm, "residual_norm": fit.residual_norm,
         "converged": fit.converged, "n_iterations": fit.n_iterations,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        _atomic_write(os.path.join(args.out, "fit.json"), text.encode())
-    sys.stdout.write(text)
+    sys.stdout.write(_write_json(
+        args.out and os.path.join(args.out, "fit.json"), payload))
     return 0
 
 
@@ -501,11 +490,11 @@ def cmd_sweep_power(args) -> int:
         raise ConfigError(
             f"drive amplitudes must be finite and > 0, got {lambdas}")
     grid = _build(cfg, "grid")
-    excitation_at, params, omega_nv, _ = _excitation(cfg, model, args)
+    excitation_at, params, _ = _excitation(cfg, model, args)
     report = {}
     rows = fwhm_vs_power(
         lambda lam: excitation_at(_changed(params, lam=lam)), lambdas,
-        omega_nv, max(params.gamma_d, grid.step), report)
+        params.omega_nv, max(params.gamma_d, grid.step), report)
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
     _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", (
@@ -513,8 +502,8 @@ def cmd_sweep_power(args) -> int:
                                b"true" if converged else b"false")
         for lam, fwhm, converged in rows))
     _write_metadata(os.path.join(out, "fwhm_meta.json"), cfg, "sweep-power",
-                    seed=args.seed,
-                    extra={"model": model, "failures": report["failures"]})
+                    seed=args.seed, model=model,
+                    failures=report["failures"])
     return 0
 
 
@@ -522,14 +511,9 @@ def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
     params = _build(cfg, "system", lam=args.drive)
     grid = _build(cfg, "grid")
-    layout = _build(cfg, "me_options", _LAYOUT, n_max_bright=args.n_max_b,
-                    n_max_dark=args.n_max_d)
-    report = truncation_convergence(params, grid, layout)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _atomic_write(os.path.join(args.out, "convergence.json"),
-                      text.encode())
-    sys.stdout.write(text)
+    report = truncation_convergence(params, grid, _layout(cfg, args))
+    sys.stdout.write(_write_json(
+        args.out and os.path.join(args.out, "convergence.json"), report))
     return 0
 
 
@@ -595,17 +579,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # options shared by the commands that read a config, then by those that
-    # build the master-equation model, then by those that choose a model
+    # options shared by the commands that read a config, by those that
+    # sample an ensemble, by those that build the master-equation model, and
+    # by those that choose a model
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", required=True, help="JSON config path")
     config.add_argument("--out", default=None, help="output directory")
-    config.add_argument("--seed", type=int, default=None,
-                        help="override the ensemble seed")
-    fock = argparse.ArgumentParser(add_help=False, parents=[config])
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the ensemble seed")
+    fock = argparse.ArgumentParser(add_help=False)
     fock.add_argument("--n-max-b", type=int, default=None)
     fock.add_argument("--n-max-d", type=int, default=None)
-    model = argparse.ArgumentParser(add_help=False, parents=[fock])
+    model = argparse.ArgumentParser(add_help=False,
+                                    parents=[config, seed, fock])
     model.add_argument("--model", choices=sorted(_MODELS), default=None)
 
     def command(name, func, summary, *parents):
@@ -632,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-deltas", type=int, default=21)
 
     command("estimate", cmd_estimate, "run the parameter-estimation pipeline",
-            config)
+            config, seed)
 
     p = command("fit-lorentzian", cmd_fit_lorentzian,
                 "fit one peak in a spectrum CSV")
@@ -652,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = command("convergence", cmd_convergence,
-                "Fock-truncation convergence check", fock)
+                "Fock-truncation convergence check", config, fock)
     p.add_argument("--lambda", dest="drive", type=float, default=None)
 
     return parser
@@ -662,7 +649,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # without numpy's floating-point warnings: every number a command
+        # writes is judged (by _finite, the ME generator, a pipeline stage
+        # or _write_json), and a warning would only precede the solver
+        # error of a parameter too large for the arithmetic
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

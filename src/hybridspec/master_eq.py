@@ -466,6 +466,9 @@ class HermitianGenerator:
     the shift is zero and b is the exact solve.
     """
 
+    # overflow raises no warning: the generator's entries and its norm are
+    # judged finite
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, params: SystemParams, layout: HilbertLayout):
         o = build_operators(layout)
         self.layout = layout
@@ -488,11 +491,14 @@ class HermitianGenerator:
         self._pairs = [(self._u[m == k] - a.offsets[k],
                         self._v[m == k] - a.offsets[k], self._delta[m == k])
                        for k in range(len(a.sizes))]
-        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]; a term
+        # that overflows would make every residual read 0
         ad = sum(np.dot(dl, blk[lv, lu] - blk[lu, lv])
                  for blk, (lu, lv, dl) in zip(a.diag, self._pairs))
         self._norm2 = (a.norm2, 2.0 * ad,
                        2.0 * np.dot(self._delta, self._delta))
+        if not np.all(np.isfinite(self._norm2)):
+            raise SolverFailure("generator norm is not finite")
         diag_slots = a.pos[:: n + 1]
         self.trace0 = np.zeros(a.sizes[0])
         self.trace0[diag_slots] = 1.0

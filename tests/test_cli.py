@@ -390,6 +390,23 @@ class TestEstimate:
             assert payload[key] == getattr(result, key)
         assert payload["intermediate"] == result.intermediate
 
+    def test_grid_section_is_the_fit_grid(self, tmp_path):
+        grid = {"start_mhz": OMEGA_NV - 20, "stop_mhz": OMEGA_NV + 20,
+                "n_points": 161}
+        est = {"t1_us": 10.0, "deltas": [0.5, 1.0, 1.5]}
+        cfg = write_config(tmp_path, ensemble=SMALL_ENSEMBLE, estimate=est,
+                           grid=grid)
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        assert payload["provenance"]["grid"] == {
+            "start": OMEGA_NV - 20, "stop": OMEGA_NV + 20, "n_points": 161}
+        result = run_pipeline(
+            EnsembleSpec(**SMALL_ENSEMBLE), 10.0, deltas=est["deltas"],
+            grid=FrequencyGrid(OMEGA_NV - 20, OMEGA_NV + 20, 161))
+        for key in ("g", "j", "gamma_fq", "gamma_b", "gamma_d"):
+            assert payload[key] == getattr(result, key)
+
     def test_missing_t1_exits_2(self, tmp_path):
         ens = {"n_packets": 8, "mean_zeeman": 2.0, "fwhm_zeeman": 0.0,
                "fwhm_strain": 0.0, "fwhm_zfs": 0.0, "collective_g": 10.0,
@@ -524,6 +541,22 @@ class TestFitLorentzian:
                          window, "--out", str(tmp_path / run)]) == 0
         assert (tmp_path / "csv" / "fit.json").read_bytes() == \
             (tmp_path / "simulate" / "fit.json").read_bytes()
+
+    def test_fit_that_overflows_is_a_solver_error(self, tmp_path, capsys):
+        # a peak of height 1e300 overflows the fit's residual norm, which
+        # JSON cannot hold
+        path = tmp_path / "huge.csv"
+        path.write_text("frequency_mhz,excitation\n" + "".join(
+            f"{x:.12e},{1e300 / (1.0 + 4.0 * x ** 2):.12e}\n"
+            for x in np.linspace(-4.0, 4.0, 81)))
+        out = tmp_path / "run"
+        assert main(["fit-lorentzian", "--input", str(path),
+                     "--window=-2,2", "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: ")
 
     def test_missing_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -687,6 +720,20 @@ class TestConvergence:
                      "--lambda", "nan"]) == 2
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_generator_norm_is_a_solver_error(self, tmp_path,
+                                                          capsys):
+        # at g = 1e200 the generator's norm overflows, and a residual
+        # divided by it would certify any state: "pass": true
+        cfg = write_config(tmp_path, **_with(SWEEP_BASES["me"], "system",
+                                             g=1e200))
+        out = tmp_path / "run"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver error: generator norm is not finite\n"
+
 
 def _with(cfg, section, **fields):
     return dict(cfg, **{section: dict(cfg[section], **fields)})
@@ -758,6 +805,10 @@ INVALID_INPUTS = {
                       ["estimate"]),
     "gamma_nv-str": (_with(ESTIMATE, "estimate", gamma_nv="0.1"),
                      ["estimate"]),
+    # MHOM reads no g, j or theta, but its system is a SystemParams
+    "mhom-g-str": (_with(MHOM, "system", g="x"), ["simulate"]),
+    "mhom-j-negative": (_with(MHOM, "system", j=-5), ["simulate"]),
+    "mhom-theta-nan": (_with(MHOM, "system", theta="nan"), ["simulate"]),
 }
 
 
@@ -778,6 +829,18 @@ class TestInvalidInput:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: invalid ")
 
+    @pytest.mark.parametrize("command", ["eigen", "convergence"])
+    def test_seed_flag_is_not_taken(self, tmp_path, capsys, command):
+        # --seed belongs to the commands that sample an ensemble
+        cfg = write_config(tmp_path, **SWEEP_BASES["me"])
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out),
+                  "--seed", "3"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 SMALL_GRID = dict(GRID, n_points=21)
 SMALL_ENSEMBLE = {"n_packets": 8, "mean_zeeman": 2.0, "fwhm_zeeman": 0.0,
@@ -789,11 +852,14 @@ SWEEP_BASES = {
     "mhom": dict(MHOM, ensemble=SMALL_ENSEMBLE, grid=SMALL_GRID),
     "me": dict(model="me", system=SYSTEM, grid=dict(GRID, n_points=5),
                me_options={"n_max_bright": 2, "n_max_dark": 2}),
-    "estimate": dict(ensemble=SMALL_ENSEMBLE,
+    "estimate": dict(ensemble=SMALL_ENSEMBLE, grid=GRID,
                      estimate={"t1_us": 10.0, "deltas": [0.5, 1.0, 1.5]}),
+    "eigen": dict(system=SYSTEM),
 }
-READERS = {"system": ("thom", "mhom", "me"), "grid": ("thom", "mhom", "me"),
-           "signal_map": ("thom",), "me_options": ("me",),
+SWEEP_BASES["convergence"] = SWEEP_BASES["me"]
+READERS = {"system": ("thom", "mhom", "me", "eigen", "convergence"),
+           "grid": ("thom", "mhom", "me", "convergence", "estimate"),
+           "signal_map": ("thom",), "me_options": ("me", "convergence"),
            "ensemble": ("mhom", "estimate"), "estimate": ("estimate",)}
 SWEEP_VALUES = ([1], {}, [], None, True, "x", -1, 0, 1e308)
 SWEEP_CASES = [
@@ -803,13 +869,24 @@ SWEEP_CASES = [
 ] + [("thom", None, "model", value) for value in SWEEP_VALUES]
 
 
-# a finite value too large for the model: its arithmetic overflows
+def sweep_command(base):
+    """The command that runs a base of SWEEP_BASES."""
+    return base if base in ("estimate", "eigen", "convergence") else "simulate"
+
+
+# a finite value too large for the model: its arithmetic overflows (the
+# keys of a comma-separated list all take the value)
 HUGE_VALUES = [
     *(("thom", "system", key) for key in (
         "g", "j", "lam", "gamma_fq", "gamma_b", "gamma_d", "omega_fq",
         "omega_nv")),
     *(("mhom", "system", key) for key in ("lam", "gamma_b", "gamma_d")),
-    *(("me", "system", key) for key in ("gamma_fq", "gamma_b", "gamma_d")),
+    *(("me", "system", key) for key in ("gamma_fq", "gamma_b", "gamma_d",
+                                        "g")),
+    *(("convergence", "system", key) for key in ("g", "gamma_fq", "gamma_b",
+                                                 "gamma_d")),
+    # one huge key leaves every eigenvalue finite
+    ("eigen", "system", "omega_fq,omega_nv,g,j"),
     ("thom", "grid", "stop_mhz"),
     *(("mhom", "ensemble", key) for key in (
         "mean_zeeman", "fwhm_zeeman", "fwhm_strain", "hyperfine",
@@ -824,11 +901,12 @@ class TestConfigSweep:
     @pytest.mark.parametrize("base, section, key", HUGE_VALUES)
     def test_huge_value_is_a_solver_error(self, tmp_path, capsys, base,
                                           section, key):
-        path = write_config(tmp_path, **_with(SWEEP_BASES[base], section,
-                                              **{key: 1e308}))
+        path = write_config(tmp_path, **_with(
+            SWEEP_BASES[base], section, **dict.fromkeys(key.split(","),
+                                                        1e308)))
         out = tmp_path / "run"
-        command = "estimate" if base == "estimate" else "simulate"
-        assert main([command, "--config", path, "--out", str(out)]) == 3
+        assert main([sweep_command(base), "--config", path,
+                     "--out", str(out)]) == 3
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("solver error: ")
@@ -844,8 +922,7 @@ class TestConfigSweep:
             cfg = _with(cfg, section, **{key: value})
         path = write_config(tmp_path, **cfg)
         out = tmp_path / "run"
-        command = "estimate" if base == "estimate" else "simulate"
-        rc = main([command, "--config", path, "--out", str(out)])
+        rc = main([sweep_command(base), "--config", path, "--out", str(out)])
         assert rc in (0, 2, 3)
         assert out.exists() == (rc == 0)
         assert "Traceback" not in capsys.readouterr().err

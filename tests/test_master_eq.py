@@ -389,6 +389,14 @@ class TestHermitianGenerator:
             HermitianGenerator(small_params(lam=1.0), LAYOUT).excitation(
                 OMEGA_NV)
 
+    @pytest.mark.parametrize("key", ["g", "gamma_fq"])
+    def test_overflowed_norm_is_a_solver_error(self, key):
+        # ||A||_F^2 overflows at 1e200: divided by it, every residual would
+        # read 0 and certify any state
+        with pytest.raises(SolverFailure, match="generator norm"):
+            HermitianGenerator(small_params(**{key: 1e200}),
+                               HilbertLayout(2, 2))
+
 
 STRUCTURE_LAYOUTS = [(1, 1), (2, 3), (3, 2), (5, 2), (1, 6), (3, 3)]
 
