@@ -242,14 +242,14 @@ def _write_csv(path: str, header: str, chunks) -> None:
 
 
 def _write_json(path, payload) -> str:
-    """The indented JSON text of ``payload``, written to ``path`` unless it
-    is None.  A number that is not finite is a solver error, raised before
+    """The indented JSON text of ``payload``, written to ``path`` if one is
+    given.  A number that is not finite is a solver error, raised before
     anything is written."""
     try:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise SolverFailure(f"output is not finite: {exc}") from exc
-    if path is not None:
+    if path:
         _atomic_write(path, text.encode())
     return text
 
