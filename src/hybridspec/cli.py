@@ -42,8 +42,7 @@ from .master_eq import (
     HilbertLayout,
     truncation_convergence,
 )
-from .mhom import (EnsembleSpec, MhomParams, SelfEnergy, mhom_response,
-                   sample_ensemble)
+from .mhom import EnsembleSpec, SelfEnergy, mhom_response, sample_ensemble
 from .thom import thom_excitation
 
 
@@ -290,8 +289,7 @@ def _excitation(cfg: dict, model: str, args):
             "j": 0.0, "gamma_b": ens.fwhm_zfs, "gamma_d": ens.fwhm_zfs})
         packets = sample_ensemble(ens)
         sigma = SelfEnergy(packets, params.gamma_b, params.gamma_d)
-        model_at = lambda p: partial(mhom_response, sigma, MhomParams(**{
-            f.name: getattr(p, f.name) for f in fields(MhomParams)}))
+        model_at = lambda p: partial(mhom_response, sigma, p)
     else:
         params = _build(cfg, "system")
         if model == "thom":

@@ -466,9 +466,6 @@ class HermitianGenerator:
     the shift is zero and b is the exact solve.
     """
 
-    # overflow raises no warning: the generator's entries and its norm are
-    # judged finite
-    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, params: SystemParams, layout: HilbertLayout):
         o = build_operators(layout)
         self.layout = layout
@@ -491,14 +488,11 @@ class HermitianGenerator:
         self._pairs = [(self._u[m == k] - a.offsets[k],
                         self._v[m == k] - a.offsets[k], self._delta[m == k])
                        for k in range(len(a.sizes))]
-        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]; a term
-        # that overflows would make every residual read 0
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]
         ad = sum(np.dot(dl, blk[lv, lu] - blk[lu, lv])
                  for blk, (lu, lv, dl) in zip(a.diag, self._pairs))
         self._norm2 = (a.norm2, 2.0 * ad,
                        2.0 * np.dot(self._delta, self._delta))
-        if not np.all(np.isfinite(self._norm2)):
-            raise SolverFailure("generator norm is not finite")
         diag_slots = a.pos[:: n + 1]
         self.trace0 = np.zeros(a.sizes[0])
         self.trace0[diag_slots] = 1.0
@@ -524,10 +518,14 @@ class HermitianGenerator:
 
     def _residuals(self, x: np.ndarray, s) -> np.ndarray:
         """||L x|| / ||L||_F of each column of x (block order), column p
-        against the generator at shift s[p]."""
+        against the generator at shift s[p].  A norm that overflows would
+        make every residual read 0, so it is a solver failure."""
         r = self.a.matvec(x) + self.apply_d(x) * s
         a2, ad, d2 = self._norm2
-        return np.linalg.norm(r, axis=0) / np.sqrt(a2 + s * (ad + s * d2))
+        norm = np.sqrt(a2 + s * (ad + s * d2))
+        if not np.all(np.isfinite(norm)):
+            raise SolverFailure("generator norm is not finite")
+        return np.linalg.norm(r, axis=0) / norm
 
     def _density_matrices(self, x: np.ndarray) -> np.ndarray:
         # one rho per column x (block order): vec(rho) = T' x, T unitary

@@ -720,19 +720,25 @@ class TestConvergence:
                      "--lambda", "nan"]) == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowed_generator_norm_is_a_solver_error(self, tmp_path,
-                                                          capsys):
-        # at g = 1e200 the generator's norm overflows, and a residual
-        # divided by it would certify any state: "pass": true
-        cfg = write_config(tmp_path, **_with(SWEEP_BASES["me"], "system",
-                                             g=1e200))
+    @pytest.mark.parametrize("section, fields", [
+        ("system", {"g": 1e200}),
+        ("grid", {"start_mhz": 1e155, "stop_mhz": 2e155})],
+        ids=["g", "far-grid"])
+    def test_overflowed_generator_norm_is_a_solver_error(
+            self, tmp_path, capsys, section, fields):
+        # the generator's norm overflows at g = 1e200, and on finite terms
+        # at a drive detuned by 1e155; a residual divided by it would
+        # certify any state: "pass": true
+        cfg = write_config(tmp_path, **_with(SWEEP_BASES["me"], section,
+                                             **fields))
         out = tmp_path / "run"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "solver error: generator norm is not finite\n"
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: at omega=")
+        assert err[0].endswith(": generator norm is not finite")
 
 
 def _with(cfg, section, **fields):
@@ -852,13 +858,16 @@ SWEEP_BASES = {
     "mhom": dict(MHOM, ensemble=SMALL_ENSEMBLE, grid=SMALL_GRID),
     "me": dict(model="me", system=SYSTEM, grid=dict(GRID, n_points=5),
                me_options={"n_max_bright": 2, "n_max_dark": 2}),
-    "estimate": dict(ensemble=SMALL_ENSEMBLE, grid=GRID,
+    "estimate": dict(ensemble=SMALL_ENSEMBLE,
                      estimate={"t1_us": 10.0, "deltas": [0.5, 1.0, 1.5]}),
     "eigen": dict(system=SYSTEM),
 }
 SWEEP_BASES["convergence"] = SWEEP_BASES["me"]
+# estimate's grid is optional: the other sections are swept without it,
+# through the default grid about the ensemble's line
+SWEEP_BASES["estimate-grid"] = dict(SWEEP_BASES["estimate"], grid=GRID)
 READERS = {"system": ("thom", "mhom", "me", "eigen", "convergence"),
-           "grid": ("thom", "mhom", "me", "convergence", "estimate"),
+           "grid": ("thom", "mhom", "me", "convergence", "estimate-grid"),
            "signal_map": ("thom",), "me_options": ("me", "convergence"),
            "ensemble": ("mhom", "estimate"), "estimate": ("estimate",)}
 SWEEP_VALUES = ([1], {}, [], None, True, "x", -1, 0, 1e308)
@@ -871,7 +880,9 @@ SWEEP_CASES = [
 
 def sweep_command(base):
     """The command that runs a base of SWEEP_BASES."""
-    return base if base in ("estimate", "eigen", "convergence") else "simulate"
+    if base in ("estimate", "eigen", "convergence"):
+        return base
+    return "estimate" if base == "estimate-grid" else "simulate"
 
 
 # a finite value too large for the model: its arithmetic overflows (the

@@ -389,13 +389,18 @@ class TestHermitianGenerator:
             HermitianGenerator(small_params(lam=1.0), LAYOUT).excitation(
                 OMEGA_NV)
 
-    @pytest.mark.parametrize("key", ["g", "gamma_fq"])
-    def test_overflowed_norm_is_a_solver_error(self, key):
-        # ||A||_F^2 overflows at 1e200: divided by it, every residual would
-        # read 0 and certify any state
-        with pytest.raises(SolverFailure, match="generator norm"):
-            HermitianGenerator(small_params(**{key: 1e200}),
-                               HilbertLayout(2, 2))
+    @pytest.mark.parametrize("over, omega", [
+        ({"g": 1e200}, OMEGA_NV), ({"gamma_fq": 1e200}, OMEGA_NV),
+        ({}, OMEGA_NV + 1e155)], ids=["g", "gamma_fq", "far-drive"])
+    def test_overflowed_norm_is_a_solver_error(self, over, omega):
+        # ||A + s D||_F^2 overflows when a parameter is 1e200, and on finite
+        # terms at a drive detuned by 1e155: divided by it, every residual
+        # would read 0 and certify any state.  Numpy's overflow warnings
+        # are the caller's to silence, as the CLI does.
+        with np.errstate(all="ignore"), pytest.raises(
+                SolverFailure, match="generator norm is not finite"):
+            HermitianGenerator(small_params(**over),
+                               HilbertLayout(2, 2)).excitation([omega])
 
 
 STRUCTURE_LAYOUTS = [(1, 1), (2, 3), (3, 2), (5, 2), (1, 6), (3, 3)]
