@@ -128,22 +128,25 @@ def _atomic_write(path: str, data) -> None:
     """Write ``data``, bytes or an iterable of byte chunks, to ``path``
     through a temp file in its directory.  Each chunk is written as it
     arrives, and the file replaces ``path`` only when all are written: on
-    an error the temp file is removed and ``path`` is left as it was."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
+    an error the temp file is removed and ``path`` is left as it was.  A
+    path that cannot be written is a config error."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines((data,) if isinstance(data, bytes) else data)
         # mkstemp creates 0600; give the file the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # %.12e as array code.  A value is one record of six little-endian words:
@@ -658,6 +661,10 @@ def main(argv=None) -> int:
         return 2
     except HybridSpecError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a size beyond the machine, as a value beyond the arithmetic
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

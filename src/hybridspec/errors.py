@@ -37,10 +37,6 @@ class NoInteriorPeak(HybridSpecError):
 class NotConverged(HybridSpecError):
     """Iterative fit did not meet its convergence contract."""
 
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 class NonPositiveGamma(HybridSpecError):
     """Decay-rate fit collapsed to a non-positive value."""

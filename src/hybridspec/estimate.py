@@ -16,6 +16,7 @@ from .core import FrequencyGrid, SystemParams, _require_finite
 from .errors import (
     HybridSpecError,
     NonPositiveGamma,
+    NotConverged,
     PeaksNotResolved,
     PipelineStageError,
 )
@@ -146,8 +147,9 @@ def fit_gammas(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
     Both spectra are normalized to unit peak before the least-squares
     comparison, so only the lineshape matters.  Initial guess: the strain
     and zero-field FWHM widths, or the packet damping where it is larger.
-    Returns (gamma_b, gamma_d, residual_norm); ``report``, a dict updated
-    in place, receives the fit's ``lm_iterations`` and ``converged`` flag.
+    Returns (gamma_b, gamma_d, residual_norm), or raises NotConverged;
+    ``report``, a dict updated in place, receives the fit's
+    ``lm_iterations`` and ``converged`` flag.
     """
     omegas = grid.points()
     ref = mhom_response(sigma, params, omegas)
@@ -169,6 +171,8 @@ def fit_gammas(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
     x0 = np.array([max(spec.fwhm_strain, params.gamma_b),
                    max(spec.fwhm_zfs, params.gamma_d)])
     x, cost, n_iter, converged = damped_least_squares(residual, x0)
+    if not converged:
+        raise NotConverged(f"no convergence in {n_iter} iterations")
     if report is not None:
         report.update(lm_iterations=n_iter, converged=converged)
     gamma_b, gamma_d = abs(float(x[0])), abs(float(x[1]))
@@ -253,6 +257,7 @@ def run_pipeline(spec: EnsembleSpec, t1_us: float,
             "grid": {"start": grid.start, "stop": grid.stop,
                      "n_points": grid.n_points},
             "t1_us": t1_us,
+            "gamma_nv": gamma_nv,
             "stages": stages,
         },
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrequencyGrid, Spectrum
-from .errors import NoInteriorPeak, NotConverged
+from .errors import NoInteriorPeak
 from .numerics import damped_least_squares
 
 
@@ -81,13 +81,8 @@ def fit_lorentzian(spec: Spectrum, window: tuple) -> LorentzianFitResult:
 
     residual = lambda x: _lorentzian_residual_jacobian(x, omegas, data)[0]
     jacobian = lambda x: _lorentzian_residual_jacobian(x, omegas, data)[1]
-    try:
-        x, cost, n_iter, converged = damped_least_squares(
-            residual, x0, jacobian=jacobian
-        )
-    except NotConverged as exc:
-        x, cost, n_iter = exc.best
-        converged = False
+    x, cost, n_iter, converged = damped_least_squares(residual, x0,
+                                                      jacobian=jacobian)
     a, gamma, w0, c = x
     return LorentzianFitResult(
         a=float(a), gamma=float(abs(gamma)), omega_center=float(w0),
@@ -176,8 +171,8 @@ def fwhm_vs_power(excitation_at, lambdas, omega_nv: float,
 
     ``excitation_at(lam)`` returns the model's excitation at that drive, a
     callable omegas -> values.  Returns (lambda, fwhm, converged) triples;
-    per-lambda fit errors are recorded as (lambda, None, False) without
-    aborting the sweep.  ``report``, a dict updated in place, receives
+    a window without an interior peak gives (lambda, None, False) and the
+    sweep goes on.  ``report``, a dict updated in place, receives
     ``failures``: one {lambda, reason} per failed fit, in the order of
     ``lambdas``.
     """
@@ -188,7 +183,7 @@ def fwhm_vs_power(excitation_at, lambdas, omega_nv: float,
         try:
             fit = middle_peak_fwhm(excitation_at(lam), omega_nv, gamma_guess)
             results.append((lam, fit.fwhm, fit.converged))
-        except (NoInteriorPeak, NotConverged) as exc:
+        except NoInteriorPeak as exc:
             results.append((lam, None, False))
             failures.append({"lambda": lam, "reason": str(exc)})
     if report is not None:

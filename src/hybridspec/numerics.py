@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotConverged
-
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
 # golden-section search stops once the bracket is this narrow
 GOLDEN_TOL = 1e-9
@@ -65,9 +63,9 @@ def damped_least_squares(residual, x0, jacobian=None):
     Multiplicative damping on the normal equations; damping adapted by the
     gain ratio (actual vs predicted cost reduction).  Converges when the
     relative step drops below LM_STEP_TOL or an accepted step reduces the
-    cost by less than LM_COST_TOL relative, else raises NotConverged
-    carrying the best iterate after LM_MAX_ITER iterations.  Returns (x,
-    cost, n_iter, True).
+    cost by less than LM_COST_TOL relative.  Returns (x, cost, n_iter,
+    converged); without convergence, x is the last accepted iterate after
+    LM_MAX_ITER iterations.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
@@ -104,6 +102,4 @@ def damped_least_squares(residual, x0, jacobian=None):
         else:
             mu *= nu
             nu *= 2.0
-    raise NotConverged(
-        f"no convergence in {LM_MAX_ITER} iterations", best=(x, cost, n_iter)
-    )
+    return x, cost, n_iter, False

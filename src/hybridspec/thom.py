@@ -31,13 +31,16 @@ def thom_amplitude(params: SystemParams, omega) -> np.ndarray:
 
 
 def thom_excitation(params: SystemParams, omega):
-    """Qubit excitation (lambda/2)^2 |N/D|^2 at drive frequency omega.
+    """Qubit excitation (lambda/2)^2 |N/D|^2 at scalar or array omega.
 
-    Independent of theta; scales exactly as lambda^2.
+    Independent of theta; scales exactly as lambda^2.  A scalar is
+    evaluated as a one-element array, so it has the bits of the same
+    frequency in an array call.
     """
-    amp = thom_amplitude(params, omega)
+    omegas = np.asarray(omega, dtype=float)
+    amp = thom_amplitude(params, omegas.reshape(-1))
     out = (params.lam / 2.0) ** 2 * np.abs(amp) ** 2
-    return float(out) if np.isscalar(omega) else out
+    return float(out[0]) if omegas.ndim == 0 else out.reshape(omegas.shape)
 
 
 def thom_spectrum(params: SystemParams, grid: FrequencyGrid) -> Spectrum:
@@ -78,8 +81,6 @@ def thom_peak_positions(params: SystemParams) -> tuple:
     # keep the three highest, in frequency order
     idx = np.sort(idx[np.argsort(vals[idx])[-3:]])
 
-    # one scalar call per point: THOM's array evaluation differs from the
-    # scalar one in the last bit, which moves the refined peaks
-    f = lambda x, _lanes: np.array([thom_excitation(params, w) for w in x])
+    f = lambda x, _lanes: thom_excitation(params, x)
     h = omegas[1] - omegas[0]
     return tuple(golden_section_max(f, omegas[idx] - h, omegas[idx] + h))

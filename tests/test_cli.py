@@ -389,6 +389,13 @@ class TestEstimate:
         for key in ("g", "j", "gamma_fq", "gamma_b", "gamma_d"):
             assert payload[key] == getattr(result, key)
         assert payload["intermediate"] == result.intermediate
+        assert payload["provenance"] == result.provenance
+        # the damping each run used: the key's, else fwhm_zfs
+        cfg = write_config(tmp_path, ensemble=SMALL_ENSEMBLE, estimate=est)
+        default = tmp_path / "default"
+        assert main(["estimate", "--config", cfg, "--out", str(default)]) == 0
+        assert [json.loads((d / "estimate.json").read_text())["provenance"][
+            "gamma_nv"] for d in (out, default)] == [0.01, 0.1]
 
     def test_grid_section_is_the_fit_grid(self, tmp_path):
         grid = {"start_mhz": OMEGA_NV - 20, "stop_mhz": OMEGA_NV + 20,
@@ -937,6 +944,121 @@ class TestConfigSweep:
         assert rc in (0, 2, 3)
         assert out.exists() == (rc == 0)
         assert "Traceback" not in capsys.readouterr().err
+
+
+# every command that writes a file, with a working input: (base of
+# SWEEP_BASES, or None for LORENTZ passed with --input; arguments, where
+# {blocked} is a path that cannot be written and {tmp} the test's directory)
+WRITERS = {
+    "simulate": ("thom", ["simulate", "--out", "{blocked}"]),
+    "dump-packets": ("mhom", ["simulate", "--out", "{tmp}/run",
+                              "--dump-packets", "{blocked}/packets.csv"]),
+    "sweep": ("thom", ["sweep", "--axis", "power", "--values", "1,2",
+                       "--out", "{blocked}"]),
+    "sweep-power": ("thom", ["sweep-power", "--lambdas", "1",
+                             "--out", "{blocked}"]),
+    "eigen": ("eigen", ["eigen", "--out", "{blocked}"]),
+    "estimate": ("estimate", ["estimate", "--out", "{blocked}"]),
+    "convergence": ("convergence", ["convergence", "--out", "{blocked}"]),
+    "fit-lorentzian": (None, ["fit-lorentzian", "--window",
+                              f"{OMEGA_NV - 1},{OMEGA_NV + 1}",
+                              "--out", "{blocked}"]),
+    "plot-script": (None, ["plot-script", "--kind", "spectrum",
+                           "--out", "{blocked}"]),
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("below", ["", "/sub"])
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_exits_2_with_one_line(self, tmp_path, capsys, name, below):
+        # a regular file where the output directory (or its parent) goes
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"kept\n")
+        base, argv = WRITERS[name]
+        if base is None:
+            source = tmp_path / "spectrum.csv"
+            source.write_bytes(LORENTZ)
+            flag = ["--input", str(source)]
+        else:
+            flag = ["--config", write_config(tmp_path, **SWEEP_BASES[base])]
+        before = sorted(tmp_path.iterdir())
+        argv = [a.format(blocked=str(blocker) + below, tmp=tmp_path)
+                for a in argv]
+        assert main([argv[0], *flag, *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot write {blocker}")
+        assert blocker.read_bytes() == b"kept\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_files_written_earlier_are_kept(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "spectrum_meta.json").mkdir(parents=True)
+        cfg = write_config(tmp_path, **SWEEP_BASES["thom"])
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write {out / 'spectrum_meta.json'}: ")
+        assert (out / "spectrum.csv").read_text().count("\n") == 22
+        assert not list(out.glob("*.tmp"))
+
+
+# a size beyond any address space (2^57 bytes): numpy fails to allocate it
+# at once, and nothing is allocated
+HUGE_SIZE = 10 ** 17
+HUGE_SIZES = {
+    "eigen": ("eigen", ["eigen", "--n-deltas", str(HUGE_SIZE)]),
+    "simulate": ("thom", ["simulate"]),
+    "sweep": ("mhom", ["sweep", "--axis", "power", "--values", "1,2"]),
+    "estimate": ("estimate-grid", ["estimate"]),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_SIZES)
+def test_size_beyond_memory_is_a_solver_error(tmp_path, capsys, name):
+    base, argv = HUGE_SIZES[name]
+    cfg = SWEEP_BASES[base]
+    if "grid" in cfg:
+        cfg = _with(cfg, "grid", n_points=HUGE_SIZE)
+    out = tmp_path / "run"
+    assert main([argv[0], "--config", write_config(tmp_path, **cfg),
+                 "--out", str(out), *argv[1:]]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver error: out of memory: ")
+
+
+# command lines that the CLI rejects before it reads a section's record:
+# (config, or None for a file that does not exist; command line; the error)
+REJECTED = {
+    "section-not-object": (dict(THOM, system=5), ["simulate"],
+                           "system must be a JSON object"),
+    "missing-config": (None, ["simulate"], "cannot read config "),
+    "no-model": ({k: v for k, v in THOM.items() if k != "model"},
+                 ["simulate"], "no model selected"),
+    "no-lambdas": (THOM, ["sweep-power", "--lambdas", ","],
+                   "sweep-power requires at least one lambda"),
+    "missing-plot-input": (None, ["plot-script", "--kind", "spectrum"],
+                           "cannot read "),
+    "values-not-numbers": (THOM, ["sweep", "--axis", "power",
+                                  "--values=a,b"],
+                           "cannot parse number list 'a,b'"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejected_input_exits_2(tmp_path, capsys, name):
+    cfg, argv, message = REJECTED[name]
+    path = (str(tmp_path / "missing") if cfg is None
+            else write_config(tmp_path, **cfg))
+    flag = "--input" if argv[0] == "plot-script" else "--config"
+    out = tmp_path / "run"
+    assert main([argv[0], flag, path, "--out", str(out), *argv[1:]]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: " + message)
 
 
 def per_value(table):

@@ -7,6 +7,8 @@ import pytest
 from hybridspec import (
     FrequencyGrid,
     MhomParams,
+    NonPositiveGamma,
+    NotConverged,
     PipelineStageError,
     SelfEnergy,
     estimate,
@@ -15,6 +17,7 @@ from hybridspec import (
     fit_gammas,
     gamma_fq_from_t1,
     mhom,
+    numerics,
     run_pipeline,
     solve_g_j,
 )
@@ -176,6 +179,27 @@ class TestFitGammas:
         b2, d2, _ = self.fit(10.0, 2.0, 0.4)
         assert b2 > b1 and d2 > d1
 
+    def test_zero_drive_has_no_reference_peak(self):
+        ens = homogeneous_ensemble()
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.2,
+                            gamma_d=0.2, lam=0.0)
+        grid = FrequencyGrid(OMEGA_NV - 23, OMEGA_NV + 23, 81)
+        with pytest.raises(NonPositiveGamma, match="identically zero"):
+            fit_gammas(ens, params, sampled_self_energy(ens, params), 10.0,
+                       2.0, grid)
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        # a zero-field spread: the initial guess is not the fitted width
+        monkeypatch.setattr(numerics, "LM_MAX_ITER", 1)
+        ens = homogeneous_ensemble(g=10.0, j=2.0).with_(fwhm_zfs=0.3)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.1,
+                            gamma_d=0.1)
+        grid = FrequencyGrid(OMEGA_NV - 23, OMEGA_NV + 23, 801)
+        with pytest.raises(NotConverged) as e:
+            fit_gammas(ens, params, sampled_self_energy(ens, params), 10.0,
+                       2.0, grid)
+        assert str(e.value) == "no convergence in 1 iterations"
+
 
 class TestRunPipeline:
     def test_intermediates_consistent(self):
@@ -231,6 +255,17 @@ class TestRunPipeline:
         with pytest.raises(error, match=message):
             run_pipeline(homogeneous_ensemble(), t1_us=10.0,
                          gamma_nv=gamma_nv)
+
+    def test_stage_error_tags_unconverged_fit(self, monkeypatch):
+        monkeypatch.setattr(numerics, "LM_MAX_ITER", 1)
+        ens = homogeneous_ensemble(g=10.0, j=2.0).with_(fwhm_zfs=0.3)
+        with pytest.raises(PipelineStageError) as e:
+            run_pipeline(ens, t1_us=10.0, deltas=(0.5, 1.0, 1.5),
+                         gamma_nv=0.1)
+        assert e.value.stage == "fit_gammas"
+        assert isinstance(e.value.cause, NotConverged)
+        assert str(e.value) == ("pipeline stage 'fit_gammas' failed: "
+                                "no convergence in 1 iterations")
 
     def test_stage_error_tags_unresolved_detuning(self):
         ens = homogeneous_ensemble(g=10.0, j=2.0)

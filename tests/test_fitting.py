@@ -11,9 +11,11 @@ from hybridspec import (
     Spectrum,
     find_peaks,
     fit_lorentzian,
+    fitting,
     fwhm_vs_power,
     lorentzian_model,
     middle_peak_fwhm,
+    numerics,
     thom_excitation,
     thom_spectrum,
 )
@@ -90,6 +92,27 @@ class TestFitLorentzian:
                                                 abs=1e-7)
         assert f2.gamma == pytest.approx(f1.gamma, rel=1e-8)
 
+    def test_unconverged_fit_returns_the_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "LM_MAX_ITER", 1)
+        returned = []
+
+        def spy(*args, **kwargs):
+            returned.append(numerics.damped_least_squares(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(fitting, "damped_least_squares", spy)
+        omegas = np.linspace(-5, 5, 201)
+        data = lorentzian_model(3.0, 0.7, 0.3, 0.1, omegas)
+        fit = fit_lorentzian(make_spectrum(omegas, data), (-5, 5))
+        (x, cost, n_iter, converged), = returned
+        assert (n_iter, converged) == (1, False)
+        assert (fit.n_iterations, fit.converged) == (1, False)
+        assert (fit.a, fit.gamma, fit.omega_center, fit.c) == (
+            x[0], abs(x[1]), x[2], x[3])
+        assert fit.residual_norm == np.sqrt(2.0 * cost)
+        # one step from the initial guess: not yet the exact fit
+        assert fit.residual_norm > 1e-3
+
     def test_rejects_small_window(self):
         omegas = np.linspace(-5, 5, 201)
         data = lorentzian_model(1.0, 0.5, 0.0, 0.0, omegas)
@@ -101,6 +124,24 @@ class TestFitLorentzian:
         data = lorentzian_model(1.0, 0.5, 0.0, 0.0, omegas)  # max at edge
         with pytest.raises(NoInteriorPeak):
             fit_lorentzian(make_spectrum(omegas, data), (0.5, 5.0))
+
+
+class TestDampedLeastSquares:
+    def test_one_iteration_returns_the_damped_step(self, monkeypatch):
+        # a linear residual A x - b from x = 0: the first iterate is the
+        # damped Gauss-Newton step, returned unconverged, not raised
+        monkeypatch.setattr(numerics, "LM_MAX_ITER", 1)
+        a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        x, cost, n_iter, converged = numerics.damped_least_squares(
+            lambda x: a @ x - b, np.zeros(2), jacobian=lambda x: a)
+        ata = a.T @ a
+        mu = 1e-3 * np.max(np.diag(ata))
+        step = np.linalg.solve(ata + mu * np.eye(2), a.T @ b)
+        assert (n_iter, converged) == (1, False)
+        assert np.allclose(x, step, rtol=1e-12, atol=0)
+        r = a @ x - b
+        assert cost == pytest.approx(0.5 * r @ r, rel=1e-12)
 
 
 class TestFindPeaks:

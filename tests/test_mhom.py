@@ -286,6 +286,21 @@ class TestSelfEnergy:
         assert max_rel(got, blocked_response(pk, params, omegas)) <= 1e-12
         assert max_rel(got, dense_response(pk, params, omegas)) <= 1e-10
 
+    def test_every_packet_in_rational_form(self):
+        # one packet on its double root: no poles, so no tree
+        gamma_b, gamma_d, zeta = 0.3, 0.1, 13.0
+        j = abs(gamma_b - gamma_d) / 2.0
+        pk = Packets(zeta=np.array([zeta]), omega_b=np.array([OMEGA_NV]),
+                     omega_d=np.array([OMEGA_NV]), j_zeeman=np.array([j]),
+                     j_strain=np.zeros(1))
+        sigma = SelfEnergy(pk, gamma_b, gamma_d)
+        assert sigma._levels is None
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 401)
+        z_b, z_d = omegas + 1j * gamma_b, omegas + 1j * gamma_d
+        closed = zeta ** 2 * (z_d - OMEGA_NV) / (
+            (z_b - OMEGA_NV) * (z_d - OMEGA_NV) - j ** 2)
+        assert np.allclose(sigma(omegas), closed, rtol=1e-14, atol=0)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 400),
            lorentzian=st.booleans(), gamma_b=st.floats(0.02, 8.0),

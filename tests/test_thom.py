@@ -53,6 +53,14 @@ class TestExcitation:
                 thom_excitation(REFERENCE_PARAMS.with_(theta=theta), w), base
             )
 
+    @pytest.mark.parametrize("theta", [0.0, 0.9])
+    def test_scalar_has_the_bits_of_the_array_call(self, theta):
+        p = REFERENCE_PARAMS.with_(theta=theta)
+        w = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 2001)
+        scalars = [thom_excitation(p, x) for x in w.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(scalars, thom_excitation(p, w))
+
     def test_drive_scaling_exact(self):
         w = np.linspace(OMEGA_NV - 20, OMEGA_NV + 20, 41)
         base = thom_excitation(REFERENCE_PARAMS, w)
