@@ -276,14 +276,15 @@ def _layout(cfg: dict, args) -> HilbertLayout:
                   n_max_dark=args.n_max_d)
 
 
-def _excitation(cfg: dict, model: str, args):
+def _excitation(cfg: dict, model: str, args, report: dict = None):
     """Build the chosen model once.  Returns (excitation_at, params,
     packets): excitation_at(p) -> (omegas -> excitation) at the
     SystemParams p (the config's ``params``, or a change of them made by
-    _changed), and the MHOM packets (None for THOM and ME).  An MHOM system
-    defaults to the ensemble: omega_fq and omega_nv to ensemble.omega_nv,
-    the packet damping gamma_b and gamma_d to ensemble.fwhm_zfs, and g and
-    j, which MHOM does not read, to 0."""
+    _changed), and the MHOM packets (None for THOM and ME).  An ME solve
+    writes its run report (see ``HermitianGenerator.states``) into
+    ``report``.  An MHOM system defaults to the ensemble: omega_fq and
+    omega_nv to ensemble.omega_nv, the packet damping gamma_b and gamma_d
+    to ensemble.fwhm_zfs, and g and j, which MHOM does not read, to 0."""
     packets = None
     if model == "mhom":
         ens = _build(cfg, "ensemble", seed=args.seed)
@@ -299,7 +300,8 @@ def _excitation(cfg: dict, model: str, args):
             model_at = lambda p: partial(thom_excitation, p)
         else:
             layout = _layout(cfg, args)
-            model_at = lambda p: HermitianGenerator(p, layout).excitation
+            model_at = lambda p: partial(
+                HermitianGenerator(p, layout).excitation, report=report)
     return lambda p: partial(_finite, model_at(p)), params, packets
 
 
@@ -321,7 +323,8 @@ def cmd_simulate(args) -> int:
     grid = _build(cfg, "grid")
     signal_map = (_build(cfg, "signal_map") if "signal_map" in cfg
                   else None)
-    excitation_at, params, packets = _excitation(cfg, model, args)
+    report = {}
+    excitation_at, params, packets = _excitation(cfg, model, args, report)
     omegas = grid.points()
     values = excitation_at(_changed(params, lam=args.drive))(omegas)
     header = "frequency_mhz,excitation"
@@ -337,7 +340,8 @@ def cmd_simulate(args) -> int:
     _write_csv(os.path.join(out, "spectrum.csv"), header, _rows(*columns))
     _write_metadata(os.path.join(out, "spectrum_meta.json"), cfg,
                     "simulate", seed=args.seed, model=model,
-                    n_points=grid.n_points)
+                    n_points=grid.n_points,
+                    **({"solver": report} if model == "me" else {}))
     return 0
 
 

@@ -40,7 +40,7 @@ UNIQUENESS_TOL = 1e-7
 KRYLOV_MAX = 160
 KRYLOV_TOL = 1e-14
 _KRYLOV_CHECK = 5
-_CHUNK = 32
+_CHUNK = 8
 MIN_MODEL_POINTS = 8
 # truncation_convergence passes when one more Fock level on each mode moves
 # no point of the spectrum by this much, relative
@@ -191,10 +191,10 @@ def _check_unique(rho: np.ndarray, rho2: np.ndarray) -> None:
         raise NonUniqueSteadyState("second kernel candidate found")
 
 
-def _validate_density_matrix(rho: np.ndarray) -> None:
+def _validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Raise unless rho, one matrix or a stack, has unit trace, is
     Hermitian and has no negative eigenvalue; a stack raises what its first
-    failing matrix raises alone."""
+    failing matrix raises alone.  Returns each matrix's lowest eigenvalue."""
     rhos = rho.reshape((-1,) + rho.shape[-2:])
     trace = np.trace(rhos, axis1=1, axis2=2)
     off = np.abs(trace.real - 1.0) > 1e-8
@@ -202,7 +202,7 @@ def _validate_density_matrix(rho: np.ndarray) -> None:
     low = np.linalg.eigvalsh(rhos).min(axis=-1)
     failed = off | skew | (low < -1e-8)
     if not failed.any():
-        return
+        return low
     k = np.argmax(failed)
     if off[k]:
         raise SolverFailure(f"trace {trace[k]} violates unit-trace bound")
@@ -301,15 +301,39 @@ def real_liouvillian(h: np.ndarray, collapse,
     return CoherenceBlocks(number, p, q, weights)
 
 
+def _ell(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+         n_rows: int) -> tuple:
+    """A block's triplets in ELL form: (cols, vals), each (k, n_rows), with
+    the j-th nonzero of row i at [j, i]; shorter rows are padded with the
+    value 0 at column 0."""
+    at = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=n_rows)
+    rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[rows[at]]
+    shape = (counts.max(initial=0), n_rows)
+    ell = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    ell[0][rank, rows[at]], ell[1][rank, rows[at]] = cols[at], vals[at]
+    return ell
+
+
+def _ell_dot(ell: tuple, x: np.ndarray) -> np.ndarray:
+    """S @ x for a block S in ELL form and x of shape (c,) or (c, p), one
+    nonzero per row at a time: no temporary is larger than the result."""
+    out = np.zeros(ell[0].shape[1:] + x.shape[1:])
+    for c, v in zip(*ell):
+        out += v.reshape(v.shape + (1,) * (x.ndim - 1)) * x[c]
+    return out
+
+
 class CoherenceBlocks:
     """A real generator on the Hermitian-basis slots of an n x n density
     matrix, with the slots grouped by coherence order m = |N_i - N_j|.
 
     Only the drive changes N, by one, so the generator is block tridiagonal
     in m: ``diag[m]`` is block (m, m), ``upper[m]`` block (m - 1, m) and
-    ``lower[m]`` block (m, m - 1).  Vectors in this order are slot vectors
-    permuted by ``perm``; ``pos`` is its inverse.  Nothing of size
-    n^2 x n^2 is formed.
+    ``lower[m]`` block (m, m - 1), and ``lower_t[m]`` its transpose, each
+    held as its nonzeros in ELL form (``_ell``).  Vectors in this order are
+    slot vectors permuted by ``perm``; ``pos`` is its inverse.  No zero of a
+    block is stored, and nothing of size n^2 x n^2 is formed.
     """
 
     def __init__(self, number: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -322,40 +346,37 @@ class CoherenceBlocks:
         self.pos[self.perm] = np.arange(n * n)
         self.sizes = np.bincount(order)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        local = self.pos - self.offsets[order]
-
-        mp, mq = order[p], order[q]
-        if np.any(np.abs(mp - mq) > 1):
+        if np.any(np.abs(order[p] - order[q]) > 1):
             raise ValueError("generator couples coherence orders more than "
                              "one apart")
-        # every block's entries, one after the other in one flat buffer
-        k = len(self.sizes)
-        keys = [(m + a, m + b) for m in range(k)
-                for a, b in ((0, 0), (0, 1), (1, 0)) if m + max(a, b) < k]
-        start = np.zeros((k, k), dtype=int)
-        total = 0
-        for a, b in keys:
-            start[a, b] = total
-            total += self.sizes[a] * self.sizes[b]
-        flat, at = np.unique(start[mp, mq] + local[p] * self.sizes[mq]
-                             + local[q], return_inverse=True)
-        sums = np.bincount(at, weights=weights.real, minlength=len(flat))
-        imag = np.bincount(at, weights=weights.imag, minlength=len(flat))
-        scale = np.max(np.abs(sums))
-        if np.max(np.abs(imag)) > 1e-12 * scale:
+        # the entries summed per (row, column) in block order, sorted by row
+        keys, at = np.unique(self.pos[p] * n * n + self.pos[q],
+                             return_inverse=True)
+        sums = np.bincount(at, weights=weights.real, minlength=len(keys))
+        imag = np.abs(np.bincount(at, weights=weights.imag)).max(initial=0)
+        scale = np.max(np.abs(sums), initial=0.0)
+        if imag > 1e-12 * scale:
             raise SolverFailure(
                 "generator does not preserve Hermiticity: imaginary part "
-                f"{np.max(np.abs(imag)):.3e} against scale {scale:.3e}")
+                f"{imag:.3e} against scale {scale:.3e}")
+        if not scale:
+            raise SolverFailure("generator has no nonzero entry")
         self.norm2 = float(np.dot(sums, sums))  # squared Frobenius norm
-        real = np.zeros(total)
-        real[flat] = sums
-        block = {(a, b): real[start[a, b]: start[a, b]
-                              + self.sizes[a] * self.sizes[b]].reshape(
-                                  self.sizes[a], self.sizes[b])
-                 for a, b in keys}
-        self.diag = [block[m, m] for m in range(k)]
-        self.upper = [None] + [block[m - 1, m] for m in range(1, k)]
-        self.lower = [None] + [block[m, m - 1] for m in range(1, k)]
+        rows, cols = np.divmod(keys[sums != 0.0], n * n)
+        sums = sums[sums != 0.0]  # entries that cancelled are not stored
+        mr, mc = order[self.perm[rows]], order[self.perm[cols]]
+
+        def block(a: int, b: int, flip: bool = False) -> tuple:
+            at = (mr == a) & (mc == b)  # block (a, b), or its transpose
+            rc = [rows[at] - self.offsets[a], cols[at] - self.offsets[b]]
+            return _ell(*rc[::-1 if flip else 1], sums[at],
+                        self.sizes[b if flip else a])
+
+        k = len(self.sizes)
+        self.diag = [block(m, m) for m in range(k)]
+        self.upper = [None] + [block(m - 1, m) for m in range(1, k)]
+        self.lower = [None] + [block(m, m - 1) for m in range(1, k)]
+        self.lower_t = [None] + [block(m, m - 1, True) for m in range(1, k)]
 
     def split(self, x: np.ndarray) -> list:
         """Views of the per-order parts of x (slots in block order)."""
@@ -366,11 +387,11 @@ class CoherenceBlocks:
         xs = self.split(x)
         out = np.empty_like(x)
         for m, part in enumerate(self.split(out)):
-            part[...] = self.diag[m] @ xs[m]
+            part[...] = _ell_dot(self.diag[m], xs[m])
             if m > 0:
-                part += self.lower[m] @ xs[m - 1]
+                part += _ell_dot(self.lower[m], xs[m - 1])
             if m + 1 < len(xs):
-                part += self.upper[m + 1] @ xs[m + 1]
+                part += _ell_dot(self.upper[m + 1], xs[m + 1])
         return out
 
 
@@ -400,8 +421,9 @@ class _BlockFactor:
         schur = gen.diag_block(k - 1, s)
         for m in range(k - 1, 0, -1):
             self.inv[m] = _inverse(schur)
-            self.w[m] = a.upper[m] @ self.inv[m]
-            schur = gen.diag_block(m - 1, s) - self.w[m] @ a.lower[m]
+            self.w[m] = _ell_dot(a.upper[m], self.inv[m])
+            schur = (gen.diag_block(m - 1, s)  # w @ lower = (lower' w')'
+                     - _ell_dot(a.lower_t[m], self.w[m].T).T)
         self._schur0 = schur
         self._inv0 = {}
 
@@ -415,14 +437,15 @@ class _BlockFactor:
     def solve(self, rhs: np.ndarray, row: int) -> np.ndarray:
         """M(s)^-1 rhs with the trace functional in ``row`` of m = 0."""
         a = self.gen.a
-        y = [part.copy() for part in a.split(rhs)]
+        x = rhs.copy()
+        y = a.split(x)  # views of x: each part is solved in place
         for m in range(len(y) - 1, 0, -1):
             y[m - 1] -= self.w[m] @ y[m]
         y[0][row] = rhs[row]
-        x = [self._inverse0(row) @ y[0]]
+        y[0][:] = self._inverse0(row) @ y[0]
         for m in range(1, len(y)):
-            x.append(self.inv[m] @ (y[m] - a.lower[m] @ x[-1]))
-        return np.concatenate(x)
+            y[m][:] = self.inv[m] @ (y[m] - _ell_dot(a.lower[m], y[m - 1]))
+        return x
 
 
 def _reduced(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
@@ -488,8 +511,10 @@ class HermitianGenerator:
         self._pairs = [(self._u[m == k] - a.offsets[k],
                         self._v[m == k] - a.offsets[k], self._delta[m == k])
                        for k in range(len(a.sizes))]
-        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]
-        ad = sum(np.dot(dl, blk[lv, lu] - blk[lu, lv])
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2], with
+        # <A, D> from A's stored entries: entry(S, r, c) = S[r, c]
+        entry = lambda s, r, c: np.sum(s[1][:, r] * (s[0][:, r] == c), 0)
+        ad = sum(np.dot(dl, entry(blk, lv, lu) - entry(blk, lu, lv))
                  for blk, (lu, lv, dl) in zip(a.diag, self._pairs))
         self._norm2 = (a.norm2, 2.0 * ad,
                        2.0 * np.dot(self._delta, self._delta))
@@ -501,8 +526,10 @@ class HermitianGenerator:
         self._basis = a.pos[u_slot], a.pos[v_slot], cu.conj(), cv.conj()
 
     def diag_block(self, m: int, s: float) -> np.ndarray:
-        """Diagonal block m of A + s*D, a fresh array."""
-        out = self.a.diag[m].copy()
+        """Diagonal block m of A + s*D, a fresh dense array."""
+        cols, vals = self.a.diag[m]
+        out = np.zeros((self.a.sizes[m],) * 2)
+        np.add.at(out, (np.arange(len(out)), cols), vals)  # padding adds 0
         lu, lv, delta = self._pairs[m]
         out[lu, lv] -= s * delta
         out[lv, lu] += s * delta
@@ -581,7 +608,7 @@ class HermitianGenerator:
     def _interval(self, omegas: np.ndarray, check_unique: bool) -> tuple:
         """Stacked steady states at the sorted omegas from reduced models
         expanded at the interval's centre (the exact solve at a single
-        point), their worst residual and the models' Krylov dimensions.
+        point), their worst residual, lowest eigenvalue and Krylov dimensions.
         Raises the first check a point fails: each model's estimate, the
         residual, the density-matrix checks, then with ``check_unique``
         agreement with the last-row model and that model's residual."""
@@ -598,12 +625,13 @@ class HermitianGenerator:
         residuals = self._residuals(x, s)
         _check_residual(residuals)
         rhos = self._density_matrices(x)
-        _validate_density_matrix(rhos)
+        low = _validate_density_matrix(rhos)
         if check_unique:
             x2 = models[1][0]
             _check_unique(rhos, self._density_matrices(x2))
             _check_residual(self._residuals(x2, s))
-        return rhos, float(residuals.max()), [k for _, _, k in models]
+        return (rhos, float(residuals.max()), float(low.min()),
+                [k for _, _, k in models])
 
     def states(self, omegas, check_unique: bool = False,
                report: dict = None) -> np.ndarray:
@@ -616,14 +644,17 @@ class HermitianGenerator:
         Krylov dimension of every reduced model whose points were
         returned), ``rejected_models`` (models with a failing point),
         ``rejection_reasons`` (per split interval, its omega range and the
-        check it failed), ``points_solved_per_point`` (one-point models)
-        and ``worst_residual`` (the largest certified residual returned).
+        check it failed), ``points_solved_per_point`` (one-point models),
+        ``worst_residual`` (the largest certified residual returned),
+        ``worst_negativity`` (minus the lowest eigenvalue returned, if it is
+        negative) and ``top_level_population`` (per mode, the largest
+        population at its top Fock level).
         """
         if report is None:
             report = {}
         report.update(krylov_dims=[], rejected_models=0,
                       rejection_reasons=[], points_solved_per_point=0,
-                      worst_residual=0.0)
+                      worst_residual=0.0, worst_negativity=0.0)
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         states = np.empty((len(omegas),) + 2 * (self.layout.dim,), complex)
         pending = [np.argsort(omegas, kind="stable")]
@@ -633,8 +664,8 @@ class HermitianGenerator:
                 pending += list(idx[::-1, None])  # lowest omega first
                 continue
             try:
-                rhos, residual, dims = self._interval(omegas[idx],
-                                                      check_unique)
+                rhos, residual, low, dims = self._interval(omegas[idx],
+                                                           check_unique)
             except (SolverFailure, NonUniqueSteadyState) as exc:
                 if len(idx) == 1:
                     raise type(exc)(f"at omega={omegas[idx[0]]}: {exc}") \
@@ -650,7 +681,13 @@ class HermitianGenerator:
             else:
                 report["krylov_dims"] += dims
             report["worst_residual"] = max(report["worst_residual"], residual)
+            report["worst_negativity"] = max(report["worst_negativity"], -low)
             states[idx] = rhos
+        pops = np.diagonal(states, axis1=1, axis2=2).real.reshape(
+            len(omegas), 2, self.layout.n_max_bright, self.layout.n_max_dark)
+        report["top_level_population"] = {  # the largest over the points
+            mode: float(np.max(top.sum(axis=(1, 2)), initial=0)) for mode, top
+            in (("bright", pops[:, :, -1]), ("dark", pops[..., -1]))}
         return states
 
     def excitation(self, omegas, check_unique: bool = False,

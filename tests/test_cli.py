@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hybridspec import (
     EnsembleSpec,
     FrequencyGrid,
+    HilbertLayout,
     MhomParams,
     SolverFailure,
     Spectrum,
@@ -17,6 +18,7 @@ from hybridspec import (
     eigen_numeric,
     fit_lorentzian,
     fwhm_vs_power,
+    me_spectrum,
     mhom_response,
     run_pipeline,
     sample_ensemble,
@@ -161,6 +163,39 @@ class TestSimulate:
         assert not out.exists()
         assert capsys.readouterr().err == \
             "solver error: model values are not finite\n"
+
+    def test_me_run_report_in_metadata(self, tmp_path):
+        cfg = write_config(tmp_path, system=SYSTEM, model="me",
+                           grid=dict(GRID, n_points=21),
+                           me_options={"n_max_bright": 2, "n_max_dark": 3})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        solver = json.loads((out / "spectrum_meta.json").read_text())[
+            "solver"]
+        # the run report of me_spectrum, without the layout it records
+        spec = me_spectrum(SystemParams(**SYSTEM),
+                           FrequencyGrid(OMEGA_NV - 25, OMEGA_NV + 25, 21),
+                           HilbertLayout(2, 3))
+        assert solver == {k: v for k, v in spec.metadata.items()
+                          if k not in ("n_max_bright", "n_max_dark")}
+        assert {"worst_negativity", "top_level_population"} <= set(solver)
+
+    def test_generator_without_nonzero_entry_exits_3(self, tmp_path, capsys):
+        # no drive, coupling or damping on a 1x1 layout, with the qubit on
+        # resonance: every entry of the generator is zero
+        zero = dict(SYSTEM, g=0.0, j=0.0, gamma_fq=0.0, gamma_b=0.0,
+                    gamma_d=0.0, lam=0.0)
+        cfg = write_config(tmp_path, system=zero, model="me",
+                           grid=dict(GRID, n_points=5),
+                           me_options={"n_max_bright": 1, "n_max_dark": 1})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: ")
+        assert err[0].endswith("generator has no nonzero entry")
 
     def test_missing_grid_exits_2_without_files(self, tmp_path):
         cfg = write_config(tmp_path, system=SYSTEM, model="thom")

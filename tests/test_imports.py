@@ -1,8 +1,10 @@
 """Every module of the package reads the names it binds: its imports, its
-private definitions and the parameters of its functions."""
+private definitions and the parameters of its functions; and it imports
+nothing but the standard library, numpy and the package itself."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -95,3 +97,29 @@ def test_detects_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_its_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level modules imported by the source that are neither in the
+    standard library nor numpy nor this package (relative imports)."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return sorted(imported - set(sys.stdlib_module_names)
+                  - {"numpy", "hybridspec"})
+
+
+def test_detects_a_foreign_import():
+    source = ("import os.path\nimport numpy as np\nfrom scipy import linalg\n"
+              "from . import core\nfrom hybridspec.core import x\n"
+              "import matplotlib.pyplot\n")
+    assert foreign_imports(source) == ["matplotlib", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_is_numpy_only(path):
+    assert foreign_imports(path.read_text()) == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from hybridspec.master_eq import (
     real_liouvillian,
 )
 
-from conftest import OMEGA_NV
+from conftest import OMEGA_NV, REFERENCE_PARAMS
 
 LAYOUT = HilbertLayout(3, 3)
 
@@ -378,7 +380,14 @@ class TestHermitianGenerator:
             real_liouvillian(h, [], number)
         c = np.diag([1.0, 0.0, 0.0]).astype(complex)
         blocks = real_liouvillian(h.imag.astype(complex), [(0.5, c)], number)
-        assert np.isrealobj(blocks.diag[0])
+        # each block is held as its ELL (columns, values): real values
+        [(cols, vals)] = blocks.diag
+        assert np.isrealobj(vals) and np.any(vals)
+        assert np.issubdtype(cols.dtype, np.integer)
+
+    def test_generator_without_nonzero_entry_is_a_solver_error(self):
+        with pytest.raises(SolverFailure, match="no nonzero entry"):
+            real_liouvillian(np.zeros((2, 2)), [], np.zeros(2))
 
     def test_residual_bound_is_enforced(self, monkeypatch):
         solve = master_eq._BlockFactor.solve
@@ -446,6 +455,19 @@ class TestCoherenceOrder:
         gen = HermitianGenerator(small_params(lam=1.0), HilbertLayout(4, 4))
         assert list(gen.a.sizes) == [168, 310, 244, 162, 88, 38, 12, 2]
 
+    def test_generator_holds_only_its_nonzeros(self):
+        # at 4x8 the dense blocks took 50.5 MB for about 0.27 MB of nonzeros
+        HermitianGenerator(REFERENCE_PARAMS, HilbertLayout(1, 2))  # warm up
+        tracemalloc.start()
+        try:
+            gen = HermitianGenerator(REFERENCE_PARAMS.with_(lam=20.0),
+                                     HilbertLayout(4, 8))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert gen.a.offsets[-1] == 64 ** 2
+        assert retained < 2e6
+
 
 def per_point_excitation(gen, omegas, check_unique=False):
     """One block elimination per point: each point a one-point model."""
@@ -453,6 +475,45 @@ def per_point_excitation(gen, omegas, check_unique=False):
 
 
 class TestReducedModel:
+    def test_reduced_solutions_do_not_depend_on_the_chunk(self,
+                                                          monkeypatch):
+        # the (chunk, k, k) stack bounds memory; it must not change a bit
+        rng = np.random.default_rng(5)
+        k = 40
+        hess = np.triu(rng.normal(size=(k + 1, k)), -1)
+        sigmas = np.linspace(-0.3, 0.4, 161)
+        results = []
+        for chunk in (1, 8, len(sigmas)):
+            monkeypatch.setattr(master_eq, "_CHUNK", chunk)
+            results.append(master_eq._reduced(hess, 2.5, sigmas))
+        for y, estimate in results[1:]:
+            assert np.array_equal(y, results[0][0])
+            assert np.array_equal(estimate, results[0][1])
+
+    def test_run_report_reads_the_returned_states(self):
+        layout = HilbertLayout(3, 4)
+        grid = FrequencyGrid(OMEGA_NV - 4.5, OMEGA_NV + 4.5, 21)
+        p = small_params(lam=10.0)
+        report = {}
+        rhos = HermitianGenerator(p, layout).states(grid.points(),
+                                                    report=report)
+        assert me_spectrum(p, grid, layout).metadata == {
+            "n_max_bright": 3, "n_max_dark": 4, **report}
+        pops = np.diagonal(rhos, axis1=1, axis2=2).real.reshape(-1, 2, 3, 4)
+        top = report["top_level_population"]
+        assert top["bright"] == pytest.approx(
+            pops[:, :, 2, :].sum(axis=(1, 2)).max(), rel=1e-12)
+        assert top["dark"] == pytest.approx(
+            pops[:, :, :, 3].sum(axis=(1, 2)).max(), rel=1e-12)
+        assert report["worst_negativity"] == max(
+            0.0, -np.linalg.eigvalsh(rhos).min())
+        # a 1x1 layout: every state is at both modes' top level
+        one = {}
+        HermitianGenerator(p, HilbertLayout(1, 1)).states(grid.points(),
+                                                          report=one)
+        assert one["top_level_population"] == pytest.approx(
+            {"bright": 1.0, "dark": 1.0}, rel=1e-12)
+
     def test_one_point_model_is_one_block_elimination(self):
         layout = HilbertLayout(4, 4)
         gen = HermitianGenerator(small_params(lam=10.0), layout)
