@@ -149,7 +149,7 @@ def fit_gammas(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
     and zero-field FWHM widths, or the packet damping where it is larger.
     Returns (gamma_b, gamma_d, residual_norm), or raises NotConverged;
     ``report``, a dict updated in place, receives the fit's
-    ``lm_iterations`` and ``converged`` flag.
+    ``lm_iterations`` and ``converged`` flag, also before NotConverged.
     """
     omegas = grid.points()
     ref = mhom_response(sigma, params, omegas)
@@ -171,10 +171,10 @@ def fit_gammas(spec: EnsembleSpec, params: MhomParams, sigma: SelfEnergy,
     x0 = np.array([max(spec.fwhm_strain, params.gamma_b),
                    max(spec.fwhm_zfs, params.gamma_d)])
     x, cost, n_iter, converged = damped_least_squares(residual, x0)
-    if not converged:
-        raise NotConverged(f"no convergence in {n_iter} iterations")
     if report is not None:
         report.update(lm_iterations=n_iter, converged=converged)
+    if not converged:
+        raise NotConverged(f"no convergence in {n_iter} iterations")
     gamma_b, gamma_d = abs(float(x[0])), abs(float(x[1]))
     if gamma_b <= 0 or gamma_d <= 0:
         raise NonPositiveGamma(

@@ -244,14 +244,17 @@ def _sandwich(a: tuple, b: tuple, n: int) -> tuple:
     return rows.ravel(), cols.ravel(), (av[:, None] * bv[None, :]).ravel()
 
 
-def _hermitian_basis(n: int) -> tuple:
+def _hermitian_basis(number: np.ndarray) -> tuple:
     """Where each column-stacked slot of rho goes in the Hermitian basis.
 
     For i < j the slot of rho_ij holds u = (rho_ij + rho_ji)/sqrt2 and the
-    slot of rho_ji holds v = (rho_ij - rho_ji)/(sqrt2 i); diagonal slots
+    slot of rho_ji holds v = (rho_ij - rho_ji)/(sqrt2 i), negated where
+    N_i < N_j: u + iv = sqrt2 rho_ij for the element with N_i > N_j, or
+    i < j if N_i = N_j (``number`` is the diagonal of N).  Diagonal slots
     keep rho_ii.  Returns, per slot s, the u-slot and v-slot of its pair
     and the coefficients of rho_s in u and in v.
     """
+    n = len(number)
     i, j = np.divmod(np.arange(n * n), n)[::-1]  # s = i + j*n
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     u_slot = lo + n * hi
@@ -259,7 +262,7 @@ def _hermitian_basis(n: int) -> tuple:
     h = np.sqrt(0.5)
     cu = np.where(i == j, 1.0, h).astype(complex)
     cv = np.select([i < j, i > j], [-1j * h, 1j * h], 0.0)
-    return u_slot, v_slot, cu, cv
+    return u_slot, v_slot, cu, np.where(number[lo] < number[hi], -cv, cv)
 
 
 def real_liouvillian(h: np.ndarray, collapse,
@@ -291,7 +294,7 @@ def real_liouvillian(h: np.ndarray, collapse,
     # L_real[p, q] = sum_rs T[p, r] L[r, s] conj(T[q, s]); column s of T
     # has its nonzeros at the u- and v-slot of s's pair (cv = 0 on the
     # diagonal)
-    u_slot, v_slot, cu, cv = _hermitian_basis(n)
+    u_slot, v_slot, cu, cv = _hermitian_basis(number)
     to_p = (u_slot[rows], cu[rows]), (v_slot[rows], cv[rows])
     to_q = (u_slot[cols], cu[cols].conj()), (v_slot[cols], cv[cols].conj())
     p = np.concatenate([p for p, _ in to_p for _ in to_q])
@@ -310,17 +313,33 @@ def _ell(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     counts = np.bincount(rows, minlength=n_rows)
     rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[rows[at]]
     shape = (counts.max(initial=0), n_rows)
-    ell = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    ell = np.zeros(shape, dtype=np.intp), np.zeros(shape, vals.dtype)
     ell[0][rank, rows[at]], ell[1][rank, rows[at]] = cols[at], vals[at]
     return ell
 
 
+def _complex(ell: tuple, paired_rows: bool, conj: bool = False) -> tuple:
+    """The complex C, in ELL form, with R y = Re(C z) for a real block R in
+    ELL form whose columns are (u, v) pairs and z = u + iv: C[:, b] =
+    R[:, 2b] - i R[:, 2b + 1] (its conjugate with ``conj``).  With rows in
+    pairs too, R is the real form of C and C keeps the u rows only."""
+    cols, vals = (part[:, :: 2 if paired_rows else 1] for part in ell)
+    keep = vals != 0.0  # not the padding
+    c = cols[keep]
+    return _ell(np.nonzero(keep)[1], c // 2, vals[keep]
+                * np.where(c % 2, 1j if conj else -1j, 1.0), cols.shape[1])
+
+
 def _ell_dot(ell: tuple, x: np.ndarray) -> np.ndarray:
-    """S @ x for a block S in ELL form and x of shape (c,) or (c, p), one
-    nonzero per row at a time: no temporary is larger than the result."""
-    out = np.zeros(ell[0].shape[1:] + x.shape[1:])
-    for c, v in zip(*ell):
-        out += v.reshape(v.shape + (1,) * (x.ndim - 1)) * x[c]
+    """S @ x for a block S in ELL form and x of shape (c,) or (c, p).  A
+    vector takes all stored entries at once; a matrix one nonzero per row
+    at a time, so that no temporary is larger than the result."""
+    cols, vals = ell
+    if x.ndim == 1:
+        return (vals * x[cols]).sum(axis=0)
+    out = np.zeros(cols.shape[1:] + x.shape[1:], np.result_type(vals, x))
+    for c, v in zip(cols, vals):
+        out += v[:, None] * x[c]
     return out
 
 
@@ -330,10 +349,15 @@ class CoherenceBlocks:
 
     Only the drive changes N, by one, so the generator is block tridiagonal
     in m: ``diag[m]`` is block (m, m), ``upper[m]`` block (m - 1, m) and
-    ``lower[m]`` block (m, m - 1), and ``lower_t[m]`` its transpose, each
-    held as its nonzeros in ELL form (``_ell``).  Vectors in this order are
-    slot vectors permuted by ``perm``; ``pos`` is its inverse.  No zero of a
-    block is stored, and nothing of size n^2 x n^2 is formed.
+    ``lower[m]`` block (m, m - 1), each held as its nonzeros in ELL form
+    (``_ell``).  Vectors in this order are slot vectors permuted by
+    ``perm``; ``pos`` is its inverse.  No zero of a block is stored, and
+    nothing of size n^2 x n^2 is formed.
+
+    Each order holds its slots as (u, v) pairs, u first, and on m >= 1 the
+    generator is complex-linear on z = u + iv: ``upper_c[m]`` and
+    ``lower_tc[m]`` are the complex U and L^T of blocks (m - 1, m) and
+    (m, m - 1) (``_complex``; at m = 1, upper[1] y = Re(U z) and z = L x).
     """
 
     def __init__(self, number: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -341,7 +365,8 @@ class CoherenceBlocks:
         n = len(number)
         i, j = np.divmod(np.arange(n * n), n)[::-1]  # slot s = i + j*n
         order = np.rint(np.abs(number[i] - number[j])).astype(int)
-        self.perm = np.argsort(order, kind="stable")
+        u_slot = np.minimum(i, j) + n * np.maximum(i, j)
+        self.perm = np.lexsort((2 * u_slot + (i > j), order))
         self.pos = np.empty_like(self.perm)
         self.pos[self.perm] = np.arange(n * n)
         self.sizes = np.bincount(order)
@@ -376,7 +401,10 @@ class CoherenceBlocks:
         self.diag = [block(m, m) for m in range(k)]
         self.upper = [None] + [block(m - 1, m) for m in range(1, k)]
         self.lower = [None] + [block(m, m - 1) for m in range(1, k)]
-        self.lower_t = [None] + [block(m, m - 1, True) for m in range(1, k)]
+        self.upper_c = [None] + [_complex(self.upper[m], m > 1)
+                                 for m in range(1, k)]
+        self.lower_tc = [None] + [_complex(block(m, m - 1, True), m > 1, True)
+                                  for m in range(1, k)]
 
     def split(self, x: np.ndarray) -> list:
         """Views of the per-order parts of x (slots in block order)."""
@@ -405,7 +433,8 @@ def _inverse(block: np.ndarray) -> np.ndarray:
 class _BlockFactor:
     """M(s) = A + s*D with one row of the m = 0 block replaced by the trace
     functional, factored by block elimination from the highest coherence
-    order down to m = 0.
+    order down to m = 0, in complex arithmetic on the orders m >= 1 (see
+    ``CoherenceBlocks``), whose Schur complements are half their real size.
 
     D is block diagonal and zero on m = 0, and the trace row couples to no
     other order, so only the m = 0 Schur complement depends on which row
@@ -417,13 +446,13 @@ class _BlockFactor:
         k = len(a.sizes)
         self.gen = gen
         self.inv = [None] * k
-        self.w = [None] * k  # upper[m] @ inv[m]
         schur = gen.diag_block(k - 1, s)
         for m in range(k - 1, 0, -1):
             self.inv[m] = _inverse(schur)
-            self.w[m] = _ell_dot(a.upper[m], self.inv[m])
-            schur = (gen.diag_block(m - 1, s)  # w @ lower = (lower' w')'
-                     - _ell_dot(a.lower_t[m], self.w[m].T).T)
+            # U inv L = (L^T (U inv)^T)^T; at m = 1 its real part
+            t = _ell_dot(a.lower_tc[m],
+                         _ell_dot(a.upper_c[m], self.inv[m]).T).T
+            schur = gen.diag_block(m - 1, s) - (t if m > 1 else t.real)
         self._schur0 = schur
         self._inv0 = {}
 
@@ -439,12 +468,14 @@ class _BlockFactor:
         a = self.gen.a
         x = rhs.copy()
         y = a.split(x)  # views of x: each part is solved in place
+        z = [None] + [part.view(complex) for part in y[1:]]  # u + iv
         for m in range(len(y) - 1, 0, -1):
-            y[m - 1] -= self.w[m] @ y[m]
+            z[m][:] = self.inv[m] @ z[m]
+            y[m - 1] -= _ell_dot(a.upper[m], y[m])
         y[0][row] = rhs[row]
         y[0][:] = self._inverse0(row) @ y[0]
         for m in range(1, len(y)):
-            y[m][:] = self.inv[m] @ (y[m] - _ell_dot(a.lower[m], y[m - 1]))
+            z[m] -= self.inv[m] @ _ell_dot(a.lower[m], y[m - 1]).view(complex)
         return x
 
 
@@ -474,11 +505,11 @@ class HermitianGenerator:
 
     In the rotating frame H(omega) = H(omega_nv) - (omega - omega_nv) * N
     with N = sigma_z/2 + n_b + n_d diagonal, so D only rotates each (u, v)
-    pair by delta = N_i - N_j: du/dt = -delta v, dv/dt = +delta u.  A is
-    held as coherence-order blocks (``CoherenceBlocks``); D is block
-    diagonal and vanishes on the diagonal slots, so the trace functional
-    can replace the rho_00 row (or the last diagonal row) at every
-    frequency.
+    pair by delta = |N_i - N_j|: du/dt = -delta v, dv/dt = +delta u, so D
+    is i*m on u + iv in order m.  A is held as coherence-order blocks
+    (``CoherenceBlocks``); D is block diagonal and vanishes on the diagonal
+    slots, so the trace functional can replace the rho_00 row (or the last
+    diagonal row) at every frequency.
 
     A spectrum is solved interval by interval: B = M(omega_c) is factored
     once by block elimination (``_BlockFactor``) and shift-invert Arnoldi
@@ -500,39 +531,31 @@ class HermitianGenerator:
         self.a = a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
                                           (params.gamma_b, o.b),
                                           (params.gamma_d, o.d)], number)
-        i, j = np.triu_indices(n, 1)
-        delta = number[i] - number[j]
-        keep = delta != 0.0
-        self._u = a.pos[(i + n * j)[keep]]
-        self._v = a.pos[(j + n * i)[keep]]
-        self._delta = delta[keep]
-        # per order m = |delta|: the pairs' positions in its diagonal block
-        m = np.rint(np.abs(self._delta)).astype(int)
-        self._pairs = [(self._u[m == k] - a.offsets[k],
-                        self._v[m == k] - a.offsets[k], self._delta[m == k])
-                       for k in range(len(a.sizes))]
+        # the (u, v) pairs of the orders m >= 1, and their m
+        self._u = np.arange(a.offsets[1], a.offsets[-1], 2)
+        self._v = self._u + 1
+        self._delta = np.repeat(np.arange(len(a.sizes)), a.sizes)[self._u]
         # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2], with
-        # <A, D> from A's stored entries: entry(S, r, c) = S[r, c]
-        entry = lambda s, r, c: np.sum(s[1][:, r] * (s[0][:, r] == c), 0)
-        ad = sum(np.dot(dl, entry(blk, lv, lu) - entry(blk, lu, lv))
-                 for blk, (lu, lv, dl) in zip(a.diag, self._pairs))
+        # <A, D> the sum of m (A_vu - A_uv) over the pairs of order m
+        ad = sum(m * np.sum(np.where(r % 2, v, -v)[c == r ^ 1]) for m, (c, v)
+                 in enumerate(a.diag) for r in [np.arange(c.shape[1])])
         self._norm2 = (a.norm2, 2.0 * ad,
                        2.0 * np.dot(self._delta, self._delta))
         diag_slots = a.pos[:: n + 1]
         self.trace0 = np.zeros(a.sizes[0])
         self.trace0[diag_slots] = 1.0
         self.rows = (a.pos[0], a.pos[n * n - 1])  # rho_00 and rho_last
-        u_slot, v_slot, cu, cv = _hermitian_basis(n)
+        u_slot, v_slot, cu, cv = _hermitian_basis(number)
         self._basis = a.pos[u_slot], a.pos[v_slot], cu.conj(), cv.conj()
 
     def diag_block(self, m: int, s: float) -> np.ndarray:
-        """Diagonal block m of A + s*D, a fresh dense array."""
-        cols, vals = self.a.diag[m]
-        out = np.zeros((self.a.sizes[m],) * 2)
+        """Diagonal block m of A + s*D, a fresh dense array: real on m = 0,
+        and on m >= 1 the complex block of which it is the real form."""
+        cols, vals = _complex(self.a.diag[m], True) if m else self.a.diag[0]
+        out = np.zeros((cols.shape[1],) * 2, vals.dtype)
         np.add.at(out, (np.arange(len(out)), cols), vals)  # padding adds 0
-        lu, lv, delta = self._pairs[m]
-        out[lu, lv] -= s * delta
-        out[lv, lu] += s * delta
+        if m:
+            out[np.diag_indices(len(out))] += 1j * s * m  # D is i*m
         return out
 
     def apply_d(self, x: np.ndarray) -> np.ndarray:
@@ -579,17 +602,17 @@ class HermitianGenerator:
         if not sigmas.any():
             x = b[:, None].repeat(len(sigmas), axis=1)
             return x, np.zeros_like(sigmas), 0
-        basis = np.empty((len(b), KRYLOV_MAX + 1))
+        basis = np.empty((KRYLOV_MAX + 1, len(b)))  # one vector per row
         hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
         beta = np.linalg.norm(b)
-        basis[:, 0] = b / beta
+        basis[0] = b / beta
         ends = sigmas[[0, -1]]
         for k in range(1, KRYLOV_MAX + 1):
-            w = factor.solve(self.apply_d(basis[:, k - 1]), row)
+            w = factor.solve(self.apply_d(basis[k - 1]), row)
             size = np.linalg.norm(w)
             for _ in range(2):  # full reorthogonalization, twice
-                c = basis[:, :k].T @ w
-                w -= basis[:, :k] @ c
+                c = basis[:k] @ w
+                w -= c @ basis[:k]
                 hess[:k, k - 1] += c
             hess[k, k - 1] = np.linalg.norm(w)
             # an invariant subspace: the model is exact
@@ -597,13 +620,13 @@ class HermitianGenerator:
                 hess[k, k - 1] = 0.0
             elif k < KRYLOV_MAX and (k % _KRYLOV_CHECK or np.any(
                     _reduced(hess[:k + 1, :k], beta, ends)[1] > KRYLOV_TOL)):
-                basis[:, k] = w / hess[k, k - 1]
+                basis[k] = w / hess[k, k - 1]
                 continue
             y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
             if (np.all(estimate <= KRYLOV_TOL) or k == KRYLOV_MAX
                     or hess[k, k - 1] == 0.0):
-                return basis[:, :k] @ y.T, estimate, k
-            basis[:, k] = w / hess[k, k - 1]
+                return basis[:k].T @ y.T, estimate, k
+            basis[k] = w / hess[k, k - 1]
 
     def _interval(self, omegas: np.ndarray, check_unique: bool) -> tuple:
         """Stacked steady states at the sorted omegas from reduced models
@@ -691,10 +714,12 @@ class HermitianGenerator:
         return states
 
     def excitation(self, omegas, check_unique: bool = False,
-                   report: dict = None) -> np.ndarray:
-        """<sigma+ sigma-> in the steady state at each drive frequency."""
-        return qubit_excitation(self.states(omegas, check_unique, report),
-                                self.layout)
+                   report: dict = None):
+        """<sigma+ sigma-> in the steady state at each drive frequency; a
+        scalar omega gives a float, from a one-point solve."""
+        values = qubit_excitation(self.states(omegas, check_unique, report),
+                                  self.layout)
+        return float(values[0]) if np.ndim(omegas) == 0 else values
 
 
 def me_spectrum(params: SystemParams, grid: FrequencyGrid,

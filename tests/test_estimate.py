@@ -189,6 +189,23 @@ class TestFitGammas:
                        2.0, grid)
 
 
+    def test_unconverged_fit_is_reported_before_it_raises(self,
+                                                          monkeypatch):
+        def unconverged(residual, x0):
+            return x0, 0.5 * float(np.sum(residual(x0) ** 2)), 7, False
+
+        monkeypatch.setattr(estimate, "damped_least_squares", unconverged)
+        ens = homogeneous_ensemble(g=10.0, j=2.0)
+        params = MhomParams(omega_fq=OMEGA_NV, gamma_fq=0.05, gamma_b=0.2,
+                            gamma_d=0.2)
+        report = {}
+        with pytest.raises(NotConverged, match="no convergence in 7"):
+            fit_gammas(ens, params, sampled_self_energy(ens, params), 10.0,
+                       2.0, FrequencyGrid(OMEGA_NV - 23, OMEGA_NV + 23, 81),
+                       report)
+        assert report == {"lm_iterations": 7, "converged": False}
+
+
 class TestRunPipeline:
     def test_intermediates_consistent(self):
         g, j = 10.0, 2.0
