@@ -34,9 +34,9 @@ RESIDUAL_TOL = 1e-10
 UNIQUENESS_TOL = 1e-7
 
 # reduced models of a spectrum: at most KRYLOV_MAX Arnoldi steps per model,
-# stopping once the a-posteriori estimate is below KRYLOV_TOL relative at
-# every point (checked every _KRYLOV_CHECK steps); an interval of fewer
-# than MIN_MODEL_POINTS points is solved as one-point models
+# returning once the a-posteriori estimate is below KRYLOV_TOL relative at
+# every point (checked every _KRYLOV_CHECK steps), else raising; an interval
+# of fewer than MIN_MODEL_POINTS points is solved as one-point models
 KRYLOV_MAX = 160
 KRYLOV_TOL = 1e-14
 _KRYLOV_CHECK = 5
@@ -526,8 +526,8 @@ class HermitianGenerator:
         self.omega_ref = params.omega_nv
         h = build_rotating_hamiltonian(params, self.omega_ref, layout, o)
         n = layout.dim
-        number = np.real(np.diag(0.5 * o.sigma_z + o.b.conj().T @ o.b
-                                 + o.d.conj().T @ o.d))
+        q, nb, nd = np.indices((2, layout.n_max_bright, layout.n_max_dark))
+        number = (q - 0.5 + nb + nd).ravel()  # N's diagonal, exactly
         self.a = a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
                                           (params.gamma_b, o.b),
                                           (params.gamma_d, o.d)], number)
@@ -592,16 +592,15 @@ class HermitianGenerator:
         (I + sigma K) x = b holds for x = V_k y up to sigma h_{k+1,k} y_k
         v_{k+1}, with (I + sigma H_k) y = |b| e_1.  Every ``_KRYLOV_CHECK``
         steps that estimate is checked at the two end shifts, and when both
-        are below ``KRYLOV_TOL`` |y|, at every shift; the run stops when all
-        are, or at ``KRYLOV_MAX`` steps.  Returns the columns x(sigma),
-        their estimates, and k; with every shift zero, x is b itself (k = 0).
+        are below ``KRYLOV_TOL`` |y|, at every shift; the run returns the
+        columns x(sigma) and k once all are, and raises at ``KRYLOV_MAX``
+        steps.  With every shift zero, x is b itself (k = 0).
         """
         b = np.zeros(self.a.offsets[-1])
         b[row] = 1.0
         b = factor.solve(b, row)
         if not sigmas.any():
-            x = b[:, None].repeat(len(sigmas), axis=1)
-            return x, np.zeros_like(sigmas), 0
+            return b[:, None].repeat(len(sigmas), axis=1), 0
         basis = np.empty((KRYLOV_MAX + 1, len(b)))  # one vector per row
         hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
         beta = np.linalg.norm(b)
@@ -623,38 +622,36 @@ class HermitianGenerator:
                 basis[k] = w / hess[k, k - 1]
                 continue
             y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
-            if (np.all(estimate <= KRYLOV_TOL) or k == KRYLOV_MAX
-                    or hess[k, k - 1] == 0.0):
-                return basis[:k].T @ y.T, estimate, k
+            if np.all(estimate <= KRYLOV_TOL):  # 0 on an invariant subspace
+                return basis[:k].T @ y.T, k
+            if k == KRYLOV_MAX or hess[k, k - 1] == 0.0:
+                raise SolverFailure(f"reduced-model estimate "
+                                    f"{np.max(estimate):.3e} too large")
             basis[k] = w / hess[k, k - 1]
 
     def _interval(self, omegas: np.ndarray, check_unique: bool) -> tuple:
         """Stacked steady states at the sorted omegas from reduced models
         expanded at the interval's centre (the exact solve at a single
         point), their worst residual, lowest eigenvalue and Krylov dimensions.
-        Raises the first check a point fails: each model's estimate, the
-        residual, the density-matrix checks, then with ``check_unique``
-        agreement with the last-row model and that model's residual."""
+        Raises the first check a point fails: the first-row model's
+        estimate, the residual, the density-matrix checks, then with
+        ``check_unique`` (and only then built) the last-row model's
+        estimate, its agreement with the first state and its residual."""
         s = omegas - self.omega_ref
         centre = 0.5 * (s[0] + s[-1])
         factor = _BlockFactor(self, centre)
-        models = [self._krylov(factor, row, s - centre)
-                  for row in self.rows[: 2 if check_unique else 1]]
-        for _, estimate, _ in models:
-            if not np.all(estimate <= KRYLOV_TOL):
-                raise SolverFailure(f"reduced-model estimate "
-                                    f"{np.max(estimate):.3e} too large")
-        x = models[0][0]
+        x, k = self._krylov(factor, self.rows[0], s - centre)
         residuals = self._residuals(x, s)
         _check_residual(residuals)
         rhos = self._density_matrices(x)
         low = _validate_density_matrix(rhos)
+        dims = [k]
         if check_unique:
-            x2 = models[1][0]
-            _check_unique(rhos, self._density_matrices(x2))
-            _check_residual(self._residuals(x2, s))
-        return (rhos, float(residuals.max()), float(low.min()),
-                [k for _, _, k in models])
+            x, k = self._krylov(factor, self.rows[1], s - centre)
+            _check_unique(rhos, self._density_matrices(x))
+            _check_residual(self._residuals(x, s))
+            dims.append(k)
+        return rhos, float(residuals.max()), float(low.min()), dims
 
     def states(self, omegas, check_unique: bool = False,
                report: dict = None) -> np.ndarray:
@@ -665,7 +662,8 @@ class HermitianGenerator:
 
         ``report``, a dict updated in place, receives ``krylov_dims`` (the
         Krylov dimension of every reduced model whose points were
-        returned), ``rejected_models`` (models with a failing point),
+        returned), ``rejected_models`` (the trace-row models of every split
+        interval, two with ``check_unique`` whether or not both were built),
         ``rejection_reasons`` (per split interval, its omega range and the
         check it failed), ``points_solved_per_point`` (one-point models),
         ``worst_residual`` (the largest certified residual returned),

@@ -245,10 +245,10 @@ def direct_excitation(params, omega, layout):
 
 
 def excitation_number(layout):
-    """The diagonal of N = sigma_z/2 + n_b + n_d."""
-    ops = build_operators(layout)
-    return np.real(np.diag(0.5 * ops.sigma_z + ops.b.conj().T @ ops.b
-                           + ops.d.conj().T @ ops.d))
+    """The diagonal of N = sigma_z/2 + n_b + n_d, exactly: q - 1/2 + n_b +
+    n_d at ``layout.index(q, n_b, n_d)``."""
+    q, nb, nd = np.indices((2, layout.n_max_bright, layout.n_max_dark))
+    return (q - 0.5 + nb + nd).ravel()
 
 
 def basis_change(number):
@@ -379,6 +379,35 @@ class TestHermitianGenerator:
         with pytest.raises(NonUniqueSteadyState, match="at omega="):
             me_spectrum(p, grid, LAYOUT, check_unique=True)
 
+    def test_a_failing_first_state_raises_before_a_last_row_model(
+            self, monkeypatch):
+        # the first state fails its trace check; the last-row model would
+        # raise an error of its own, but it is never built
+        solve = master_eq._BlockFactor.solve
+        density = HermitianGenerator._density_matrices
+        last_rows = []
+
+        def last_row_fails(factor, rhs, row):
+            if row == factor.gen.rows[1]:
+                last_rows.append(row)
+                raise SolverFailure("last-row model built")
+            return solve(factor, rhs, row)
+
+        monkeypatch.setattr(master_eq._BlockFactor, "solve", last_row_fails)
+        monkeypatch.setattr(HermitianGenerator, "_density_matrices",
+                            lambda gen, x: 1.1 * density(gen, x))
+        grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0,
+                             MIN_MODEL_POINTS + 1)
+        report = {}
+        with pytest.raises(SolverFailure,
+                           match="at omega=.*" + BROKEN["trace"]):
+            HermitianGenerator(small_params(lam=1.0), LAYOUT).states(
+                grid.points(), check_unique=True, report=report)
+        [reason] = report["rejection_reasons"]
+        assert reason.startswith(f"omega {grid.start} to {grid.stop}: trace ")
+        assert reason.endswith(BROKEN["trace"])
+        assert not last_rows
+
     def test_rejects_generator_that_breaks_hermiticity(self):
         # an anti-Hermitian "Hamiltonian" turns Hermitian rho anti-Hermitian
         h = 1j * np.diag([0.0, 1.0, 2.0])
@@ -474,6 +503,21 @@ class TestCoherenceOrder:
             tracemalloc.stop()
         assert gen.a.offsets[-1] == 64 ** 2
         assert retained < 2e6
+
+    def test_order_zero_pairs_are_oriented_by_index(self):
+        # N is exact, so a pair with N_i = N_j is oriented by i < j: v = 1
+        # alone is rho_ij = i/sqrt2
+        layout = HilbertLayout(4, 4)
+        gen = HermitianGenerator(small_params(lam=2.0, theta=0.7), layout)
+        a, n = gen.a, layout.dim
+        i, j = np.divmod(a.perm[: a.sizes[0]], n)[::-1]
+        v = np.flatnonzero(i > j)  # the v slots of order 0, block order
+        assert len(v) == 68
+        e = np.zeros((a.offsets[-1], len(v)))
+        e[v, np.arange(len(v))] = 1.0
+        rhos = gen._density_matrices(e)
+        assert np.all(rhos[np.arange(len(v)), j[v], i[v]]
+                      == 1j * np.sqrt(0.5))
 
     @pytest.mark.parametrize("nb,nd", [(2, 2), (3, 3), (4, 4)])
     def test_orders_above_zero_are_real_forms_of_complex_blocks(self, nb,
@@ -652,6 +696,45 @@ class TestReducedModel:
         for w, v in zip(grid.points()[::6], spec.values[::6]):
             assert v == pytest.approx(direct_excitation(p, w, layout),
                                       rel=1e-10)
+
+    def test_last_row_models_follow_only_a_passing_first_state(
+            self, monkeypatch):
+        # the wide window's rejected intervals fail their first-row model,
+        # and no last-row model is built for them
+        gen = HermitianGenerator(small_params(lam=20.0), HilbertLayout(4, 4))
+        init = master_eq._BlockFactor.__init__
+        solve = master_eq._BlockFactor.solve
+        check = master_eq._check_residual
+        intervals = []  # per factorization, its solves' rows and checks
+
+        def new_interval(factor, *args):
+            intervals.append([])
+            init(factor, *args)
+
+        def logged_solve(factor, rhs, row):
+            intervals[-1].append(row)
+            return solve(factor, rhs, row)
+
+        def logged_check(residuals):
+            intervals[-1].append("residual")
+            check(residuals)
+
+        monkeypatch.setattr(master_eq._BlockFactor, "__init__", new_interval)
+        monkeypatch.setattr(master_eq._BlockFactor, "solve", logged_solve)
+        monkeypatch.setattr(master_eq, "_check_residual", logged_check)
+        report = {}
+        gen.states(np.linspace(OMEGA_NV - 25.0, OMEGA_NV + 25.0, 31),
+                   check_unique=True, report=report)
+        last = gen.rows[1]
+        for log in intervals:
+            if last in log:  # after the first state's residual passed
+                assert "residual" in log[: log.index(last)]
+        assert report["rejected_models"] > 0
+        # b and one solve per Arnoldi step, of the returned models only
+        dims = report["krylov_dims"]
+        assert sum(log.count(last) for log in intervals) == (
+            sum(dims[1::2]) + len(dims) // 2
+            + report["points_solved_per_point"])
 
     def test_undamped_modes_give_the_dense_outcome(self):
         # gamma_b = gamma_d = 0: the qubit still damps every mode, and the
