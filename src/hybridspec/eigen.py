@@ -14,6 +14,10 @@ import numpy as np
 from .core import SystemParams
 from .errors import PerturbationOutOfRange
 
+# detunings per block of eigen_numeric: its temporaries stay near 0.15 MB
+# each, whatever the number of detunings
+_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -105,9 +109,20 @@ def eigen_perturbative(params: SystemParams, delta: float) -> EigenResult:
 
 def eigen_numeric(params: SystemParams, delta) -> EigenResult:
     """Dense Hermitian diagonalization of build_h1, ascending order.  An
-    array of detunings is diagonalized as one stack, each matrix
-    bit-identical to its own call."""
-    values, vectors = np.linalg.eigh(build_h1(params, delta))
-    vectors = _fix_phase(vectors)
-    weights = np.abs(vectors[..., 0, :]) ** 2
-    return EigenResult(values, vectors, weights)
+    array of detunings is diagonalized in stacks of _BLOCK matrices, each
+    matrix bit-identical to its own call, into results of delta's shape
+    plus (3,), (3, 3) and (3,)."""
+    delta = np.asarray(delta, dtype=float)
+    flat = delta.reshape(-1)
+    values = np.empty((len(flat), 3))
+    vectors = np.empty((len(flat), 3, 3), dtype=complex)
+    weights = np.empty((len(flat), 3))
+    for k in range(0, len(flat), _BLOCK):
+        block = slice(k, k + _BLOCK)
+        values[block], v = np.linalg.eigh(build_h1(params, flat[block]))
+        vectors[block] = v = _fix_phase(v)
+        weights[block] = np.abs(v[:, 0, :]) ** 2
+    shape = delta.shape
+    return EigenResult(values.reshape(shape + (3,)),
+                       vectors.reshape(shape + (3, 3)),
+                       weights.reshape(shape + (3,)))

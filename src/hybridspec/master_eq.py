@@ -629,16 +629,19 @@ class HermitianGenerator:
                                     f"{np.max(estimate):.3e} too large")
             basis[k] = w / hess[k, k - 1]
 
-    def _interval(self, omegas: np.ndarray, check_unique: bool) -> tuple:
+    def _interval(self, omegas: np.ndarray, check_unique: bool,
+                  built: list) -> tuple:
         """Stacked steady states at the sorted omegas from reduced models
         expanded at the interval's centre (the exact solve at a single
         point), their worst residual, lowest eigenvalue and Krylov dimensions.
         Raises the first check a point fails: the first-row model's
         estimate, the residual, the density-matrix checks, then with
         ``check_unique`` (and only then built) the last-row model's
-        estimate, its agreement with the first state and its residual."""
+        estimate, its agreement with the first state and its residual.
+        ``built`` receives the trace row of each model as it is begun."""
         s = omegas - self.omega_ref
         centre = 0.5 * (s[0] + s[-1])
+        built.append(self.rows[0])  # its factorization may raise already
         factor = _BlockFactor(self, centre)
         x, k = self._krylov(factor, self.rows[0], s - centre)
         residuals = self._residuals(x, s)
@@ -647,6 +650,7 @@ class HermitianGenerator:
         low = _validate_density_matrix(rhos)
         dims = [k]
         if check_unique:
+            built.append(self.rows[1])
             x, k = self._krylov(factor, self.rows[1], s - centre)
             _check_unique(rhos, self._density_matrices(x))
             _check_residual(self._residuals(x, s))
@@ -662,8 +666,8 @@ class HermitianGenerator:
 
         ``report``, a dict updated in place, receives ``krylov_dims`` (the
         Krylov dimension of every reduced model whose points were
-        returned), ``rejected_models`` (the trace-row models of every split
-        interval, two with ``check_unique`` whether or not both were built),
+        returned), ``rejected_models`` (the trace-row models built for
+        every split interval: two where the last-row model ran, else one),
         ``rejection_reasons`` (per split interval, its omega range and the
         check it failed), ``points_solved_per_point`` (one-point models),
         ``worst_residual`` (the largest certified residual returned),
@@ -684,14 +688,15 @@ class HermitianGenerator:
             if len(idx) != 1 and len(idx) < MIN_MODEL_POINTS:
                 pending += list(idx[::-1, None])  # lowest omega first
                 continue
+            built = []
             try:
-                rhos, residual, low, dims = self._interval(omegas[idx],
-                                                           check_unique)
+                rhos, residual, low, dims = self._interval(
+                    omegas[idx], check_unique, built)
             except (SolverFailure, NonUniqueSteadyState) as exc:
                 if len(idx) == 1:
                     raise type(exc)(f"at omega={omegas[idx[0]]}: {exc}") \
                         from exc
-                report["rejected_models"] += 2 if check_unique else 1
+                report["rejected_models"] += len(built)
                 report["rejection_reasons"].append(
                     f"omega {omegas[idx[0]]} to {omegas[idx[-1]]}: {exc}")
                 half = len(idx) // 2

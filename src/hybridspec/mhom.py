@@ -30,13 +30,20 @@ _THETA = 0.25
 _TERMS = 26
 # frequencies per tree traversal: holds its (frequency, box) lists to a few
 # MB.  At 36,000 packets a frequency accepts about 60 boxes (about 115 at
-# gamma_b, gamma_d = 6.433, 0.493), and the largest temporary of a chunk is
-# the (_TERMS, n_far) moment gather: about 6.5 MB (12-18 MB)
+# gamma_b, gamma_d = 6.433, 0.493), and the far field's temporaries are a
+# few (n_far,) rows: about 0.25 MB each (0.5 MB)
 _CHUNK = 256
 # (frequency, leaf) pairs per near-field block: caps its (_LEAF, pairs)
-# temporaries at 2 MiB each.  Unequal damping makes boxes tall, and a chunk
-# can then hold hundreds of thousands of near pairs
+# temporaries at 2 MiB each, the largest a chunk makes.  Unequal damping
+# makes boxes tall, and a chunk can then hold hundreds of thousands of near
+# pairs
 _NEAR_BLOCK = 4096
+# the build's blocks: packets per pole-form block, and boxes per block of
+# the moments, a power of two, so that a block of leaves is the whole
+# level or at least two columns wide (numpy sums a C-contiguous (rows, 1)
+# array pairwise, a wider one row by row)
+_PACKET_BLOCK = 4096
+_BOX_BLOCK = 256
 # pole-form residues of a packet near a double root grow as |e|/|r| and
 # would cancel to that factor; above _PAIR_GAIN zeta^2 (only possible with
 # gamma_b != gamma_d) the packet is summed in its rational form
@@ -142,29 +149,64 @@ def sample_ensemble(spec: EnsembleSpec) -> Packets:
 def _pole_form(packets: Packets, gamma_b: float, gamma_d: float,
                origin: float) -> tuple:
     """(poles, residues) of the packets' terms, frequencies from
-    ``origin``, and (zeta^2, beta, delta, j^2) of the packets left in
-    rational form."""
-    beta = (packets.omega_b - origin) - 1j * gamma_b
-    delta = (packets.omega_d - origin) - 1j * gamma_d
-    j2 = packets.j_zeeman ** 2 + packets.j_strain ** 2
-    zeta2 = packets.zeta ** 2
-    mid = 0.5 * (beta + delta)
-    e = 0.5 * (delta - beta)
-    r = np.sqrt(e * e + j2)
-    # the root aligned with e, so that r + e does not cancel and the small
-    # residue zeta^2 (r - e)/(2r) = zeta^2 j^2/((r + e) 2r) is exact
-    r = np.where((r * np.conj(e)).real < 0, -r, r)
-    s = r + e
-    pair = np.abs(s) > 2.0 * _PAIR_GAIN * np.abs(r)
-    single = r == 0  # omega_b = omega_d, gamma_b = gamma_d, j = 0
-    two_r = np.where(single, 1.0, 2.0 * r)
-    large = np.where(single, 0.5 * zeta2, zeta2 * s / two_r)
-    small = np.where(single, 0.5 * zeta2,
-                     zeta2 * j2 / (np.where(single, 1.0, s) * two_r))
-    keep = ~pair
-    return (np.concatenate([(mid + r)[keep], (mid - r)[keep]]),
-            np.concatenate([small[keep], large[keep]]),
-            (zeta2[pair], beta[pair], delta[pair], j2[pair]))
+    ``origin``: every packet's pole m + r, then every pole m - r, leaving
+    out the packets in rational form, and (zeta^2, beta, delta, j^2) of
+    those packets.  Evaluated _PACKET_BLOCK packets at a time."""
+    n = len(packets)
+    poles = np.empty(2 * n, dtype=complex)
+    residues = np.empty(2 * n, dtype=complex)
+    pairs = []
+    kept = 0
+    for k in range(0, n, _PACKET_BLOCK):
+        block = slice(k, k + _PACKET_BLOCK)
+        beta = (packets.omega_b[block] - origin) - 1j * gamma_b
+        delta = (packets.omega_d[block] - origin) - 1j * gamma_d
+        j2 = packets.j_zeeman[block] ** 2 + packets.j_strain[block] ** 2
+        zeta2 = packets.zeta[block] ** 2
+        mid = 0.5 * (beta + delta)
+        e = 0.5 * (delta - beta)
+        r = np.sqrt(e * e + j2)
+        # the root aligned with e, so that r + e does not cancel and the
+        # small residue zeta^2 (r - e)/(2r) = zeta^2 j^2/((r + e) 2r) is
+        # exact
+        r = np.where((r * np.conj(e)).real < 0, -r, r)
+        s = r + e
+        pair = np.abs(s) > 2.0 * _PAIR_GAIN * np.abs(r)
+        single = r == 0  # omega_b = omega_d, gamma_b = gamma_d, j = 0
+        two_r = np.where(single, 1.0, 2.0 * r)
+        large = np.where(single, 0.5 * zeta2, zeta2 * s / two_r)
+        small = np.where(single, 0.5 * zeta2,
+                         zeta2 * j2 / (np.where(single, 1.0, s) * two_r))
+        keep = ~pair
+        end = kept + np.count_nonzero(keep)
+        poles[kept:end] = (mid + r)[keep]
+        poles[n + kept:n + end] = (mid - r)[keep]
+        residues[kept:end] = small[keep]
+        residues[n + kept:n + end] = large[keep]
+        kept = end
+        pairs.append((zeta2[pair], beta[pair], delta[pair], j2[pair]))
+    if kept < n:  # close the gap the rational-form packets left
+        poles[kept:2 * kept] = poles[n:n + kept]
+        residues[kept:2 * kept] = residues[n:n + kept]
+    return (poles[:2 * kept], residues[:2 * kept],
+            tuple(np.concatenate(column) for column in zip(*pairs)))
+
+
+def _leaves(poles, residues) -> tuple:
+    """(levels, leaf poles, leaf residues) of the tree over the sorted
+    poles: 2^levels equal-count ranges, padded to one width with zero
+    residues at a pole of the same leaf (one column per leaf)."""
+    n = len(poles)
+    levels = 0
+    while _LEAF << levels < n:
+        levels += 1
+    n_leaf = 1 << levels
+    bounds = np.arange(n_leaf + 1) * n // n_leaf
+    idx = bounds[:-1] + np.arange(np.max(np.diff(bounds)))[:, None]
+    pad = idx >= bounds[1:]
+    # through the sort order: the sorted poles are never formed
+    idx = np.argsort(poles, kind="stable")[np.where(pad, bounds[:-1], idx)]
+    return levels, poles[idx], np.where(pad, 0.0, residues[idx])
 
 
 class SelfEnergy:
@@ -204,35 +246,26 @@ class SelfEnergy:
         self._origin = float(np.median(packets.omega_b))
         poles, residues, self._pairs = _pole_form(packets, gamma_b, gamma_d,
                                                   self._origin)
-        order = np.argsort(poles, kind="stable")
-        poles, residues = poles[order], residues[order]
-        self._build(poles, residues)
-
-    def _build(self, poles, residues):
-        n = len(poles)
-        if not n:  # every packet in rational form
+        if not len(poles):  # every packet in rational form
             self._levels = None
             return
-        levels = 0
-        while _LEAF << levels < n:
-            levels += 1
-        self._levels = levels
-        # leaves: equal-count ranges of the sorted poles, padded to one
-        # width with zero residues at a pole of the same leaf
-        # (one column per leaf)
+        self._levels, self._leaf_p, self._leaf_a = _leaves(poles, residues)
+        del poles, residues  # the leaves hold every pole from here on
+        self._build()
+
+    def _build(self):
+        levels, leaf_p, leaf_a = self._levels, self._leaf_p, self._leaf_a
         n_leaf = 1 << levels
-        bounds = np.arange(n_leaf + 1) * n // n_leaf
-        idx = bounds[:-1] + np.arange(np.max(np.diff(bounds)))[:, None]
-        pad = idx >= bounds[1:]
-        idx = np.where(pad, bounds[:-1], idx)
-        self._leaf_p = leaf_p = poles[idx]
-        self._leaf_a = leaf_a = np.where(pad, 0.0, residues[idx])
         self._first_leaf = n_leaf - 1
 
         # boxes in heap order: node b has children 2b+1 and 2b+2, the
         # leaves are the last level.  A box's centre is the middle of the
         # rectangle around its poles, and its radius reaches over its
         # children's discs, so the moment shift below never amplifies.
+        # Moments M_k = sum a ((p - c)/scale)^k, scale the radius (or 1):
+        # the leaves' from their poles, a parent's from its children's by
+        # the binomial shift M_k = sum_i C(k, i) u^(k-i) (s'/s)^i M'_i,
+        # u = (c' - c)/s.  Both run over blocks of _BOX_BLOCK boxes.
         n_node = 2 * n_leaf - 1
         leaves = slice(n_leaf - 1, n_node)
         rect = np.empty((n_node, 4))  # min Re, max Re, min Im, max Im
@@ -242,8 +275,17 @@ class SelfEnergy:
         radius = np.empty(n_node)
         centre[leaves] = (0.5 * (rect[leaves, 0] + rect[leaves, 1])
                           + 0.5j * (rect[leaves, 2] + rect[leaves, 3]))
-        u = leaf_p - centre[leaves]
-        radius[leaves] = np.max(np.hypot(u.real, u.imag), axis=0)
+        moments = np.empty((_TERMS, n_node), dtype=complex)
+        for k in range(0, n_leaf, _BOX_BLOCK):
+            cols = slice(k, k + _BOX_BLOCK)
+            box = slice(n_leaf - 1 + k, n_leaf - 1 + k + _BOX_BLOCK)
+            u = leaf_p[:, cols] - centre[box]
+            radius[box] = np.max(np.hypot(u.real, u.imag), axis=0)
+            u /= np.where(radius[box] > 0, radius[box], 1.0)
+            term = leaf_a[:, cols].copy()
+            for j in range(_TERMS):
+                moments[j, box] = term.sum(axis=0)
+                term *= u
         parents = [np.arange((1 << level) - 1, (2 << level) - 1)
                    for level in range(levels)]
         for par in reversed(parents):
@@ -259,29 +301,22 @@ class SelfEnergy:
                   for kid in kids))
         scale = np.where(radius > 0, radius, 1.0)
 
-        # moments M_k = sum a ((p - c)/scale)^k: the leaves' from their
-        # poles, a parent's from its children's by the binomial shift
-        # M_k = sum_i C(k, i) u^(k-i) (s'/s)^i M'_i, u = (c' - c)/s
-        moments = np.empty((_TERMS, n_node), dtype=complex)
-        u /= scale[leaves]
-        term = leaf_a.copy()
-        for k in range(_TERMS):
-            moments[k, leaves] = term.sum(axis=0)
-            term *= u
         power = np.arange(_TERMS)[:, None]
         # C(i + d, i), i = 0 .. _TERMS - d - 1, as a column for each d
         binom = [np.array([[comb(i + d, i)] for i in range(_TERMS - d)],
                           dtype=float) for d in range(_TERMS)]
-        for par in reversed(parents):
-            shifted = np.zeros((_TERMS, len(par)), dtype=complex)
-            for kid in (2 * par + 1, 2 * par + 2):
-                m = moments[:, kid] * (scale[kid] / scale[par]) ** power
-                u = (centre[kid] - centre[par]) / scale[par]
-                u_pow = np.ones(len(par), dtype=complex)
-                for d in range(_TERMS):
-                    shifted[d:] += binom[d] * u_pow * m[:_TERMS - d]
-                    u_pow = u_pow * u
-            moments[:, par] = shifted
+        for level in reversed(parents):
+            for k in range(0, len(level), _BOX_BLOCK):
+                par = level[k:k + _BOX_BLOCK]
+                shifted = np.zeros((_TERMS, len(par)), dtype=complex)
+                for kid in (2 * par + 1, 2 * par + 2):
+                    m = moments[:, kid] * (scale[kid] / scale[par]) ** power
+                    u = (centre[kid] - centre[par]) / scale[par]
+                    u_pow = np.ones(len(par), dtype=complex)
+                    for d in range(_TERMS):
+                        shifted[d:] += binom[d] * u_pow * m[:_TERMS - d]
+                        u_pow = u_pow * u
+                moments[:, par] = shifted
         self._centre, self._radius = centre, radius
         self._scale, self._moments = scale, moments
 
@@ -324,12 +359,11 @@ class SelfEnergy:
         far_node = np.concatenate(far_node)
         d = t[far_t] - self._centre[far_node]
         ratio = self._scale[far_node] / d
-        # Horner over the rows of one gather: np.take keeps it C-contiguous
-        moments = np.take(self._moments, far_node, axis=1)
-        acc = moments[_TERMS - 1].copy()
+        # Horner, gathering one moment row per term
+        acc = self._moments[_TERMS - 1].take(far_node)
         for k in range(_TERMS - 2, -1, -1):
             acc *= ratio
-            acc += moments[k]
+            acc += self._moments[k].take(far_node)
         acc /= d
         re = np.bincount(far_t, acc.real, n)
         im = np.bincount(far_t, acc.imag, n)

@@ -14,6 +14,9 @@ from .errors import PeaksNotResolved, PoleAtRealAxis
 from .numerics import golden_section_max
 
 _POLE_TOL = 1e-300
+# frequencies per block of thom_excitation: its complex temporaries stay
+# near 0.13 MB each, whatever the number of frequencies
+_BLOCK = 8192
 
 
 def thom_amplitude(params: SystemParams, omega) -> np.ndarray:
@@ -33,13 +36,16 @@ def thom_amplitude(params: SystemParams, omega) -> np.ndarray:
 def thom_excitation(params: SystemParams, omega):
     """Qubit excitation (lambda/2)^2 |N/D|^2 at scalar or array omega.
 
-    Independent of theta; scales exactly as lambda^2.  A scalar is
-    evaluated as a one-element array, so it has the bits of the same
-    frequency in an array call.
+    Independent of theta; scales exactly as lambda^2.  The frequencies
+    are evaluated _BLOCK at a time, and a scalar as a one-element array,
+    so every frequency has the bits of its own call.
     """
     omegas = np.asarray(omega, dtype=float)
-    amp = thom_amplitude(params, omegas.reshape(-1))
-    out = (params.lam / 2.0) ** 2 * np.abs(amp) ** 2
+    flat = omegas.reshape(-1)
+    out = np.empty(flat.shape)
+    for k in range(0, len(flat), _BLOCK):
+        amp = thom_amplitude(params, flat[k:k + _BLOCK])
+        out[k:k + _BLOCK] = (params.lam / 2.0) ** 2 * np.abs(amp) ** 2
     return float(out[0]) if omegas.ndim == 0 else out.reshape(omegas.shape)
 
 

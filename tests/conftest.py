@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,17 @@ def scalar_golden_section_max(f, a, b):
             fd = f(d)
         evaluations += 1
     return 0.5 * (a + b), evaluations
+
+
+def traced(call):
+    """(call(), bytes it left allocated, its peak) by tracemalloc, both
+    above the traced memory at its start.  Warm the call up first: a
+    first call may also allocate numpy's caches."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, held - base, peak - base
+    finally:
+        tracemalloc.stop()

@@ -682,9 +682,10 @@ class TestReducedModel:
         meta = spec.metadata
         assert meta["rejected_models"] > 0
         assert meta["krylov_dims"] and meta["points_solved_per_point"] > 0
-        # one reason per split interval (two models each with check_unique)
+        # one reason per split interval; each failed its first-row model,
+        # so no last-row model was built for it
         reasons = meta["rejection_reasons"]
-        assert 2 * len(reasons) == meta["rejected_models"]
+        assert len(reasons) == meta["rejected_models"]
         assert reasons[0].startswith(
             "omega 2853.0 to 2903.0: reduced-model estimate ")
         assert all(r.startswith("omega ") and r.endswith(" too large")
@@ -696,6 +697,27 @@ class TestReducedModel:
         for w, v in zip(grid.points()[::6], spec.values[::6]):
             assert v == pytest.approx(direct_excitation(p, w, layout),
                                       rel=1e-10)
+
+    def test_rejected_models_counts_the_models_built(self, monkeypatch):
+        # the whole window passes its first state, then fails the
+        # uniqueness check: both of its models were built; its halves pass
+        check = master_eq._check_unique
+        calls = []
+
+        def failing_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NonUniqueSteadyState("second kernel candidate found")
+            check(*args)
+
+        monkeypatch.setattr(master_eq, "_check_unique", failing_once)
+        grid = FrequencyGrid(OMEGA_NV - 4.5, OMEGA_NV + 4.5, 21)
+        meta = me_spectrum(small_params(lam=10.0), grid, HilbertLayout(4, 4),
+                           check_unique=True).metadata
+        assert meta["rejection_reasons"] == [
+            "omega 2873.5 to 2882.5: second kernel candidate found"]
+        assert meta["rejected_models"] == 2
+        assert len(meta["krylov_dims"]) == 4 and len(calls) == 3
 
     def test_last_row_models_follow_only_a_passing_first_state(
             self, monkeypatch):

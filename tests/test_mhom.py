@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,9 @@ from hybridspec import (
     thom_excitation,
 )
 from hybridspec.estimate import DEFAULT_DELTAS
-from hybridspec.mhom import (_CHUNK, _TERMS, _THETA, PEAK_SCAN_POINTS,
-                             locate_peak)
+from hybridspec.mhom import (_BOX_BLOCK, _CHUNK, _LEAF, _NEAR_BLOCK,
+                             _PACKET_BLOCK, _PAIR_GAIN, _TERMS, _THETA,
+                             PEAK_SCAN_POINTS, locate_peak)
 
 from conftest import (
     OMEGA_NV,
@@ -29,6 +32,7 @@ from conftest import (
     homogeneous_ensemble,
     sampled_self_energy,
     scalar_golden_section_max,
+    traced,
 )
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -449,6 +453,264 @@ class TestTreeSumOracle:
         for cls in (SelfEnergy, LoopSelfEnergy):
             with pytest.raises(DivergentResponse):
                 cls(pk, 0.0, 0.0)(omegas)
+
+
+def whole_array_pole_form(packets, gamma_b, gamma_d, origin):
+    """The former _pole_form, every packet at once."""
+    beta = (packets.omega_b - origin) - 1j * gamma_b
+    delta = (packets.omega_d - origin) - 1j * gamma_d
+    j2 = packets.j_zeeman ** 2 + packets.j_strain ** 2
+    zeta2 = packets.zeta ** 2
+    mid = 0.5 * (beta + delta)
+    e = 0.5 * (delta - beta)
+    r = np.sqrt(e * e + j2)
+    r = np.where((r * np.conj(e)).real < 0, -r, r)
+    s = r + e
+    pair = np.abs(s) > 2.0 * _PAIR_GAIN * np.abs(r)
+    single = r == 0
+    two_r = np.where(single, 1.0, 2.0 * r)
+    large = np.where(single, 0.5 * zeta2, zeta2 * s / two_r)
+    small = np.where(single, 0.5 * zeta2,
+                     zeta2 * j2 / (np.where(single, 1.0, s) * two_r))
+    keep = ~pair
+    return (np.concatenate([(mid + r)[keep], (mid - r)[keep]]),
+            np.concatenate([small[keep], large[keep]]),
+            (zeta2[pair], beta[pair], delta[pair], j2[pair]))
+
+
+class WholeArraySelfEnergy(SelfEnergy):
+    """The former whole-array build and one-gather far field, the oracle of
+    SelfEnergy's blocked ones: the pole form of every packet at once, the
+    sorted poles and residues, the moments of every leaf and of a whole
+    level of parents at once, and Horner over one (_TERMS, n_far) gather."""
+
+    def __init__(self, packets, gamma_b, gamma_d):
+        self.gamma_b, self.gamma_d = gamma_b, gamma_d
+        self.n_frequencies = 0
+        self._origin = float(np.median(packets.omega_b))
+        poles, residues, self._pairs = whole_array_pole_form(
+            packets, gamma_b, gamma_d, self._origin)
+        order = np.argsort(poles, kind="stable")
+        self._whole_array_build(poles[order], residues[order])
+
+    def _whole_array_build(self, poles, residues):
+        n = len(poles)
+        if not n:
+            self._levels = None
+            return
+        levels = 0
+        while _LEAF << levels < n:
+            levels += 1
+        self._levels = levels
+        n_leaf = 1 << levels
+        bounds = np.arange(n_leaf + 1) * n // n_leaf
+        idx = bounds[:-1] + np.arange(np.max(np.diff(bounds)))[:, None]
+        pad = idx >= bounds[1:]
+        idx = np.where(pad, bounds[:-1], idx)
+        self._leaf_p = leaf_p = poles[idx]
+        self._leaf_a = leaf_a = np.where(pad, 0.0, residues[idx])
+        self._first_leaf = n_leaf - 1
+        n_node = 2 * n_leaf - 1
+        leaves = slice(n_leaf - 1, n_node)
+        rect = np.empty((n_node, 4))
+        rect[leaves] = np.stack([leaf_p.real.min(0), leaf_p.real.max(0),
+                                 leaf_p.imag.min(0), leaf_p.imag.max(0)], 1)
+        centre = np.empty(n_node, dtype=complex)
+        radius = np.empty(n_node)
+        centre[leaves] = (0.5 * (rect[leaves, 0] + rect[leaves, 1])
+                          + 0.5j * (rect[leaves, 2] + rect[leaves, 3]))
+        u = leaf_p - centre[leaves]
+        radius[leaves] = np.max(np.hypot(u.real, u.imag), axis=0)
+        parents = [np.arange((1 << level) - 1, (2 << level) - 1)
+                   for level in range(levels)]
+        for par in reversed(parents):
+            kids = (2 * par + 1, 2 * par + 2)
+            rect[par, ::2] = np.minimum(rect[kids[0], ::2],
+                                        rect[kids[1], ::2])
+            rect[par, 1::2] = np.maximum(rect[kids[0], 1::2],
+                                         rect[kids[1], 1::2])
+            centre[par] = (0.5 * (rect[par, 0] + rect[par, 1])
+                           + 0.5j * (rect[par, 2] + rect[par, 3]))
+            radius[par] = np.maximum(
+                *(np.abs(centre[kid] - centre[par]) + radius[kid]
+                  for kid in kids))
+        scale = np.where(radius > 0, radius, 1.0)
+        moments = np.empty((_TERMS, n_node), dtype=complex)
+        u /= scale[leaves]
+        term = leaf_a.copy()
+        for k in range(_TERMS):
+            moments[k, leaves] = term.sum(axis=0)
+            term *= u
+        power = np.arange(_TERMS)[:, None]
+        binom = [np.array([[comb(i + d, i)] for i in range(_TERMS - d)],
+                          dtype=float) for d in range(_TERMS)]
+        for par in reversed(parents):
+            shifted = np.zeros((_TERMS, len(par)), dtype=complex)
+            for kid in (2 * par + 1, 2 * par + 2):
+                m = moments[:, kid] * (scale[kid] / scale[par]) ** power
+                u = (centre[kid] - centre[par]) / scale[par]
+                u_pow = np.ones(len(par), dtype=complex)
+                for d in range(_TERMS):
+                    shifted[d:] += binom[d] * u_pow * m[:_TERMS - d]
+                    u_pow = u_pow * u
+            moments[:, par] = shifted
+        self._centre, self._radius = centre, radius
+        self._scale, self._moments = scale, moments
+
+    def _tree_sum(self, t):
+        n = len(t)
+        tgt = np.arange(n)
+        node = np.zeros(n, dtype=np.intp)
+        far_t, far_node = [], []
+        for level in range(self._levels + 1):
+            d = t[tgt] - self._centre[node]
+            accept = self._radius[node] < _THETA * np.hypot(d.real, d.imag)
+            far_t.append(tgt[accept])
+            far_node.append(node[accept])
+            tgt, node = tgt[~accept], node[~accept]
+            if level < self._levels:
+                tgt = np.repeat(tgt, 2)
+                node = (2 * node[:, None] + (1, 2)).ravel()
+        far_t = np.concatenate(far_t)
+        far_node = np.concatenate(far_node)
+        d = t[far_t] - self._centre[far_node]
+        ratio = self._scale[far_node] / d
+        moments = np.take(self._moments, far_node, axis=1)
+        acc = moments[_TERMS - 1].copy()
+        for k in range(_TERMS - 2, -1, -1):
+            acc *= ratio
+            acc += moments[k]
+        acc /= d
+        re = np.bincount(far_t, acc.real, n)
+        im = np.bincount(far_t, acc.imag, n)
+        leaf = node - self._first_leaf
+        near = np.empty(len(tgt), dtype=complex)
+        for k in range(0, len(tgt), _NEAR_BLOCK):
+            cols = slice(k, k + _NEAR_BLOCK)
+            d = t[tgt[cols]] - np.take(self._leaf_p, leaf[cols], axis=1)
+            if np.any(np.abs(d) < 1e-300):
+                raise DivergentResponse("packet denominator vanished")
+            near[cols] = (np.take(self._leaf_a, leaf[cols], axis=1)
+                          / d).sum(axis=0)
+        return (re + np.bincount(tgt, near.real, n),
+                im + np.bincount(tgt, near.imag, n))
+
+
+def double_root_packets(omega_b=OMEGA_NV):
+    """test_packets_near_a_double_root's packets: at gamma_b, gamma_d =
+    0.6, 0.2 all but the last two are summed in rational form."""
+    j0 = 0.2
+    offsets = np.array([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.5, -1e-10])
+    n = len(offsets)
+    return Packets(zeta=np.full(n, 13.0 / np.sqrt(n)),
+                   omega_b=omega_b + np.array([0, 0, 0, 0, 0, 0, 1e-9]),
+                   omega_d=np.full(n, omega_b),
+                   j_zeeman=j0 * (1.0 + offsets), j_strain=np.zeros(n))
+
+
+class TestBlockedBuildOracle:
+    """SelfEnergy's blocked build and one-row-per-term far field give the
+    bits of the whole-array build and one-gather far field they replaced,
+    in array calls and scalar calls."""
+
+    def assert_bit_identical(self, packets, gamma_b, gamma_d, omegas,
+                             n_scalar=40):
+        got = SelfEnergy(packets, gamma_b, gamma_d)
+        ref = WholeArraySelfEnergy(packets, gamma_b, gamma_d)
+        for name in ("_centre", "_radius", "_scale", "_moments", "_leaf_p",
+                     "_leaf_a"):
+            if ref._levels is not None:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)), name
+        for a, b in zip(got._pairs, ref._pairs):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(got(omegas).view(float),
+                              ref(omegas).view(float))
+        step = max(1, len(omegas) // n_scalar)
+        for w in omegas[::step].tolist():
+            assert got(w).tobytes() == ref(w).tobytes()
+
+    def test_reference_ensemble(self):
+        omegas = np.concatenate([np.linspace(lo, hi, n) for lo, hi, _, n
+                                 in pipeline_scans(REFERENCE_ENSEMBLE)])
+        pk = sample_ensemble(REFERENCE_ENSEMBLE)
+        self.assert_bit_identical(pk, 0.2, 0.2, omegas)
+        # unequal damping makes tall boxes, and the call nearly direct
+        self.assert_bit_identical(pk, 6.433, 0.493, omegas[::8], 10)
+
+    def test_packets_near_a_double_root(self):
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 401)
+        self.assert_bit_identical(double_root_packets(), 0.6, 0.2, omegas)
+
+    def test_double_roots_in_several_packet_blocks(self):
+        # rational-form packets in the first and last pole-form blocks
+        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(
+            n_packets=2 * _PACKET_BLOCK + 5))
+        roots = double_root_packets()
+        fields = {name: np.concatenate([getattr(roots, name)[:3],
+                                        getattr(pk, name),
+                                        getattr(roots, name)[3:]])
+                  for name in ("zeta", "omega_b", "omega_d", "j_zeeman",
+                               "j_strain")}
+        mixed = Packets(**fields)
+        sigma = SelfEnergy(mixed, 0.6, 0.2)
+        assert len(sigma._pairs[0]) == 5
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 301)
+        self.assert_bit_identical(mixed, 0.6, 0.2, omegas, 10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           n=st.integers(1, 3 * _PACKET_BLOCK),
+           lorentzian=st.booleans(), gamma_b=st.floats(0.02, 8.0),
+           gamma_d=st.floats(0.02, 8.0), equal=st.booleans(),
+           centre=st.floats(-30.0, 30.0), half=st.floats(0.1, 40.0),
+           n_points=st.integers(1, 100))
+    def test_matches_whole_array_build(self, seed, n, lorentzian, gamma_b,
+                                       gamma_d, equal, centre, half,
+                                       n_points):
+        spec = REFERENCE_ENSEMBLE.with_(
+            n_packets=n, seed=seed,
+            distribution="lorentzian" if lorentzian else "gaussian")
+        omegas = np.linspace(OMEGA_NV + centre - half,
+                             OMEGA_NV + centre + half, n_points)
+        self.assert_bit_identical(sample_ensemble(spec), gamma_b,
+                                  gamma_b if equal else gamma_d, omegas, 5)
+
+    def test_blocks_are_exercised(self):
+        # the reference ensemble spans several blocks of each kind
+        sigma = sampled_self_energy(REFERENCE_ENSEMBLE,
+                                    REFERENCE_MHOM_PARAMS)
+        assert REFERENCE_ENSEMBLE.n_packets > 2 * _PACKET_BLOCK
+        assert sigma._leaf_p.shape[1] > 2 * _BOX_BLOCK
+
+
+class TestMemory:
+    """tracemalloc peaks of the reference ensemble's self-energy: its
+    temporaries have a fixed block size, not the ensemble's or the
+    call's."""
+
+    def test_build_peaks_near_what_it_holds(self):
+        # 15.5 MB above the 6.0 MB held, at the whole-array build
+        pk = sample_ensemble(REFERENCE_ENSEMBLE)
+        params = REFERENCE_MHOM_PARAMS
+        SelfEnergy(pk, params.gamma_b, params.gamma_d)  # warm up
+        sigma, held, peak = traced(
+            lambda: SelfEnergy(pk, params.gamma_b, params.gamma_d))
+        assert sigma._moments.nbytes < held
+        assert peak - held <= 2e6
+
+    def test_call_adds_little(self):
+        # the two scans of estimate_separation, 802 frequencies: 8.4 MB
+        # with the one moment gather
+        sigma = sampled_self_energy(REFERENCE_ENSEMBLE,
+                                    REFERENCE_MHOM_PARAMS)
+        omegas = np.concatenate([np.linspace(lo, hi, PEAK_SCAN_POINTS)
+                                 for _, lo, hi in pipeline_windows(
+                                     REFERENCE_ENSEMBLE, ())[0]])
+        assert len(omegas) == 802
+        sigma(omegas)  # warm up
+        _, _, peak = traced(lambda: sigma(omegas))
+        assert peak <= 2.5e6
 
 
 class TestSpectrum:
