@@ -272,11 +272,15 @@ def real_liouvillian(h: np.ndarray, collapse,
     blocks.
 
     ``collapse`` is a sequence of (rate, C); ``number`` is the diagonal of
-    an excitation number N that only the drive changes, and only by one.
-    The basis is unitary, so norms and residuals equal those of the
-    column-stacked generator.  The result is real exactly when the map
-    preserves Hermiticity; an entry that is not finite, or an imaginary
-    part above 1e-12 of the largest entry, raises SolverFailure.
+    an excitation number N.  Each column-stacked entry may change the
+    coherence N_i - N_j of rho_ij by at most one, else ValueError: the
+    generator is then block tridiagonal in m = |N_i - N_j|, and it couples
+    no rho_ij to a rho_kl of opposite coherence, so it is complex-linear on
+    u + iv of every order m >= 1.  The basis is unitary, so norms and
+    residuals equal those of the column-stacked generator.  The result is
+    real exactly when the map preserves Hermiticity; an entry that is not
+    finite, or an imaginary part above 1e-12 of the largest entry, raises
+    SolverFailure.
     """
     n = h.shape[0]
     eye = (np.arange(n), np.arange(n), np.ones(n, dtype=complex))
@@ -290,18 +294,11 @@ def real_liouvillian(h: np.ndarray, collapse,
     rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
     if not np.all(np.isfinite(vals)):
         raise SolverFailure("generator entries are not finite")
-
-    # L_real[p, q] = sum_rs T[p, r] L[r, s] conj(T[q, s]); column s of T
-    # has its nonzeros at the u- and v-slot of s's pair (cv = 0 on the
-    # diagonal)
-    u_slot, v_slot, cu, cv = _hermitian_basis(number)
-    to_p = (u_slot[rows], cu[rows]), (v_slot[rows], cv[rows])
-    to_q = (u_slot[cols], cu[cols].conj()), (v_slot[cols], cv[cols].conj())
-    p = np.concatenate([p for p, _ in to_p for _ in to_q])
-    q = np.concatenate([q for _ in to_p for q, _ in to_q])
-    weights = np.concatenate([tp * vals * tq for _, tp in to_p
-                              for _, tq in to_q])
-    return CoherenceBlocks(number, p, q, weights)
+    coherence = np.subtract.outer(number, number).ravel(order="F")
+    if np.any(np.abs(coherence[rows] - coherence[cols]) > 1):
+        raise ValueError("generator couples coherence orders N_i - N_j "
+                         "more than one apart")
+    return CoherenceBlocks(number, rows, cols, vals)
 
 
 def _ell(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -318,28 +315,17 @@ def _ell(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return ell
 
 
-def _complex(ell: tuple, paired_rows: bool, conj: bool = False) -> tuple:
-    """The complex C, in ELL form, with R y = Re(C z) for a real block R in
-    ELL form whose columns are (u, v) pairs and z = u + iv: C[:, b] =
-    R[:, 2b] - i R[:, 2b + 1] (its conjugate with ``conj``).  With rows in
-    pairs too, R is the real form of C and C keeps the u rows only."""
-    cols, vals = (part[:, :: 2 if paired_rows else 1] for part in ell)
-    keep = vals != 0.0  # not the padding
-    c = cols[keep]
-    return _ell(np.nonzero(keep)[1], c // 2, vals[keep]
-                * np.where(c % 2, 1j if conj else -1j, 1.0), cols.shape[1])
-
-
 def _ell_dot(ell: tuple, x: np.ndarray) -> np.ndarray:
-    """S @ x for a block S in ELL form and x of shape (c,) or (c, p).  A
-    vector takes all stored entries at once; a matrix one nonzero per row
-    at a time, so that no temporary is larger than the result."""
+    """A block S in ELL form applied along the last axis of x: S x for a
+    vector, x S^T for a stack of rows.  A vector takes all stored entries
+    at once; a stack one stored entry per row at a time, so that no
+    temporary is larger than the result."""
     cols, vals = ell
     if x.ndim == 1:
         return (vals * x[cols]).sum(axis=0)
-    out = np.zeros(cols.shape[1:] + x.shape[1:], np.result_type(vals, x))
+    out = np.zeros(x.shape[:-1] + cols.shape[1:], np.result_type(vals, x))
     for c, v in zip(cols, vals):
-        out += v[:, None] * x[c]
+        out += v * x[..., c]
     return out
 
 
@@ -347,36 +333,47 @@ class CoherenceBlocks:
     """A real generator on the Hermitian-basis slots of an n x n density
     matrix, with the slots grouped by coherence order m = |N_i - N_j|.
 
+    Vectors in this order are slot vectors permuted by ``perm``; ``pos`` is
+    its inverse.  Each order holds its slots as (u, v) pairs, u first (a
+    diagonal slot of m = 0 stands alone), and ``parts`` reads a vector as
+    its orders: real on m = 0, and z = u + iv on m >= 1, where the
+    generator is complex-linear (``real_liouvillian``).  ``basis`` maps a
+    vector back: slot s of vec(rho) is cu x[gu] + cv x[gv] for
+    (gu, gv, cu, cv) = basis, at s.
+
     Only the drive changes N, by one, so the generator is block tridiagonal
     in m: ``diag[m]`` is block (m, m), ``upper[m]`` block (m - 1, m) and
-    ``lower[m]`` block (m, m - 1), each held as its nonzeros in ELL form
-    (``_ell``).  Vectors in this order are slot vectors permuted by
-    ``perm``; ``pos`` is its inverse.  No zero of a block is stored, and
-    nothing of size n^2 x n^2 is formed.
-
-    Each order holds its slots as (u, v) pairs, u first, and on m >= 1 the
-    generator is complex-linear on z = u + iv: ``upper_c[m]`` and
-    ``lower_tc[m]`` are the complex U and L^T of blocks (m - 1, m) and
-    (m, m - 1) (``_complex``; at m = 1, upper[1] y = Re(U z) and z = L x).
+    ``lower[m]`` block (m, m - 1), with ``lower_t[m]`` its transpose, each
+    held as its nonzeros in ELL form (``_ell``).  Block (0, 0) is real;
+    every other block is the complex C on the z of its orders >= 1: R y =
+    Re(C z) on (0, 1), and on (1, 0) C maps the real x_0 to z.  No zero of
+    a block is stored, and nothing of size n^2 x n^2 is formed.
     """
 
-    def __init__(self, number: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 weights: np.ndarray):
+    def __init__(self, number: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, vals: np.ndarray):
         n = len(number)
         i, j = np.divmod(np.arange(n * n), n)[::-1]  # slot s = i + j*n
         order = np.rint(np.abs(number[i] - number[j])).astype(int)
-        u_slot = np.minimum(i, j) + n * np.maximum(i, j)
+        u_slot, v_slot, cu, cv = _hermitian_basis(number)
         self.perm = np.lexsort((2 * u_slot + (i > j), order))
         self.pos = np.empty_like(self.perm)
         self.pos[self.perm] = np.arange(n * n)
         self.sizes = np.bincount(order)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        if np.any(np.abs(order[p] - order[q]) > 1):
-            raise ValueError("generator couples coherence orders more than "
-                             "one apart")
-        # the entries summed per (row, column) in block order, sorted by row
-        keys, at = np.unique(self.pos[p] * n * n + self.pos[q],
-                             return_inverse=True)
+        gu, gv = self.pos[u_slot], self.pos[v_slot]
+        self.basis = gu, gv, cu.conj(), cv.conj()
+
+        # R[p, q] = sum_rs T[p, r] L[r, s] conj(T[q, s]) in block order;
+        # column s of T has its nonzeros at the u and the v of s's pair (cv
+        # = 0 on the diagonal).  The entries summed per (p, q), by row:
+        to_p = (gu[rows], cu[rows]), (gv[rows], cv[rows])
+        to_q = (gu[cols], cu[cols].conj()), (gv[cols], cv[cols].conj())
+        p = np.concatenate([p for p, _ in to_p for _ in to_q])
+        q = np.concatenate([q for _ in to_p for q, _ in to_q])
+        weights = np.concatenate([tp * vals * tq for _, tp in to_p
+                                  for _, tq in to_q])
+        keys, at = np.unique(p * n * n + q, return_inverse=True)
         sums = np.bincount(at, weights=weights.real, minlength=len(keys))
         imag = np.abs(np.bincount(at, weights=weights.imag)).max(initial=0)
         scale = np.max(np.abs(sums), initial=0.0)
@@ -387,39 +384,57 @@ class CoherenceBlocks:
         if not scale:
             raise SolverFailure("generator has no nonzero entry")
         self.norm2 = float(np.dot(sums, sums))  # squared Frobenius norm
-        rows, cols = np.divmod(keys[sums != 0.0], n * n)
-        sums = sums[sums != 0.0]  # entries that cancelled are not stored
-        mr, mc = order[self.perm[rows]], order[self.perm[cols]]
+
+        # the complex C, read off the u rows where the columns are pairs:
+        # C[a, b] = R[2a, 2b] - i R[2a, 2b + 1], and C[a, c] = R[2a, c] +
+        # i R[2a + 1, c] on (1, 0); entries that cancelled are not stored
+        mb = order[self.perm]  # the order of each position
+        local = np.arange(n * n) - self.offsets[mb]
+        is_v = (mb > 0) & (local % 2 == 1)
+        p, q = np.divmod(keys, n * n)
+        keep = (sums != 0.0) & (~is_v[p] | (mb[q] == 0))
+        sums = sums * np.where(is_v[q], -1j, np.where(is_v[p], 1j, 1.0))
+        keys, at = np.unique(((p - is_v[p]) * n * n + q - is_v[q])[keep],
+                             return_inverse=True)
+        vals = (np.bincount(at, sums[keep].real)
+                + 1j * np.bincount(at, sums[keep].imag))
+        p, q = np.divmod(keys, n * n)
+        # each C is indexed by pairs on m >= 1
+        index = np.where(mb > 0, local // 2, local)
+        dims = np.bincount(mb[~is_v])
 
         def block(a: int, b: int, flip: bool = False) -> tuple:
-            at = (mr == a) & (mc == b)  # block (a, b), or its transpose
-            rc = [rows[at] - self.offsets[a], cols[at] - self.offsets[b]]
-            return _ell(*rc[::-1 if flip else 1], sums[at],
-                        self.sizes[b if flip else a])
+            at = (mb[p] == a) & (mb[q] == b)  # block (a, b), or flipped
+            rc = [index[p[at]], index[q[at]]]
+            return _ell(*rc[::-1 if flip else 1],
+                        vals[at] if a or b else vals[at].real,
+                        dims[b if flip else a])
 
         k = len(self.sizes)
         self.diag = [block(m, m) for m in range(k)]
         self.upper = [None] + [block(m - 1, m) for m in range(1, k)]
         self.lower = [None] + [block(m, m - 1) for m in range(1, k)]
-        self.upper_c = [None] + [_complex(self.upper[m], m > 1)
-                                 for m in range(1, k)]
-        self.lower_tc = [None] + [_complex(block(m, m - 1, True), m > 1, True)
-                                  for m in range(1, k)]
+        self.lower_t = [None] + [block(m, m - 1, True) for m in range(1, k)]
 
-    def split(self, x: np.ndarray) -> list:
-        """Views of the per-order parts of x (slots in block order)."""
-        return [x[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+    def parts(self, x: np.ndarray) -> list:
+        """Views of the orders of x along its last axis (slots in block
+        order): real on m = 0, and z = u + iv of each pair on m >= 1."""
+        bounds = self.offsets.tolist()
+        return [x[..., a:b].view(complex) if m else x[..., a:b]
+                for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Generator times x, for x of shape (n^2,) or (n^2, k)."""
-        xs = self.split(x)
+        """Generator times x along its last axis: one vector (n^2,) or a
+        stack of rows (p, n^2)."""
+        xs = self.parts(x)
         out = np.empty_like(x)
-        for m, part in enumerate(self.split(out)):
+        for m, part in enumerate(self.parts(out)):
             part[...] = _ell_dot(self.diag[m], xs[m])
             if m > 0:
                 part += _ell_dot(self.lower[m], xs[m - 1])
             if m + 1 < len(xs):
-                part += _ell_dot(self.upper[m + 1], xs[m + 1])
+                up = _ell_dot(self.upper[m + 1], xs[m + 1])
+                part += up if m else up.real
         return out
 
 
@@ -433,8 +448,8 @@ def _inverse(block: np.ndarray) -> np.ndarray:
 class _BlockFactor:
     """M(s) = A + s*D with one row of the m = 0 block replaced by the trace
     functional, factored by block elimination from the highest coherence
-    order down to m = 0, in complex arithmetic on the orders m >= 1 (see
-    ``CoherenceBlocks``), whose Schur complements are half their real size.
+    order down to m = 0, on the complex blocks of ``CoherenceBlocks``: the
+    Schur complements of the orders m >= 1 are half their real size.
 
     D is block diagonal and zero on m = 0, and the trace row couples to no
     other order, so only the m = 0 Schur complement depends on which row
@@ -449,9 +464,10 @@ class _BlockFactor:
         schur = gen.diag_block(k - 1, s)
         for m in range(k - 1, 0, -1):
             self.inv[m] = _inverse(schur)
-            # U inv L = (L^T (U inv)^T)^T; at m = 1 its real part
-            t = _ell_dot(a.lower_tc[m],
-                         _ell_dot(a.upper_c[m], self.inv[m]).T).T
+            # U inv L: U along the last axis of inv^T gives (U inv)^T, and
+            # L^T along the last axis of U inv gives U inv L; at m = 1 its
+            # real part
+            t = _ell_dot(a.lower_t[m], _ell_dot(a.upper[m], self.inv[m].T).T)
             schur = gen.diag_block(m - 1, s) - (t if m > 1 else t.real)
         self._schur0 = schur
         self._inv0 = {}
@@ -467,15 +483,15 @@ class _BlockFactor:
         """M(s)^-1 rhs with the trace functional in ``row`` of m = 0."""
         a = self.gen.a
         x = rhs.copy()
-        y = a.split(x)  # views of x: each part is solved in place
-        z = [None] + [part.view(complex) for part in y[1:]]  # u + iv
+        y = a.parts(x)  # views of x: each order is solved in place
         for m in range(len(y) - 1, 0, -1):
-            z[m][:] = self.inv[m] @ z[m]
-            y[m - 1] -= _ell_dot(a.upper[m], y[m])
+            y[m][:] = self.inv[m] @ y[m]
+            up = _ell_dot(a.upper[m], y[m])
+            y[m - 1] -= up if m > 1 else up.real
         y[0][row] = rhs[row]
         y[0][:] = self._inverse0(row) @ y[0]
         for m in range(1, len(y)):
-            z[m] -= self.inv[m] @ _ell_dot(a.lower[m], y[m - 1]).view(complex)
+            y[m] -= self.inv[m] @ _ell_dot(a.lower[m], y[m - 1])
         return x
 
 
@@ -505,11 +521,10 @@ class HermitianGenerator:
 
     In the rotating frame H(omega) = H(omega_nv) - (omega - omega_nv) * N
     with N = sigma_z/2 + n_b + n_d diagonal, so D only rotates each (u, v)
-    pair by delta = |N_i - N_j|: du/dt = -delta v, dv/dt = +delta u, so D
-    is i*m on u + iv in order m.  A is held as coherence-order blocks
-    (``CoherenceBlocks``); D is block diagonal and vanishes on the diagonal
-    slots, so the trace functional can replace the rho_00 row (or the last
-    diagonal row) at every frequency.
+    pair of order m: du/dt = -m v, dv/dt = +m u, so D is i*m on z = u + iv.
+    A is held as coherence-order blocks (``CoherenceBlocks``); D is block
+    diagonal and zero on m = 0, so the trace functional can replace the
+    rho_00 row (or the last diagonal row) at every frequency.
 
     A spectrum is solved interval by interval: B = M(omega_c) is factored
     once by block elimination (``_BlockFactor``) and shift-invert Arnoldi
@@ -531,27 +546,22 @@ class HermitianGenerator:
         self.a = a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
                                           (params.gamma_b, o.b),
                                           (params.gamma_d, o.d)], number)
-        # the (u, v) pairs of the orders m >= 1, and their m
-        self._u = np.arange(a.offsets[1], a.offsets[-1], 2)
-        self._v = self._u + 1
-        self._delta = np.repeat(np.arange(len(a.sizes)), a.sizes)[self._u]
-        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2], with
-        # <A, D> the sum of m (A_vu - A_uv) over the pairs of order m
-        ad = sum(m * np.sum(np.where(r % 2, v, -v)[c == r ^ 1]) for m, (c, v)
-                 in enumerate(a.diag) for r in [np.arange(c.shape[1])])
-        self._norm2 = (a.norm2, 2.0 * ad,
-                       2.0 * np.dot(self._delta, self._delta))
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]: per pair
+        # of order m, <A, D> = m (A_vu - A_uv) = 2m Im C_aa on the diagonal
+        # of its complex block, and ||D||_F^2 = 2m^2
+        im_trace = sum(m * np.sum(v.imag[c == np.arange(c.shape[1])])
+                       for m, (c, v) in enumerate(a.diag[1:], 1))
+        self._norm2 = (a.norm2, 4.0 * im_trace,
+                       float(np.arange(len(a.sizes)) ** 2 @ a.sizes))
         diag_slots = a.pos[:: n + 1]
         self.trace0 = np.zeros(a.sizes[0])
         self.trace0[diag_slots] = 1.0
         self.rows = (a.pos[0], a.pos[n * n - 1])  # rho_00 and rho_last
-        u_slot, v_slot, cu, cv = _hermitian_basis(number)
-        self._basis = a.pos[u_slot], a.pos[v_slot], cu.conj(), cv.conj()
 
     def diag_block(self, m: int, s: float) -> np.ndarray:
         """Diagonal block m of A + s*D, a fresh dense array: real on m = 0,
-        and on m >= 1 the complex block of which it is the real form."""
-        cols, vals = _complex(self.a.diag[m], True) if m else self.a.diag[0]
+        and on m >= 1 complex, acting on z."""
+        cols, vals = self.a.diag[m]
         out = np.zeros((cols.shape[1],) * 2, vals.dtype)
         np.add.at(out, (np.arange(len(out)), cols), vals)  # padding adds 0
         if m:
@@ -559,29 +569,29 @@ class HermitianGenerator:
         return out
 
     def apply_d(self, x: np.ndarray) -> np.ndarray:
-        """D x, for x of shape (n^2,) or (n^2, k) in block order."""
-        delta = self._delta.reshape((-1,) + (1,) * (x.ndim - 1))
+        """D x along the last axis of x (block order)."""
         out = np.zeros_like(x)
-        out[self._u] = -delta * x[self._v]
-        out[self._v] = delta * x[self._u]
+        for m, (part, z) in enumerate(zip(self.a.parts(out)[1:],
+                                          self.a.parts(x)[1:]), 1):
+            np.multiply(z, 1j * m, out=part)
         return out
 
     def _residuals(self, x: np.ndarray, s) -> np.ndarray:
-        """||L x|| / ||L||_F of each column of x (block order), column p
-        against the generator at shift s[p].  A norm that overflows would
-        make every residual read 0, so it is a solver failure."""
-        r = self.a.matvec(x) + self.apply_d(x) * s
+        """||L x|| / ||L||_F of each row of x (block order), row p against
+        the generator at shift s[p].  A norm that overflows would make every
+        residual read 0, so it is a solver failure."""
+        r = self.a.matvec(x) + self.apply_d(x) * np.reshape(s, (-1, 1))
         a2, ad, d2 = self._norm2
         norm = np.sqrt(a2 + s * (ad + s * d2))
         if not np.all(np.isfinite(norm)):
             raise SolverFailure("generator norm is not finite")
-        return np.linalg.norm(r, axis=0) / norm
+        return np.linalg.norm(r, axis=1) / norm
 
     def _density_matrices(self, x: np.ndarray) -> np.ndarray:
-        # one rho per column x (block order): vec(rho) = T' x, T unitary
-        gu, gv, cu, cv = self._basis
+        # one rho per row of x (block order): vec(rho) = T' x, T unitary
+        gu, gv, cu, cv = self.a.basis
         n = self.layout.dim
-        vecs = cu * x.T[:, gu] + cv * x.T[:, gv]
+        vecs = cu * x[:, gu] + cv * x[:, gv]
         return vecs.reshape(-1, n, n).swapaxes(1, 2)
 
     def _krylov(self, factor: _BlockFactor, row: int,
@@ -593,14 +603,14 @@ class HermitianGenerator:
         v_{k+1}, with (I + sigma H_k) y = |b| e_1.  Every ``_KRYLOV_CHECK``
         steps that estimate is checked at the two end shifts, and when both
         are below ``KRYLOV_TOL`` |y|, at every shift; the run returns the
-        columns x(sigma) and k once all are, and raises at ``KRYLOV_MAX``
-        steps.  With every shift zero, x is b itself (k = 0).
+        x(sigma), one row each, and k once all are, and raises at
+        ``KRYLOV_MAX`` steps.  With every shift zero, x is b itself (k = 0).
         """
         b = np.zeros(self.a.offsets[-1])
         b[row] = 1.0
         b = factor.solve(b, row)
         if not sigmas.any():
-            return b[:, None].repeat(len(sigmas), axis=1), 0
+            return b[None].repeat(len(sigmas), axis=0), 0
         basis = np.empty((KRYLOV_MAX + 1, len(b)))  # one vector per row
         hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
         beta = np.linalg.norm(b)
@@ -623,7 +633,9 @@ class HermitianGenerator:
                 continue
             y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
             if np.all(estimate <= KRYLOV_TOL):  # 0 on an invariant subspace
-                return basis[:k].T @ y.T, k
+                # V_k y, then one row per shift: the states keep the
+                # rounding of that product
+                return np.ascontiguousarray((basis[:k].T @ y.T).T), k
             if k == KRYLOV_MAX or hess[k, k - 1] == 0.0:
                 raise SolverFailure(f"reduced-model estimate "
                                     f"{np.max(estimate):.3e} too large")

@@ -368,10 +368,9 @@ class SelfEnergy:
         re = np.bincount(far_t, acc.real, n)
         im = np.bincount(far_t, acc.imag, n)
 
-        # near field in (_LEAF, pairs) blocks: the sum over axis 0 of a
-        # C-contiguous array adds the rows in order, pole by pole (the
-        # fancy index self._leaf_p[:, leaf] is not C-contiguous, and numpy
-        # would sum it pairwise, in other bits)
+        # near field in (_LEAF, pairs) blocks, summed by the builtin sum:
+        # row by row, pole by pole, at any width (numpy would sum a block
+        # one column wide pairwise, in other bits)
         leaf = node - self._first_leaf
         near = np.empty(len(tgt), dtype=complex)
         for k in range(0, len(tgt), _NEAR_BLOCK):
@@ -379,8 +378,7 @@ class SelfEnergy:
             d = t[tgt[cols]] - np.take(self._leaf_p, leaf[cols], axis=1)
             if np.any(np.abs(d) < 1e-300):
                 raise DivergentResponse("packet denominator vanished")
-            near[cols] = (np.take(self._leaf_a, leaf[cols], axis=1)
-                          / d).sum(axis=0)
+            near[cols] = sum(np.take(self._leaf_a, leaf[cols], axis=1) / d)
         return (re + np.bincount(tgt, near.real, n),
                 im + np.bincount(tgt, near.imag, n))
 

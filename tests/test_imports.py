@@ -5,6 +5,7 @@ nothing but the standard library, numpy and the package itself."""
 import ast
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -42,25 +43,31 @@ def test_module_uses_its_imports(path):
 def unread_private_names(sources: list) -> list:
     """``_``-prefixed functions, classes and methods (not dunders) defined
     in the sources that no expression in them reads, as a name or as an
-    attribute."""
-    defined, read = set(), set()
-    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                            ast.Load):
-            read.add(node.attr)
-    return sorted(name for name in defined - read
-                  if name.startswith("_") and not name.endswith("__"))
+    attribute, outside their own definition: a function that only calls
+    itself is unread."""
+    trees = [ast.parse(source) for source in sources]
+
+    def reads(tree) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load))
+
+    total = sum(map(reads, trees), Counter())
+    return sorted({node.name for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name.startswith("_")
+                   and not node.name.endswith("__")
+                   and total[node.name] == reads(node)[node.name]})
 
 
 def test_detects_an_unread_private_name():
     sources = ["def _a():\n    pass\n\n\nclass _B:\n    def __init__(self):\n"
-               "        self._c = 1\n\n    def _c(self):\n        pass\n",
+               "        self._c = 1\n\n    def _c(self):\n        pass\n\n"
+               "    def _d(self, n):\n        return self._d(n - 1)\n",
                "from m import _B\n_B()\n"]
-    assert unread_private_names(sources) == ["_a", "_c"]
+    assert unread_private_names(sources) == ["_a", "_c", "_d"]
 
 
 def test_package_reads_its_private_definitions():

@@ -216,11 +216,15 @@ class TestArrayResponse:
         ref = dense_response(pk, params, omegas)
         assert np.max(np.abs(got - ref) / ref) < 1e-10
 
-    def test_matches_scalar_calls_across_blocks(self):
+    @pytest.mark.parametrize("n_packets", [4, 16, 2000])
+    @pytest.mark.parametrize("n_points", [333, 257])
+    def test_matches_scalar_calls_across_blocks(self, n_packets, n_points):
         # frequencies that open different boxes of the tree and span two
-        # traversal chunks, in one array call and one call each: same bits
-        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=2000))
-        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, 333)
+        # traversal chunks, in one array call and one call each: same bits.
+        # At most 16 packets are one leaf, and 257 points end on a chunk of
+        # one frequency: near-field blocks one column wide
+        pk = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=n_packets))
+        omegas = np.linspace(OMEGA_NV - 25, OMEGA_NV + 25, n_points)
         for gammas in ((0.2, 0.2), (6.433, 0.493)):
             params = REFERENCE_MHOM_PARAMS.with_(gamma_b=gammas[0],
                                                  gamma_d=gammas[1])
@@ -590,8 +594,8 @@ class WholeArraySelfEnergy(SelfEnergy):
             d = t[tgt[cols]] - np.take(self._leaf_p, leaf[cols], axis=1)
             if np.any(np.abs(d) < 1e-300):
                 raise DivergentResponse("packet denominator vanished")
-            near[cols] = (np.take(self._leaf_a, leaf[cols], axis=1)
-                          / d).sum(axis=0)
+            # row by row, as SelfEnergy sums at any width
+            near[cols] = sum(np.take(self._leaf_a, leaf[cols], axis=1) / d)
         return (re + np.bincount(tgt, near.real, n),
                 im + np.bincount(tgt, near.imag, n))
 
