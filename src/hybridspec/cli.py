@@ -276,13 +276,13 @@ def _layout(cfg: dict, args) -> HilbertLayout:
                   n_max_dark=args.n_max_d)
 
 
-def _excitation(cfg: dict, model: str, args, report: dict = None):
+def _excitation(cfg: dict, model: str, args):
     """Build the chosen model once.  Returns (excitation_at, params,
-    packets): excitation_at(p) -> (omegas -> excitation) at the
+    packets): excitation_at(p, reports) -> (omegas -> excitation) at the
     SystemParams p (the config's ``params``, or a change of them made by
-    _changed), and the MHOM packets (None for THOM and ME).  An ME solve
-    writes its run report (see ``HermitianGenerator.states``) into
-    ``report``.  An MHOM system defaults to the ensemble: omega_fq and
+    _changed), and the MHOM packets (None for THOM and ME).  Each ME solve
+    appends its run report (see ``HermitianGenerator.states``) to the list
+    ``reports``.  An MHOM system defaults to the ensemble: omega_fq and
     omega_nv to ensemble.omega_nv, the packet damping gamma_b and gamma_d
     to ensemble.fwhm_zfs, and g and j, which MHOM does not read, to 0."""
     packets = None
@@ -293,16 +293,23 @@ def _excitation(cfg: dict, model: str, args, report: dict = None):
             "j": 0.0, "gamma_b": ens.fwhm_zfs, "gamma_d": ens.fwhm_zfs})
         packets = sample_ensemble(ens)
         sigma = SelfEnergy(packets, params.gamma_b, params.gamma_d)
-        model_at = lambda p: partial(mhom_response, sigma, p)
+        model_at = lambda p, _: partial(mhom_response, sigma, p)
     else:
         params = _build(cfg, "system")
         if model == "thom":
-            model_at = lambda p: partial(thom_excitation, p)
+            model_at = lambda p, _: partial(thom_excitation, p)
         else:
             layout = _layout(cfg, args)
-            model_at = lambda p: partial(
-                HermitianGenerator(p, layout).excitation, report=report)
-    return lambda p: partial(_finite, model_at(p)), params, packets
+            model_at = lambda p, reports: partial(
+                _solve_me, HermitianGenerator(p, layout), reports)
+    return (lambda p, reports: partial(_finite, model_at(p, reports)),
+            params, packets)
+
+
+def _solve_me(gen: HermitianGenerator, reports: list, omegas):
+    """gen's excitation at omegas, its run report appended to reports."""
+    reports.append({})
+    return gen.excitation(omegas, report=reports[-1])
 
 
 def _finite(excitation, omegas) -> np.ndarray:
@@ -323,10 +330,10 @@ def cmd_simulate(args) -> int:
     grid = _build(cfg, "grid")
     signal_map = (_build(cfg, "signal_map") if "signal_map" in cfg
                   else None)
-    report = {}
-    excitation_at, params, packets = _excitation(cfg, model, args, report)
+    reports = []
+    excitation_at, params, packets = _excitation(cfg, model, args)
     omegas = grid.points()
-    values = excitation_at(_changed(params, lam=args.drive))(omegas)
+    values = excitation_at(_changed(params, lam=args.drive), reports)(omegas)
     header = "frequency_mhz,excitation"
     columns = [omegas, values]
     if signal_map is not None:
@@ -341,7 +348,7 @@ def cmd_simulate(args) -> int:
     _write_metadata(os.path.join(out, "spectrum_meta.json"), cfg,
                     "simulate", seed=args.seed, model=model,
                     n_points=grid.n_points,
-                    **({"solver": report} if model == "me" else {}))
+                    **({"solver": reports[0]} if model == "me" else {}))
     return 0
 
 
@@ -357,16 +364,19 @@ def cmd_sweep(args) -> int:
     changed = [_changed(params, **({"lam": v} if args.axis == "power"
                                    else {"omega_fq": params.omega_nv + v}))
                for v in values]
-    failures = []
+    failures, solver = [], []
 
     def blocks():
         """Each axis value's rows, as soon as it is evaluated."""
         for v, p in zip(values, changed):
+            reports = []
             try:
-                excitation = excitation_at(p)(omegas)
+                excitation = excitation_at(p, reports)(omegas)
             except HybridSpecError as exc:
                 failures.append({"axis_value": v, "error": str(exc)})
                 continue
+            finally:  # an ME run report, also of a failed solve
+                solver.extend({"axis_value": v, **r} for r in reports)
             yield from _rows(np.full(len(omegas), v), omegas, excitation)
 
     out = args.out or "."
@@ -374,7 +384,8 @@ def cmd_sweep(args) -> int:
                "axis_value,frequency_mhz,excitation", blocks())
     _write_metadata(os.path.join(out, "sweep_meta.json"), cfg, "sweep",
                     seed=args.seed, model=model, axis=args.axis,
-                    values=values, failures=failures)
+                    values=values, failures=failures,
+                    **({"solver": solver} if model == "me" else {}))
     return 0
 
 
@@ -496,10 +507,15 @@ def cmd_sweep_power(args) -> int:
             f"drive amplitudes must be finite and > 0, got {lambdas}")
     grid = _build(cfg, "grid")
     excitation_at, params, _ = _excitation(cfg, model, args)
-    report = {}
-    rows = fwhm_vs_power(
-        lambda lam: excitation_at(_changed(params, lam=lam)), lambdas,
-        params.omega_nv, max(params.gamma_d, grid.step), report)
+    report, solver = {}, []
+
+    def drive(lam):
+        """The excitation at drive lam; an ME run report per window."""
+        solver.append({"lambda": lam, "windows": []})
+        return excitation_at(_changed(params, lam=lam), solver[-1]["windows"])
+
+    rows = fwhm_vs_power(drive, lambdas, params.omega_nv,
+                         max(params.gamma_d, grid.step), report)
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
     _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", (
@@ -508,7 +524,8 @@ def cmd_sweep_power(args) -> int:
         for lam, fwhm, converged in rows))
     _write_metadata(os.path.join(out, "fwhm_meta.json"), cfg, "sweep-power",
                     seed=args.seed, model=model,
-                    failures=report["failures"])
+                    failures=report["failures"],
+                    **({"solver": solver} if model == "me" else {}))
     return 0
 
 

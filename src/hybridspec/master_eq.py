@@ -7,13 +7,15 @@ the oscillator models.  Column-stacking convention throughout:
 vec(A rho B) = (B^T kron A) vec(rho).
 
 Spectra are solved with ``HermitianGenerator``: the generator written in a
-unitary basis of Hermitian matrices, where it is real, assembled once per
-(params, layout) from the nonzeros of the Hamiltonian and the collapse
-operators into blocks of coherence order, where it is block tridiagonal.
-The drive frequency enters only through the rotating frame, so
-L(omega) = A + (omega - omega_nv) * D with D coupling each off-diagonal
-pair; a block factorization per frequency interval and a certified Krylov
-reduced model give every point of it.  ``build_liouvillian`` and
+unitary basis of Hermitian matrices, where it is real, in blocks of
+coherence order, where it is block tridiagonal.  The blocks are read once
+per (params, layout) off the summed column-stacked entries of the
+Hamiltonian and the collapse operators: between orders >= 1 they are those
+entries, acting on u + iv, and only the blocks that touch order 0 go
+through the basis change.  The drive frequency enters only through the
+rotating frame, so L(omega) = A + (omega - omega_nv) * D with D diagonal
+on u + iv; a block factorization per frequency interval and a certified
+Krylov reduced model give every point of it.  ``build_liouvillian`` and
 ``steady_state`` are the direct complex construction it is tested against.
 """
 
@@ -89,7 +91,8 @@ def build_operators(layout: HilbertLayout) -> ModeOperators:
     sz = np.diag([-1.0, 1.0]).astype(complex)       # ground first
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    kron3 = lambda a, b_, c: np.kron(np.kron(a, b_), c)
+    kron3 = lambda a, b_, c: np.einsum(  # np.kron(np.kron(a, b_), c)
+        "il,jm,kn->ijklmn", a, b_, c).reshape((layout.dim,) * 2)
     return ModeOperators(
         sigma_z=kron3(sz, ib, idk),
         sigma_plus=kron3(sm.conj().T, ib, idk),
@@ -225,23 +228,19 @@ def qubit_excitation(rho: np.ndarray, layout: HilbertLayout):
     return val.real if val.ndim else float(val.real)
 
 
-def _coo(m: np.ndarray) -> tuple:
-    """Nonzero (rows, cols, values) of a dense matrix."""
-    r, c = np.nonzero(m)
-    return r, c, m[r, c]
+def _sandwich(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Keys row * n^2 + col and values of rho -> A rho B, column-stacked:
+    each pair of nonzeros A_ik, B_lj lands at row i + j*n, column k + l*n."""
+    (ai, ak), (bl, bj), n = np.nonzero(a), np.nonzero(b), len(a)
+    keys = (ai[:, None] + n * bj) * n * n + ak[:, None] + n * bl
+    return keys.ravel(), (a[ai, ak][:, None] * b[bl, bj]).ravel()
 
 
-def _sandwich(a: tuple, b: tuple, n: int) -> tuple:
-    """Triplets of the column-stacked superoperator rho -> A rho B.
-
-    (A rho B)_ij = A_ik rho_kl B_lj, so each pair of nonzeros A_ik, B_lj
-    lands at row i + j*n, column k + l*n.
-    """
-    ai, ak, av = a
-    bl, bj, bv = b
-    rows = ai[:, None] + n * bj[None, :]
-    cols = ak[:, None] + n * bl[None, :]
-    return rows.ravel(), cols.ravel(), (av[:, None] * bv[None, :]).ravel()
+def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """The distinct keys, sorted, and the sum of vals over each."""
+    keys, at = np.unique(keys, return_inverse=True)
+    return keys, (np.bincount(at, vals.real, len(keys))
+                  + 1j * np.bincount(at, vals.imag, len(keys)))
 
 
 def _hermitian_basis(number: np.ndarray) -> tuple:
@@ -252,15 +251,14 @@ def _hermitian_basis(number: np.ndarray) -> tuple:
     N_i < N_j: u + iv = sqrt2 rho_ij for the element with N_i > N_j, or
     i < j if N_i = N_j (``number`` is the diagonal of N).  Diagonal slots
     keep rho_ii.  Returns, per slot s, the u-slot and v-slot of its pair
-    and the coefficients of rho_s in u and in v.
+    and the coefficients of rho_s in u (real) and in v.
     """
     n = len(number)
     i, j = np.divmod(np.arange(n * n), n)[::-1]  # s = i + j*n
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    u_slot = lo + n * hi
-    v_slot = hi + n * lo
+    u_slot, v_slot = lo + n * hi, hi + n * lo
     h = np.sqrt(0.5)
-    cu = np.where(i == j, 1.0, h).astype(complex)
+    cu = np.where(i == j, 1.0, h)
     cv = np.select([i < j, i > j], [-1j * h, 1j * h], 0.0)
     return u_slot, v_slot, cu, np.where(number[lo] < number[hi], -cv, cv)
 
@@ -272,47 +270,62 @@ def real_liouvillian(h: np.ndarray, collapse,
     blocks.
 
     ``collapse`` is a sequence of (rate, C); ``number`` is the diagonal of
-    an excitation number N.  Each column-stacked entry may change the
-    coherence N_i - N_j of rho_ij by at most one, else ValueError: the
-    generator is then block tridiagonal in m = |N_i - N_j|, and it couples
-    no rho_ij to a rho_kl of opposite coherence, so it is complex-linear on
-    u + iv of every order m >= 1.  The basis is unitary, so norms and
-    residuals equal those of the column-stacked generator.  The result is
-    real exactly when the map preserves Hermiticity; an entry that is not
-    finite, or an imaginary part above 1e-12 of the largest entry, raises
-    SolverFailure.
+    an excitation number N.  Each column-stacked entry, summed once per
+    (row, col), may change the coherence N_i - N_j of rho_ij by at most
+    one, else ValueError: the generator is then block tridiagonal in
+    m = |N_i - N_j|, and complex-linear on u + iv of every order m >= 1.
+    The basis is unitary, so norms and residuals equal those of the
+    column-stacked generator.  The result is real exactly when the map
+    preserves Hermiticity, when entry (rho_ji, rho_lk) is the conjugate of
+    entry (rho_ij, rho_kl): a mismatch above 1e-12 of the largest entry,
+    an entry that is not finite or no nonzero entry raise SolverFailure.
     """
-    n = h.shape[0]
-    eye = (np.arange(n), np.arange(n), np.ones(n, dtype=complex))
-    terms = [_sandwich(_coo(-1j * h), eye, n),
-             _sandwich(eye, _coo(1j * h), n)]
-    for rate, c in collapse:
-        cdc = -rate * (c.conj().T @ c)
-        terms += [_sandwich(_coo(2.0 * rate * c), _coo(c.conj().T), n),
-                  _sandwich(_coo(cdc), eye, n),
-                  _sandwich(eye, _coo(cdc), n)]
-    rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
+    n, eye = h.shape[0], np.eye(h.shape[0])
+    decay = sum(rate * (c.conj().T @ c) for rate, c in collapse)
+    terms = [(-1j * h - decay, eye), (eye, 1j * h - decay)]
+    terms += [(2.0 * rate * c, c.conj().T) for rate, c in collapse]
+    keys, vals = _summed(*map(np.concatenate, zip(
+        *(_sandwich(a, b) for a, b in terms))))
     if not np.all(np.isfinite(vals)):
         raise SolverFailure("generator entries are not finite")
+    rows, cols = np.divmod(keys, n * n)
     coherence = np.subtract.outer(number, number).ravel(order="F")
     if np.any(np.abs(coherence[rows] - coherence[cols]) > 1):
         raise ValueError("generator couples coherence orders N_i - N_j "
                          "more than one apart")
+    flip = np.arange(n * n).reshape(n, n).ravel(order="F")  # rho_ij -> ji
+    mirror = flip[rows] * n * n + flip[cols]
+    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    mirror = np.where(keys[at] == mirror, vals[at], 0.0)
+    skew = np.max(np.abs(vals - mirror.conj()), initial=0.0)
+    scale = np.max(np.abs(vals), initial=0.0)
+    if skew > 1e-12 * scale:
+        raise SolverFailure(
+            "generator does not preserve Hermiticity: conjugate mismatch "
+            f"{skew:.3e} against scale {scale:.3e}")
+    if not scale:
+        raise SolverFailure("generator has no nonzero entry")
+    del keys, mirror, at
     return CoherenceBlocks(number, rows, cols, vals)
 
 
-def _ell(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-         n_rows: int) -> tuple:
-    """A block's triplets in ELL form: (cols, vals), each (k, n_rows), with
-    the j-th nonzero of row i at [j, i]; shorter rows are padded with the
-    value 0 at column 0."""
-    at = np.argsort(rows, kind="stable")
-    counts = np.bincount(rows, minlength=n_rows)
-    rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[rows[at]]
-    shape = (counts.max(initial=0), n_rows)
-    ell = np.zeros(shape, dtype=np.intp), np.zeros(shape, vals.dtype)
-    ell[0][rank, rows[at]], ell[1][rank, rows[at]] = cols[at], vals[at]
-    return ell
+def _ell(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+         vals: np.ndarray, dims) -> list:
+    """Blocks 0, 1, ... of triplets sorted by block and row in ELL form,
+    views of one array each: (cols, vals), each (k, dims[b]), with the j-th
+    nonzero of row i at [j, i], short rows padded with 0 at column 0."""
+    run = np.flatnonzero(np.diff(blocks * max(dims, default=0) + rows,
+                                 prepend=-1))
+    rank = np.arange(len(rows)) - np.repeat(run, np.diff(run,
+                                                         append=len(rows)))
+    width = np.zeros(len(dims), dtype=int)
+    np.maximum.at(width, blocks, rank + 1)
+    start = np.concatenate([[0], np.cumsum(width * dims)])
+    at = start[blocks] + rank * dims[blocks] + rows
+    ell = np.zeros(start[-1], dtype=np.intp), np.zeros(start[-1], vals.dtype)
+    ell[0][at], ell[1][at] = cols, vals
+    return [(ell[0][a:b].reshape(k, d), ell[1][a:b].reshape(k, d))
+            for a, b, k, d in zip(start, start[1:], width, dims)]
 
 
 def _ell_dot(ell: tuple, x: np.ndarray) -> np.ndarray:
@@ -348,73 +361,61 @@ class CoherenceBlocks:
     every other block is the complex C on the z of its orders >= 1: R y =
     Re(C z) on (0, 1), and on (1, 0) C maps the real x_0 to z.  No zero of
     a block is stored, and nothing of size n^2 x n^2 is formed.
+
+    With z = sqrt2 rho_ij where N_i > N_j, C is the column-stacked L on
+    those rows and columns (the rows where N_i < N_j are its conjugates);
+    only entries in a row or a column of order 0 are transformed by T.
     """
 
     def __init__(self, number: np.ndarray, rows: np.ndarray,
                  cols: np.ndarray, vals: np.ndarray):
         n = len(number)
         i, j = np.divmod(np.arange(n * n), n)[::-1]  # slot s = i + j*n
-        order = np.rint(np.abs(number[i] - number[j])).astype(int)
+        signed = number[i] - number[j]
+        order = np.rint(np.abs(signed)).astype(int)
         u_slot, v_slot, cu, cv = _hermitian_basis(number)
         self.perm = np.lexsort((2 * u_slot + (i > j), order))
-        self.pos = np.empty_like(self.perm)
-        self.pos[self.perm] = np.arange(n * n)
+        self.pos = np.argsort(self.perm)
         self.sizes = np.bincount(order)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         gu, gv = self.pos[u_slot], self.pos[v_slot]
-        self.basis = gu, gv, cu.conj(), cv.conj()
+        self.basis = gu, gv, cu, cv.conj()
+        # ||L||_F^2 (= ||R||_F^2), and <L, D> for D = i(N_i - N_j) on rho_ij
+        self.norm2 = float(np.vdot(vals, vals).real)
+        self.cross = float(signed[rows] @ (vals.imag * (rows == cols)))
 
-        # R[p, q] = sum_rs T[p, r] L[r, s] conj(T[q, s]) in block order;
-        # column s of T has its nonzeros at the u and the v of s's pair (cv
-        # = 0 on the diagonal).  The entries summed per (p, q), by row:
-        to_p = (gu[rows], cu[rows]), (gv[rows], cv[rows])
-        to_q = (gu[cols], cu[cols].conj()), (gv[cols], cv[cols].conj())
-        p = np.concatenate([p for p, _ in to_p for _ in to_q])
-        q = np.concatenate([q for _ in to_p for q, _ in to_q])
-        weights = np.concatenate([tp * vals * tq for _, tp in to_p
-                                  for _, tq in to_q])
-        keys, at = np.unique(p * n * n + q, return_inverse=True)
-        sums = np.bincount(at, weights=weights.real, minlength=len(keys))
-        imag = np.abs(np.bincount(at, weights=weights.imag)).max(initial=0)
-        scale = np.max(np.abs(sums), initial=0.0)
-        if imag > 1e-12 * scale:
-            raise SolverFailure(
-                "generator does not preserve Hermiticity: imaginary part "
-                f"{imag:.3e} against scale {scale:.3e}")
-        if not scale:
-            raise SolverFailure("generator has no nonzero entry")
-        self.norm2 = float(np.dot(sums, sums))  # squared Frobenius norm
-
-        # the complex C, read off the u rows where the columns are pairs:
-        # C[a, b] = R[2a, 2b] - i R[2a, 2b + 1], and C[a, c] = R[2a, c] +
-        # i R[2a + 1, c] on (1, 0); entries that cancelled are not stored
-        mb = order[self.perm]  # the order of each position
-        local = np.arange(n * n) - self.offsets[mb]
-        is_v = (mb > 0) & (local % 2 == 1)
-        p, q = np.divmod(keys, n * n)
-        keep = (sums != 0.0) & (~is_v[p] | (mb[q] == 0))
-        sums = sums * np.where(is_v[q], -1j, np.where(is_v[p], 1j, 1.0))
-        keys, at = np.unique(((p - is_v[p]) * n * n + q - is_v[q])[keep],
-                             return_inverse=True)
-        vals = (np.bincount(at, sums[keep].real)
-                + 1j * np.bincount(at, sums[keep].imag))
-        p, q = np.divmod(keys, n * n)
-        # each C is indexed by pairs on m >= 1
-        index = np.where(mb > 0, local // 2, local)
-        dims = np.bincount(mb[~is_v])
-
-        def block(a: int, b: int, flip: bool = False) -> tuple:
-            at = (mb[p] == a) & (mb[q] == b)  # block (a, b), or flipped
-            rc = [index[p[at]], index[q[at]]]
-            return _ell(*rc[::-1 if flip else 1],
-                        vals[at] if a or b else vals[at].real,
-                        dims[b if flip else a])
-
-        k = len(self.sizes)
-        self.diag = [block(m, m) for m in range(k)]
-        self.upper = [None] + [block(m - 1, m) for m in range(1, k)]
-        self.lower = [None] + [block(m, m - 1) for m in range(1, k)]
-        self.lower_t = [None] + [block(m, m - 1, True) for m in range(1, k)]
+        # where each slot is read, as row p or column q of the key
+        # ((a k + b) dim + p) dim + q of block (a, b): on m = 0 at its u and
+        # v with T's weights, on m >= 1 at its pair with weight sqrt2 (z)
+        k, dim, zero = len(self.sizes), int(self.sizes.max()), signed == 0
+        target = np.stack([np.where(zero, gu, (self.pos - self.offsets[order])
+                                    // 2), gv])
+        p, q = (order * k * dim + target) * dim, order * dim * dim + target
+        weight = np.stack([np.where(zero, cu, np.sqrt(2.0)), cv * zero])
+        low = np.minimum(signed[rows], signed[cols])  # not read where < 0
+        r, c, w = rows[low == 0], cols[low == 0], vals[low == 0]
+        w = (weight[:, None, r] * w * weight[None, :, c].conj()).ravel()
+        lanes = np.flatnonzero(w)
+        keys, v = _summed(np.concatenate([
+            p[0, rows[low > 0]] + q[0, cols[low > 0]],
+            (p[:, None, r] + q[None, :, c]).ravel()[lanes]]),
+            np.concatenate([vals[low > 0], w[lanes]]))
+        del low, r, c, w, lanes
+        v = np.where(keys < dim * dim, v.real, v)  # block (0, 0) is real
+        keys, v = keys[v != 0], v[v != 0]  # entries that cancelled
+        a, b, p, q = np.unravel_index(keys, (k, k, dim, dim))
+        # sorted by block and row, block (a, b) numbered 2a + b: (m, m) is
+        # 3m, (m - 1, m) 3m - 2, (m, m - 1) 3m - 1 (lower_t: by column)
+        dims = np.where(np.arange(k) > 0, self.sizes // 2, self.sizes)
+        real = np.searchsorted(keys, dim * dim)  # those of block (0, 0)
+        ells = (_ell(a[:real], p[:real], q[:real], v[:real].real, dims[:1])
+                + _ell(2 * a[real:] + b[real:] - 1, p[real:], q[real:],
+                       v[real:], dims[np.arange(2, 3 * k - 1) // 3]))
+        at = np.flatnonzero(a > b)
+        at = at[np.argsort(b[at] * dim + q[at], kind="stable")]
+        self.diag, self.upper, self.lower = (ells[::3], [None] + ells[1::3],
+                                             [None] + ells[2::3])
+        self.lower_t = [None] + _ell(b[at], q[at], p[at], v[at], dims[:-1])
 
     def parts(self, x: np.ndarray) -> list:
         """Views of the orders of x along its last axis (slots in block
@@ -464,11 +465,14 @@ class _BlockFactor:
         schur = gen.diag_block(k - 1, s)
         for m in range(k - 1, 0, -1):
             self.inv[m] = _inverse(schur)
-            # U inv L: U along the last axis of inv^T gives (U inv)^T, and
-            # L^T along the last axis of U inv gives U inv L; at m = 1 its
-            # real part
-            t = _ell_dot(a.lower_t[m], _ell_dot(a.upper[m], self.inv[m].T).T)
-            schur = gen.diag_block(m - 1, s) - (t if m > 1 else t.real)
+            # w = U inv, w^T by U along the last axis of inv^T, and w L by
+            # L^T along the last axis of w; at m = 1 only its real part
+            w = _ell_dot(a.upper[m], self.inv[m].T).T
+            cols, vals = a.lower_t[m]
+            schur = gen.diag_block(m - 1, s) - (
+                _ell_dot(a.lower_t[m], w) if m > 1 else
+                _ell_dot((cols, vals.real), w.real)
+                - _ell_dot((cols, vals.imag), w.imag))
         self._schur0 = schur
         self._inv0 = {}
 
@@ -546,16 +550,11 @@ class HermitianGenerator:
         self.a = a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
                                           (params.gamma_b, o.b),
                                           (params.gamma_d, o.d)], number)
-        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]: per pair
-        # of order m, <A, D> = m (A_vu - A_uv) = 2m Im C_aa on the diagonal
-        # of its complex block, and ||D||_F^2 = 2m^2
-        im_trace = sum(m * np.sum(v.imag[c == np.arange(c.shape[1])])
-                       for m, (c, v) in enumerate(a.diag[1:], 1))
-        self._norm2 = (a.norm2, 4.0 * im_trace,
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2], D = i*m
+        self._norm2 = (a.norm2, 2.0 * a.cross,
                        float(np.arange(len(a.sizes)) ** 2 @ a.sizes))
-        diag_slots = a.pos[:: n + 1]
-        self.trace0 = np.zeros(a.sizes[0])
-        self.trace0[diag_slots] = 1.0
+        self._d = np.repeat(1j * np.arange(1, len(a.sizes)), a.sizes[1:] // 2)
+        self.trace0 = np.bincount(a.pos[:: n + 1], minlength=a.sizes[0]) * 1.0
         self.rows = (a.pos[0], a.pos[n * n - 1])  # rho_00 and rho_last
 
     def diag_block(self, m: int, s: float) -> np.ndarray:
@@ -569,11 +568,12 @@ class HermitianGenerator:
         return out
 
     def apply_d(self, x: np.ndarray) -> np.ndarray:
-        """D x along the last axis of x (block order)."""
+        """D x along the last axis of x (block order): zero on m = 0, and
+        on the z of m >= 1 their i*m, held in ``_d``."""
         out = np.zeros_like(x)
-        for m, (part, z) in enumerate(zip(self.a.parts(out)[1:],
-                                          self.a.parts(x)[1:]), 1):
-            np.multiply(z, 1j * m, out=part)
+        n0 = self.a.sizes[0]
+        np.multiply(x[..., n0:].view(complex), self._d,
+                    out=out[..., n0:].view(complex))
         return out
 
     def _residuals(self, x: np.ndarray, s) -> np.ndarray:

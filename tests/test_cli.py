@@ -26,6 +26,7 @@ from hybridspec import (
 )
 from hybridspec.cli import (_CHUNK_ROWS, _SECTIONS, ConfigError, _read_csv,
                             _rows, _write_csv, load_config, main)
+from hybridspec.master_eq import HermitianGenerator
 
 from conftest import OMEGA_NV
 
@@ -313,6 +314,25 @@ class TestSweep:
                             capsys.readouterr()))
         assert outputs[0] == outputs[1]
         assert outputs[0][1]["values"] == [-3.0, 0.0, 4.0]
+
+    def test_me_run_report_per_value_in_metadata(self, tmp_path):
+        grid = dict(GRID, n_points=21)
+        cfg = write_config(tmp_path, system=SYSTEM, grid=grid, model="me",
+                           me_options={"n_max_bright": 2, "n_max_dark": 2})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--axis", "power", "--values", "1,10"]) == 0
+        solver = json.loads((out / "sweep_meta.json").read_text())["solver"]
+        # each value's run report of me_spectrum, without its layout
+        expected = []
+        for lam in (1.0, 10.0):
+            spec = me_spectrum(SystemParams(**dict(SYSTEM, lam=lam)),
+                               FrequencyGrid(OMEGA_NV - 25, OMEGA_NV + 25,
+                                             21), HilbertLayout(2, 2))
+            expected.append({"axis_value": lam, **{
+                k: v for k, v in spec.metadata.items()
+                if k not in ("n_max_bright", "n_max_dark")}})
+        assert solver == json.loads(json.dumps(expected))
 
     def test_detuning_sweep_moves_qubit(self, tmp_path):
         grid = dict(GRID, n_points=81)
@@ -662,6 +682,32 @@ class TestSweepPower:
         _, data = read_csv(out / "fwhm.csv")
         assert data[1, 1] > data[0, 1] > 0.0
 
+    def test_me_run_reports_per_window_in_metadata(self, tmp_path):
+        grid = {"start_mhz": OMEGA_NV - 3, "stop_mhz": OMEGA_NV + 3,
+                "n_points": 161}
+        cfg = write_config(tmp_path, system=SYSTEM, grid=grid, model="me",
+                           me_options={"n_max_bright": 2, "n_max_dark": 2})
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config", cfg, "--out", str(out),
+                     "--lambdas", "1,10"]) == 0
+        solver = json.loads((out / "fwhm_meta.json").read_text())["solver"]
+        # the run report of each of the two fit windows of every drive
+        expected = []
+
+        def drive(lam):
+            gen = HermitianGenerator(SystemParams(**dict(SYSTEM, lam=lam)),
+                                     HilbertLayout(2, 2))
+            windows = []
+            expected.append({"lambda": lam, "windows": windows})
+
+            def excitation(omegas):
+                windows.append({})
+                return gen.excitation(omegas, report=windows[-1])
+            return excitation
+
+        fwhm_vs_power(drive, [1.0, 10.0], OMEGA_NV, SYSTEM["gamma_d"])
+        assert [len(d["windows"]) for d in expected] == [2, 2]
+        assert solver == json.loads(json.dumps(expected))
 
     def test_mhom_damping_follows_system_rates(self, tmp_path):
         # like simulate: system.gamma_b/gamma_d when given, else fwhm_zfs;

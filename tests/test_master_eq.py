@@ -28,7 +28,7 @@ from hybridspec.master_eq import (
     real_liouvillian,
 )
 
-from conftest import OMEGA_NV, REFERENCE_PARAMS
+from conftest import OMEGA_NV, REFERENCE_PARAMS, traced
 
 LAYOUT = HilbertLayout(3, 3)
 
@@ -294,7 +294,10 @@ class TestHermitianGenerator:
         t = basis_change(excitation_number(HilbertLayout(1, 3)))
         assert np.max(np.abs(t @ t.conj().T - np.eye(36))) < 1e-15
 
-    @pytest.mark.parametrize("nb,nd", [(1, 2), (2, 1), (2, 3)])
+    # (2, 2) and up have off-diagonal pairs in order 0, so they check the
+    # blocks (0, 0), (0, 1) and (1, 0), assembled through the basis change
+    @pytest.mark.parametrize("nb,nd", [(1, 2), (2, 1), (2, 3), (2, 2), (3, 3),
+                                       (4, 4)])
     def test_matches_transformed_column_stacked_generator(self, nb, nd):
         layout = HilbertLayout(nb, nd)
         p = oracle_params(lam=2.0)
@@ -512,6 +515,16 @@ class TestCoherenceOrder:
             tracemalloc.stop()
         assert gen.a.offsets[-1] == 64 ** 2
         assert retained < 1.25e6
+
+    def test_build_peak_at_four_by_eight(self):
+        # the Hermitian-basis transform of four complex copies of every
+        # column-stacked entry peaked at 25.4 MB here, for 1.1 MB held
+        params = REFERENCE_PARAMS.with_(lam=20.0)
+        HermitianGenerator(params, HilbertLayout(1, 2))  # warm up
+        gen, _, peak = traced(
+            lambda: HermitianGenerator(params, HilbertLayout(4, 8)))
+        assert gen.a.offsets[-1] == 64 ** 2
+        assert peak < 8.5e6
 
     def test_order_zero_pairs_are_oriented_by_index(self):
         # N is exact, so a pair with N_i = N_j is oriented by i < j: v = 1
