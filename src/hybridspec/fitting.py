@@ -151,17 +151,16 @@ def middle_peak_fwhm(spectrum_fn, omega_nv: float, gamma_guess: float,
     """Fit the middle peak with a self-consistent window.
 
     Starts from omega_nv +- 3*gamma_guess, fits, re-windows at 3 times the
-    fitted HWHM and fits once more.
+    fitted HWHM and fits once more.  The second window is never wider than
+    the first: a fit wider than its window would reach the side peaks.
     """
-    gamma = gamma_guess
-    result = None
+    half = 3.0 * gamma_guess
     for _ in range(2):
-        half = 3.0 * gamma
         grid = FrequencyGrid(omega_nv - half, omega_nv + half, n_points)
         spec = Spectrum(grid=grid, values=spectrum_fn(grid.points()),
                         model_tag="WINDOW")
         result = fit_lorentzian(spec, (grid.start, grid.stop))
-        gamma = result.gamma
+        half = min(3.0 * result.gamma, half)
     return result
 
 

@@ -37,13 +37,11 @@ UNIQUENESS_TOL = 1e-7
 
 # reduced models of a spectrum: at most KRYLOV_MAX Arnoldi steps per model,
 # returning once the a-posteriori estimate is below KRYLOV_TOL relative at
-# every point (checked every _KRYLOV_CHECK steps), else raising; an interval
-# of fewer than MIN_MODEL_POINTS points is solved as one-point models
+# every point (checked every _KRYLOV_CHECK steps), else raising
 KRYLOV_MAX = 160
 KRYLOV_TOL = 1e-14
 _KRYLOV_CHECK = 5
 _CHUNK = 8
-MIN_MODEL_POINTS = 8
 # truncation_convergence passes when one more Fock level on each mode moves
 # no point of the spectrum by this much, relative
 CONVERGENCE_REL_TOL = 1e-3
@@ -533,10 +531,9 @@ class HermitianGenerator:
     A spectrum is solved interval by interval: B = M(omega_c) is factored
     once by block elimination (``_BlockFactor``) and shift-invert Arnoldi
     on B^-1 D gives x(s) ~ V_k (I + s H_k)^-1 |b| e_1 at every point of the
-    interval.  Every point is certified against the true generator; an
-    interval with a failing point is split in two, and an interval of fewer
-    than ``MIN_MODEL_POINTS`` points is solved as one-point models, where
-    the shift is zero and b is the exact solve.
+    interval.  Every point is certified against the true generator, and an
+    interval with a failing point is halved.  An interval of one point is a
+    model whose only shift is zero: b, the exact solve.
     """
 
     def __init__(self, params: SystemParams, layout: HilbertLayout):
@@ -672,16 +669,17 @@ class HermitianGenerator:
     def states(self, omegas, check_unique: bool = False,
                report: dict = None) -> np.ndarray:
         """The validated steady states at the drive frequencies, as one
-        (len(omegas), n, n) stack in the order of omegas.  An interval of
-        fewer than ``MIN_MODEL_POINTS`` points becomes one-point models; an
-        interval that fails a check is split, and a single point raises.
+        (len(omegas), n, n) stack in the order of omegas.  Every interval,
+        of any length, is one reduced model at its centre; an interval that
+        fails a check is halved, and a single point raises.
 
         ``report``, a dict updated in place, receives ``krylov_dims`` (the
         Krylov dimension of every reduced model whose points were
         returned), ``rejected_models`` (the trace-row models built for
         every split interval: two where the last-row model ran, else one),
         ``rejection_reasons`` (per split interval, its omega range and the
-        check it failed), ``points_solved_per_point`` (one-point models),
+        check it failed), ``points_solved_per_point`` (one-point models:
+        points left alone by halving, or a one-point call),
         ``worst_residual`` (the largest certified residual returned),
         ``worst_negativity`` (minus the lowest eigenvalue returned, if it is
         negative) and ``top_level_population`` (per mode, the largest
@@ -697,9 +695,6 @@ class HermitianGenerator:
         pending = [np.argsort(omegas, kind="stable")]
         while pending:
             idx = pending.pop()
-            if len(idx) != 1 and len(idx) < MIN_MODEL_POINTS:
-                pending += list(idx[::-1, None])  # lowest omega first
-                continue
             built = []
             try:
                 rhos, residual, low, dims = self._interval(

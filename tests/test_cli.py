@@ -682,6 +682,19 @@ class TestSweepPower:
         _, data = read_csv(out / "fwhm.csv")
         assert data[1, 1] > data[0, 1] > 0.0
 
+    def test_master_equation_fits_converge_at_both_drives(self, tmp_path):
+        # at lambda = 10 the first fit is wider than its window: the second
+        # window stays within the first, off the side peaks
+        grid = {"start_mhz": OMEGA_NV - 3, "stop_mhz": OMEGA_NV + 3,
+                "n_points": 161}
+        cfg = write_config(tmp_path, system=SYSTEM, grid=grid, model="me",
+                           me_options={"n_max_bright": 2, "n_max_dark": 2})
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config", cfg, "--out", str(out),
+                     "--lambdas", "1,10"]) == 0
+        rows = (out / "fwhm.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["true", "true"]
+
     def test_me_run_reports_per_window_in_metadata(self, tmp_path):
         grid = {"start_mhz": OMEGA_NV - 3, "stop_mhz": OMEGA_NV + 3,
                 "n_points": 161}

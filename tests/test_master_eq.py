@@ -22,7 +22,6 @@ from hybridspec import (
 )
 from hybridspec import master_eq
 from hybridspec.master_eq import (
-    MIN_MODEL_POINTS,
     HermitianGenerator,
     _hermitian_basis,
     real_liouvillian,
@@ -355,12 +354,15 @@ class TestHermitianGenerator:
 
         monkeypatch.setattr(master_eq._BlockFactor, "solve", counting)
         grid = FrequencyGrid(OMEGA_NV - 5.0, OMEGA_NV + 5.0, 3)
-        me_spectrum(small_params(lam=1.0), grid, LAYOUT)
-        assert len(calls) == 3
+        # one model: b, then one solve per Arnoldi step, on rho_00's row
+        [k] = me_spectrum(small_params(lam=1.0), grid,
+                          LAYOUT).metadata["krylov_dims"]
+        assert calls == [0] * (1 + k)
         calls.clear()
-        me_spectrum(small_params(lam=1.0), grid, LAYOUT, check_unique=True)
-        # each point replaces the rho_00 row, then the last row
-        assert calls == [0, LAYOUT.dim ** 2 - 1] * 3
+        first, last = me_spectrum(small_params(lam=1.0), grid, LAYOUT,
+                                  check_unique=True).metadata["krylov_dims"]
+        # the model replaces the rho_00 row, then the last row
+        assert calls == [0] * (1 + first) + [LAYOUT.dim ** 2 - 1] * (1 + last)
 
     def test_check_unique_rejects_a_disagreeing_second_solve(self,
                                                              monkeypatch):
@@ -377,8 +379,7 @@ class TestHermitianGenerator:
             HermitianGenerator(p, LAYOUT).excitation(OMEGA_NV,
                                                      check_unique=True)
         # a reduced model is split down to its first point, which raises
-        grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0,
-                             MIN_MODEL_POINTS + 1)
+        grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0, 9)
         with pytest.raises(NonUniqueSteadyState, match="at omega="):
             me_spectrum(p, grid, LAYOUT, check_unique=True)
 
@@ -399,16 +400,17 @@ class TestHermitianGenerator:
         monkeypatch.setattr(master_eq._BlockFactor, "solve", last_row_fails)
         monkeypatch.setattr(HermitianGenerator, "_density_matrices",
                             lambda gen, x: 1.1 * density(gen, x))
-        grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0,
-                             MIN_MODEL_POINTS + 1)
+        grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0, 9)
         report = {}
         with pytest.raises(SolverFailure,
                            match="at omega=.*" + BROKEN["trace"]):
             HermitianGenerator(small_params(lam=1.0), LAYOUT).states(
                 grid.points(), check_unique=True, report=report)
-        [reason] = report["rejection_reasons"]
-        assert reason.startswith(f"omega {grid.start} to {grid.stop}: trace ")
-        assert reason.endswith(BROKEN["trace"])
+        # one reason per halving, down to the first point, which raises
+        reasons = report["rejection_reasons"]
+        assert reasons[0].startswith(
+            f"omega {grid.start} to {grid.stop}: trace ")
+        assert all(r.endswith(BROKEN["trace"]) for r in reasons)
         assert not last_rows
 
     def test_rejects_generator_that_breaks_hermiticity(self):
@@ -662,6 +664,27 @@ class TestReducedModel:
             assert np.array_equal(rho, gen._density_matrices(x[None])[0])
             assert gen.excitation([w])[0] == qubit_excitation(rho, layout)
 
+    def test_two_points_are_one_model(self):
+        report = {}
+        gen = HermitianGenerator(small_params(lam=10.0), HilbertLayout(4, 4))
+        gen.states([OMEGA_NV - 1.0, OMEGA_NV + 1.0], report=report)
+        assert len(report["krylov_dims"]) == 1
+        assert report["rejected_models"] == 0
+        assert report["points_solved_per_point"] == 0
+
+    def test_intervals_no_model_certifies_end_as_single_points(
+            self, monkeypatch):
+        # five Arnoldi steps certify no interval of two or more points: the
+        # window is halved down to one-point models, the per-point solves
+        monkeypatch.setattr(master_eq, "KRYLOV_MAX", 5)
+        gen = HermitianGenerator(small_params(lam=10.0), HilbertLayout(4, 4))
+        omegas = np.linspace(OMEGA_NV - 25.0, OMEGA_NV + 25.0, 9)
+        report = {}
+        values = gen.excitation(omegas, report=report)
+        assert report["points_solved_per_point"] == 9
+        assert report["rejected_models"] == 8 and not report["krylov_dims"]
+        assert np.array_equal(values, per_point_excitation(gen, omegas))
+
     def test_matches_per_point_and_dense_solves(self):
         layout = HilbertLayout(4, 4)
         p = small_params(lam=10.0)
@@ -689,7 +712,7 @@ class TestReducedModel:
         layout = HilbertLayout(nb, nd)
         p = small_params(lam=lam, theta=theta, omega_fq=OMEGA_NV + detuning)
         grid = FrequencyGrid(OMEGA_NV + centre - half,
-                             OMEGA_NV + centre + half, MIN_MODEL_POINTS + 1)
+                             OMEGA_NV + centre + half, 9)
         values = me_spectrum(p, grid, layout).values
         dense = np.array([direct_excitation(p, w, layout)
                           for w in grid.points()])
@@ -697,14 +720,14 @@ class TestReducedModel:
 
     def test_wide_strong_drive_window_splits_and_falls_back(self):
         # one expansion point does not certify +-25 at lambda = 20: the
-        # window is split, and the smallest pieces are solved point by point
+        # window is halved until each piece is certified by a model of its own
         layout = HilbertLayout(4, 4)
         p = small_params(lam=20.0)
         grid = FrequencyGrid(OMEGA_NV - 25.0, OMEGA_NV + 25.0, 31)
         spec = me_spectrum(p, grid, layout, check_unique=True)
         meta = spec.metadata
         assert meta["rejected_models"] > 0
-        assert meta["krylov_dims"] and meta["points_solved_per_point"] > 0
+        assert meta["krylov_dims"] and meta["points_solved_per_point"] == 0
         # one reason per split interval; each failed its first-row model,
         # so no last-row model was built for it
         reasons = meta["rejection_reasons"]
@@ -817,9 +840,9 @@ class TestProductionPathValidity:
 
     @staticmethod
     def reduced_states(gen, omegas):
-        # each point off the centre of a model of its own neighbourhood when
-        # the case alone is too small for one
-        if len(omegas) >= MIN_MODEL_POINTS:
+        # a three-point case: each point off the centre of a model of its
+        # own neighbourhood
+        if len(omegas) > 3:
             groups = [(np.asarray(omegas), np.arange(len(omegas)))]
         else:
             groups = [(np.linspace(w - 2.0, w + 2.5, 10), [4])
@@ -879,7 +902,7 @@ class TestStateStack:
     """``states`` returns one stack, validated and read as a stack."""
 
     @staticmethod
-    def stack(layout, lam, half, n=MIN_MODEL_POINTS + 1):
+    def stack(layout, lam, half, n=9):
         gen = HermitianGenerator(small_params(lam=lam), layout)
         return gen.states(np.linspace(OMEGA_NV - half, OMEGA_NV + half, n))
 
@@ -925,7 +948,7 @@ class TestStateStack:
             master_eq._validate_density_matrix(rhos)
         assert str(first.value) == str(alone.value)
 
-    # one model, and a window split down to one-point models
+    # one model, and a window halved into several
     @pytest.mark.parametrize("lam, half, n", [(10.0, 4.5, 21),
                                               (20.0, 25.0, 31)])
     def test_states_follow_the_order_of_omegas(self, lam, half, n):
