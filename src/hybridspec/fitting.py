@@ -153,6 +153,8 @@ def middle_peak_fwhm(spectrum_fn, omega_nv: float, gamma_guess: float,
     Starts from omega_nv +- 3*gamma_guess, fits, re-windows at 3 times the
     fitted HWHM and fits once more.  The second window is never wider than
     the first: a fit wider than its window would reach the side peaks.
+    When 3 times the first HWHM reaches the first window's edge, the
+    second window would be the first again, and the first fit is returned.
     """
     half = 3.0 * gamma_guess
     for _ in range(2):
@@ -160,7 +162,9 @@ def middle_peak_fwhm(spectrum_fn, omega_nv: float, gamma_guess: float,
         spec = Spectrum(grid=grid, values=spectrum_fn(grid.points()),
                         model_tag="WINDOW")
         result = fit_lorentzian(spec, (grid.start, grid.stop))
-        half = min(3.0 * result.gamma, half)
+        if 3.0 * result.gamma >= half:
+            break
+        half = 3.0 * result.gamma
     return result
 
 

@@ -8,14 +8,15 @@ vec(A rho B) = (B^T kron A) vec(rho).
 
 Spectra are solved with ``HermitianGenerator``: the generator written in a
 unitary basis of Hermitian matrices, where it is real, in blocks of
-coherence order, where it is block tridiagonal.  The blocks are read once
-per (params, layout) off the summed column-stacked entries of the
-Hamiltonian and the collapse operators: between orders >= 1 they are those
-entries, acting on u + iv, and only the blocks that touch order 0 go
-through the basis change.  The drive frequency enters only through the
-rotating frame, so L(omega) = A + (omega - omega_nv) * D with D diagonal
-on u + iv; a block factorization per frequency interval and a certified
-Krylov reduced model give every point of it.  ``build_liouvillian`` and
+coherence order (the sparse top orders merged into one level), where it is
+block tridiagonal.  The blocks are read once per (params, layout) off the
+summed column-stacked entries of the Hamiltonian and the collapse
+operators: between orders >= 1 they are those entries, acting on u + iv,
+and only the blocks that touch order 0 go through the basis change.  The
+drive frequency enters only through the rotating frame, so L(omega) = A +
+(omega - omega_nv) * D with D diagonal on u + iv; a block factorization
+per frequency interval and a certified Krylov reduced model give every
+point of it.  ``build_liouvillian`` and
 ``steady_state`` are the direct complex construction it is tested against.
 """
 
@@ -41,7 +42,6 @@ UNIQUENESS_TOL = 1e-7
 KRYLOV_MAX = 160
 KRYLOV_TOL = 1e-14
 _KRYLOV_CHECK = 5
-_CHUNK = 8
 # truncation_convergence passes when one more Fock level on each mode moves
 # no point of the spectrum by this much, relative
 CONVERGENCE_REL_TOL = 1e-3
@@ -235,10 +235,19 @@ def _sandwich(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple:
-    """The distinct keys, sorted, and the sum of vals over each."""
-    keys, at = np.unique(keys, return_inverse=True)
-    return keys, (np.bincount(at, vals.real, len(keys))
-                  + 1j * np.bincount(at, vals.imag, len(keys)))
+    """The distinct keys, sorted, and the sum of vals over each: one sort of
+    the keys with each entry's index in its low bits, then one
+    ``np.add.reduceat`` over the runs of equal keys, each in the order of
+    vals.  A run of two sums as a + b; a longer one is summed as
+    a + (b + c + ...), but no key of a generator has more than two
+    entries (2x2 to 6x10)."""
+    bits = len(keys).bit_length()
+    assert np.max(keys, initial=0) < 1 << (63 - bits), "keys exceed 63 bits"
+    packed = np.sort(keys << bits | np.arange(len(keys)))
+    keys = packed >> bits
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[start], np.add.reduceat(vals[packed & ((1 << bits) - 1)],
+                                        start)
 
 
 def _hermitian_basis(number: np.ndarray) -> tuple:
@@ -342,21 +351,26 @@ def _ell_dot(ell: tuple, x: np.ndarray) -> np.ndarray:
 
 class CoherenceBlocks:
     """A real generator on the Hermitian-basis slots of an n x n density
-    matrix, with the slots grouped by coherence order m = |N_i - N_j|.
+    matrix, with the slots grouped by coherence order m = |N_i - N_j| into
+    levels: level l holds order l, and the top level every order from its
+    own up.  The top orders share a level while it holds no more slots than
+    the order below it, so the few slots of the highest orders are solved
+    as one block.
 
-    Vectors in this order are slot vectors permuted by ``perm``; ``pos`` is
-    its inverse.  Each order holds its slots as (u, v) pairs, u first (a
-    diagonal slot of m = 0 stands alone), and ``parts`` reads a vector as
-    its orders: real on m = 0, and z = u + iv on m >= 1, where the
-    generator is complex-linear (``real_liouvillian``).  ``basis`` maps a
-    vector back: slot s of vec(rho) is cu x[gu] + cv x[gv] for
-    (gu, gv, cu, cv) = basis, at s.
+    Vectors in this order are slot vectors permuted by ``perm``, sorted by
+    order; ``pos`` is its inverse.  Each level holds its slots as (u, v)
+    pairs, u first (a diagonal slot of level 0 stands alone), and ``parts``
+    reads a vector as its levels: real on level 0, and z = u + iv above it,
+    where the generator is complex-linear (``real_liouvillian``).  ``im``
+    holds i*m of each pair above level 0, in block order: D on z.
+    ``basis`` maps a vector back: slot s of vec(rho) is cu x[gu] + cv x[gv]
+    for (gu, gv, cu, cv) = basis, at s.
 
     Only the drive changes N, by one, so the generator is block tridiagonal
-    in m: ``diag[m]`` is block (m, m), ``upper[m]`` block (m - 1, m) and
-    ``lower[m]`` block (m, m - 1), with ``lower_t[m]`` its transpose, each
+    in l: ``diag[l]`` is block (l, l), ``upper[l]`` block (l - 1, l) and
+    ``lower[l]`` block (l, l - 1), with ``lower_t[l]`` its transpose, each
     held as its nonzeros in ELL form (``_ell``).  Block (0, 0) is real;
-    every other block is the complex C on the z of its orders >= 1: R y =
+    every other block is the complex C on the z of its levels >= 1: R y =
     Re(C z) on (0, 1), and on (1, 0) C maps the real x_0 to z.  No zero of
     a block is stored, and nothing of size n^2 x n^2 is formed.
 
@@ -374,8 +388,14 @@ class CoherenceBlocks:
         u_slot, v_slot, cu, cv = _hermitian_basis(number)
         self.perm = np.lexsort((2 * u_slot + (i > j), order))
         self.pos = np.argsort(self.perm)
-        self.sizes = np.bincount(order)
+        counts = np.bincount(order)
+        top = len(counts) - 1  # the lowest order of the top level
+        while top > 1 and counts[top - 1:].sum() <= counts[top - 2]:
+            top -= 1
+        level = np.minimum(order, top)
+        self.sizes = np.bincount(level)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.im = 1j * order[self.perm[self.sizes[0]::2]]
         gu, gv = self.pos[u_slot], self.pos[v_slot]
         self.basis = gu, gv, cu, cv.conj()
         # ||L||_F^2 (= ||R||_F^2), and <L, D> for D = i(N_i - N_j) on rho_ij
@@ -383,12 +403,13 @@ class CoherenceBlocks:
         self.cross = float(signed[rows] @ (vals.imag * (rows == cols)))
 
         # where each slot is read, as row p or column q of the key
-        # ((a k + b) dim + p) dim + q of block (a, b): on m = 0 at its u and
-        # v with T's weights, on m >= 1 at its pair with weight sqrt2 (z)
+        # ((a k + b) dim + p) dim + q of block (a, b) of levels: on order 0
+        # at its u and v with T's weights, above it at its pair with weight
+        # sqrt2 (z)
         k, dim, zero = len(self.sizes), int(self.sizes.max()), signed == 0
-        target = np.stack([np.where(zero, gu, (self.pos - self.offsets[order])
+        target = np.stack([np.where(zero, gu, (self.pos - self.offsets[level])
                                     // 2), gv])
-        p, q = (order * k * dim + target) * dim, order * dim * dim + target
+        p, q = (level * k * dim + target) * dim, level * dim * dim + target
         weight = np.stack([np.where(zero, cu, np.sqrt(2.0)), cv * zero])
         low = np.minimum(signed[rows], signed[cols])  # not read where < 0
         r, c, w = rows[low == 0], cols[low == 0], vals[low == 0]
@@ -402,8 +423,8 @@ class CoherenceBlocks:
         v = np.where(keys < dim * dim, v.real, v)  # block (0, 0) is real
         keys, v = keys[v != 0], v[v != 0]  # entries that cancelled
         a, b, p, q = np.unravel_index(keys, (k, k, dim, dim))
-        # sorted by block and row, block (a, b) numbered 2a + b: (m, m) is
-        # 3m, (m - 1, m) 3m - 2, (m, m - 1) 3m - 1 (lower_t: by column)
+        # sorted by block and row, block (a, b) numbered 2a + b: (l, l) is
+        # 3l, (l - 1, l) 3l - 2, (l, l - 1) 3l - 1 (lower_t: by column)
         dims = np.where(np.arange(k) > 0, self.sizes // 2, self.sizes)
         real = np.searchsorted(keys, dim * dim)  # those of block (0, 0)
         ells = (_ell(a[:real], p[:real], q[:real], v[:real].real, dims[:1])
@@ -416,8 +437,8 @@ class CoherenceBlocks:
         self.lower_t = [None] + _ell(b[at], q[at], p[at], v[at], dims[:-1])
 
     def parts(self, x: np.ndarray) -> list:
-        """Views of the orders of x along its last axis (slots in block
-        order): real on m = 0, and z = u + iv of each pair on m >= 1."""
+        """Views of the levels of x along its last axis (slots in block
+        order): real on level 0, and z = u + iv of each pair above it."""
         bounds = self.offsets.tolist()
         return [x[..., a:b].view(complex) if m else x[..., a:b]
                 for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
@@ -445,14 +466,14 @@ def _inverse(block: np.ndarray) -> np.ndarray:
 
 
 class _BlockFactor:
-    """M(s) = A + s*D with one row of the m = 0 block replaced by the trace
-    functional, factored by block elimination from the highest coherence
-    order down to m = 0, on the complex blocks of ``CoherenceBlocks``: the
-    Schur complements of the orders m >= 1 are half their real size.
+    """M(s) = A + s*D with one row of the level-0 block replaced by the
+    trace functional, factored by block elimination from the top coherence
+    level down to level 0, on the complex blocks of ``CoherenceBlocks``: the
+    Schur complements of the levels above 0 are half their real size.
 
-    D is block diagonal and zero on m = 0, and the trace row couples to no
-    other order, so only the m = 0 Schur complement depends on which row
-    holds the trace: both rows share the higher orders' inverses.
+    D is block diagonal and zero on level 0, and the trace row couples to
+    no other level, so only the level-0 Schur complement depends on which
+    row holds the trace: both rows share the higher levels' inverses.
     """
 
     def __init__(self, gen: "HermitianGenerator", s: float):
@@ -482,10 +503,10 @@ class _BlockFactor:
         return self._inv0[row]
 
     def solve(self, rhs: np.ndarray, row: int) -> np.ndarray:
-        """M(s)^-1 rhs with the trace functional in ``row`` of m = 0."""
+        """M(s)^-1 rhs with the trace functional in ``row`` of level 0."""
         a = self.gen.a
         x = rhs.copy()
-        y = a.parts(x)  # views of x: each order is solved in place
+        y = a.parts(x)  # views of x: each level is solved in place
         for m in range(len(y) - 1, 0, -1):
             y[m][:] = self.inv[m] @ y[m]
             up = _ell_dot(a.upper[m], y[m])
@@ -500,21 +521,52 @@ class _BlockFactor:
 def _reduced(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
     """Reduced-model solutions (I + sigma H_k) y = beta e_1, one row per
     sigma, and their a-posteriori estimates |sigma h_{k+1,k} y_k| / |y|;
-    ``hess`` is the (k + 1) x k Arnoldi matrix."""
+    ``hess`` is the (k + 1) x k Arnoldi matrix.
+
+    T = I + sigma H_k is upper Hessenberg.  Rotating its columns (i - 1, i)
+    by (c_i, s_i), from the bottom row up, zeros each subdiagonal entry:
+    T G_{k-1} ... G_1 = R, upper triangular.  Then y = (beta / r_11)
+    G_{k-1} ... G_1 e_1, whose entry j = 0, 1, ... is c_{j+1} (-s_1) ...
+    (-s_j) with c_k = 1, and |y| = |beta| / |r_11|.  Only the column being
+    rotated is held, for all shifts at once: O(k^2) per shift in k numpy
+    steps.
+    """
     k = hess.shape[1]
-    y = np.empty((len(sigmas), k))
-    for c in range(0, len(sigmas), _CHUNK):  # bounded (chunk, k, k) stack
-        sig = sigmas[c: c + _CHUNK]
-        rhs = np.zeros((len(sig), k, 1))
-        rhs[:, 0] = beta
-        try:
-            y[c: c + _CHUNK] = np.linalg.solve(
-                np.eye(k) + sig[:, None, None] * hess[None, :k], rhs)[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"reduced model singular: {exc}") from exc
+    col = sigmas * hess[:k, k - 1, None]  # column k - 1 of T, one per shift
+    col[k - 1] += 1.0
+    cos, neg_sin = np.ones((2, k, len(sigmas)))
+    for i in range(k - 1, 0, -1):
+        below = sigmas * hess[i, i - 1]  # T[i, i - 1]: 0 only at sigma = 0,
+        r = np.hypot(below, col[i])  # where col[i] = 1, so r > 0
+        np.divide(col[i], r, out=cos[i - 1])
+        np.divide(below, -r, out=neg_sin[i])
+        prev = hess[:i, i - 1, None] * (sigmas * cos[i - 1])  # c T[:i, i-1]
+        prev[i - 1] += cos[i - 1]
+        col = col[:i]  # row i is now 0
+        col *= neg_sin[i]
+        col += prev
+    if np.any(col[0] == 0.0):
+        raise SolverFailure("reduced model singular")
+    y = (beta / col[0] * np.cumprod(neg_sin, axis=0) * cos).T
     estimate = (np.abs(sigmas) * hess[k, k - 1] * np.abs(y[:, -1])
-                / np.linalg.norm(y, axis=1))
+                * np.abs(col[0]) / abs(beta))
     return y, estimate
+
+
+def _reduced_dense(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
+    """``_reduced`` by one dense (len(sigmas), k, k) solve: cheaper than the
+    rotations at a few shifts, as at the two end shifts of ``_krylov``'s
+    early checks."""
+    k = hess.shape[1]
+    rhs = np.zeros((len(sigmas), k, 1))
+    rhs[:, 0] = beta
+    try:
+        y = np.linalg.solve(np.eye(k) + sigmas[:, None, None] * hess[None, :k],
+                            rhs)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"reduced model singular: {exc}") from exc
+    return y, (np.abs(sigmas) * hess[k, k - 1] * np.abs(y[:, -1])
+               / np.linalg.norm(y, axis=1))
 
 
 class HermitianGenerator:
@@ -524,8 +576,8 @@ class HermitianGenerator:
     In the rotating frame H(omega) = H(omega_nv) - (omega - omega_nv) * N
     with N = sigma_z/2 + n_b + n_d diagonal, so D only rotates each (u, v)
     pair of order m: du/dt = -m v, dv/dt = +m u, so D is i*m on z = u + iv.
-    A is held as coherence-order blocks (``CoherenceBlocks``); D is block
-    diagonal and zero on m = 0, so the trace functional can replace the
+    A is held as coherence-level blocks (``CoherenceBlocks``); D is block
+    diagonal and zero on order 0, so the trace functional can replace the
     rho_00 row (or the last diagonal row) at every frequency.
 
     A spectrum is solved interval by interval: B = M(omega_c) is factored
@@ -549,27 +601,28 @@ class HermitianGenerator:
                                           (params.gamma_d, o.d)], number)
         # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2], D = i*m
         self._norm2 = (a.norm2, 2.0 * a.cross,
-                       float(np.arange(len(a.sizes)) ** 2 @ a.sizes))
-        self._d = np.repeat(1j * np.arange(1, len(a.sizes)), a.sizes[1:] // 2)
+                       2.0 * float(np.vdot(a.im, a.im).real))
         self.trace0 = np.bincount(a.pos[:: n + 1], minlength=a.sizes[0]) * 1.0
         self.rows = (a.pos[0], a.pos[n * n - 1])  # rho_00 and rho_last
 
-    def diag_block(self, m: int, s: float) -> np.ndarray:
-        """Diagonal block m of A + s*D, a fresh dense array: real on m = 0,
-        and on m >= 1 complex, acting on z."""
-        cols, vals = self.a.diag[m]
+    def diag_block(self, level: int, s: float) -> np.ndarray:
+        """Diagonal block ``level`` of A + s*D, a fresh dense array: real on
+        level 0, and above it complex, acting on z."""
+        a = self.a
+        cols, vals = a.diag[level]
         out = np.zeros((cols.shape[1],) * 2, vals.dtype)
         np.add.at(out, (np.arange(len(out)), cols), vals)  # padding adds 0
-        if m:
-            out[np.diag_indices(len(out))] += 1j * s * m  # D is i*m
+        if level:
+            lo, hi = (a.offsets[level: level + 2] - a.sizes[0]) // 2
+            out[np.diag_indices(len(out))] += s * a.im[lo: hi]  # D is i*m
         return out
 
     def apply_d(self, x: np.ndarray) -> np.ndarray:
-        """D x along the last axis of x (block order): zero on m = 0, and
-        on the z of m >= 1 their i*m, held in ``_d``."""
+        """D x along the last axis of x (block order): zero on level 0, and
+        on each z above it its i*m (``CoherenceBlocks.im``)."""
         out = np.zeros_like(x)
         n0 = self.a.sizes[0]
-        np.multiply(x[..., n0:].view(complex), self._d,
+        np.multiply(x[..., n0:].view(complex), self.a.im,
                     out=out[..., n0:].view(complex))
         return out
 
@@ -598,8 +651,9 @@ class HermitianGenerator:
 
         (I + sigma K) x = b holds for x = V_k y up to sigma h_{k+1,k} y_k
         v_{k+1}, with (I + sigma H_k) y = |b| e_1.  Every ``_KRYLOV_CHECK``
-        steps that estimate is checked at the two end shifts, and when both
-        are below ``KRYLOV_TOL`` |y|, at every shift; the run returns the
+        steps that estimate is checked at the two end shifts (one dense
+        solve, ``_reduced_dense``), and when both are below ``KRYLOV_TOL``
+        |y|, at every shift (``_reduced``); the run returns the
         x(sigma), one row each, and k once all are, and raises at
         ``KRYLOV_MAX`` steps.  With every shift zero, x is b itself (k = 0).
         """
@@ -625,7 +679,8 @@ class HermitianGenerator:
             if hess[k, k - 1] <= 1e-12 * size:
                 hess[k, k - 1] = 0.0
             elif k < KRYLOV_MAX and (k % _KRYLOV_CHECK or np.any(
-                    _reduced(hess[:k + 1, :k], beta, ends)[1] > KRYLOV_TOL)):
+                    _reduced_dense(hess[:k + 1, :k], beta, ends)[1]
+                    > KRYLOV_TOL)):
                 basis[k] = w / hess[k, k - 1]
                 continue
             y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)

@@ -704,7 +704,9 @@ class TestSweepPower:
         assert main(["sweep-power", "--config", cfg, "--out", str(out),
                      "--lambdas", "1,10"]) == 0
         solver = json.loads((out / "fwhm_meta.json").read_text())["solver"]
-        # the run report of each of the two fit windows of every drive
+        # the run report of each fit window solved for every drive: here 3
+        # times the first fit's HWHM reaches past the first window at both
+        # drives, so the first window is the only one
         expected = []
 
         def drive(lam):
@@ -719,7 +721,7 @@ class TestSweepPower:
             return excitation
 
         fwhm_vs_power(drive, [1.0, 10.0], OMEGA_NV, SYSTEM["gamma_d"])
-        assert [len(d["windows"]) for d in expected] == [2, 2]
+        assert [len(d["windows"]) for d in expected] == [1, 1]
         assert solver == json.loads(json.dumps(expected))
 
     def test_mhom_damping_follows_system_rates(self, tmp_path):

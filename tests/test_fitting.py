@@ -236,6 +236,28 @@ class TestMiddlePeakFwhm:
         fit = middle_peak_fwhm(fn, OMEGA_NV, 2.0)
         assert fit.fwhm == pytest.approx(0.8, rel=1e-6)
 
+    @pytest.mark.parametrize("guess,windows", [(2.0, 2), (0.3, 1)])
+    def test_a_second_window_equal_to_the_first_is_not_solved(self, guess,
+                                                              windows):
+        # HWHM 0.4: from a guess of 2.0 the second window narrows to
+        # +-1.2; from 0.3 it would be the first window (+-0.9) again
+        grids = []
+
+        def fn(ws):
+            grids.append(ws)
+            return lorentzian_model(1.0, 0.4, OMEGA_NV, 0.0, ws)
+
+        fit = middle_peak_fwhm(fn, OMEGA_NV, guess)
+        assert len(grids) == windows
+        assert grids[0][-1] - OMEGA_NV == pytest.approx(3.0 * guess)
+        if windows == 2:
+            assert grids[1][-1] - OMEGA_NV == pytest.approx(1.2, rel=1e-6)
+        # the fit on the last grid solved, bit for bit
+        last = grids[-1]
+        spec = make_spectrum(last, lorentzian_model(1.0, 0.4, OMEGA_NV, 0.0,
+                                                    last))
+        assert fit == fit_lorentzian(spec, (last[0], last[-1]))
+
 
 def thom_at(lam):
     return partial(thom_excitation, REFERENCE_PARAMS.with_(lam=lam))

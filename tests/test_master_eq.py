@@ -501,9 +501,59 @@ class TestCoherenceOrder:
             real_liouvillian(np.diag([0.0, 1.0]).astype(complex),
                              [(1.0, sx)], np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("nb,nd", [(2, 2), (4, 4), (4, 8)])
+    def test_summed_entries_match_unique_and_bincount(self, monkeypatch, nb,
+                                                      nd):
+        # the generator's entries and blocks summed by one sort, against
+        # np.unique with two bincounts: the same keys and sums, bit for bit
+        calls = []
+        summed = master_eq._summed
+
+        def spy(keys, vals):
+            calls.append((keys, vals))
+            return summed(keys, vals)
+
+        monkeypatch.setattr(master_eq, "_summed", spy)
+        HermitianGenerator(small_params(lam=2.0, theta=0.7),
+                           HilbertLayout(nb, nd))
+        assert len(calls) == 2
+        for keys, vals in calls:
+            distinct, at = np.unique(keys, return_inverse=True)
+            sums = (np.bincount(at, vals.real, len(distinct))
+                    + 1j * np.bincount(at, vals.imag, len(distinct)))
+            # reduceat sums a run of three or more in another order
+            assert np.bincount(at).max() <= 2
+            got_keys, got_sums = summed(keys, vals)
+            assert np.array_equal(got_keys, distinct)
+            assert np.array_equal(got_sums, sums)
+
     def test_block_sizes_at_four_by_four(self):
+        # orders 4 to 7 (88, 38, 12 and 2 slots) share the top level
         gen = HermitianGenerator(small_params(lam=1.0), HilbertLayout(4, 4))
-        assert list(gen.a.sizes) == [168, 310, 244, 162, 88, 38, 12, 2]
+        assert list(gen.a.sizes) == [168, 310, 244, 162, 140]
+
+    @pytest.mark.parametrize("nb,nd,sizes", [
+        (3, 3, [70, 122, 80, 52]),
+        (4, 4, [168, 310, 244, 162, 140]),
+        (4, 8, [424, 820, 744, 636, 512, 386, 268, 166, 140]),
+        (6, 10, [1148, 2252, 2128, 1940, 1704, 1438, 1164, 902, 664, 458,
+                 292, 170, 140])])
+    def test_top_orders_share_one_level(self, nb, nd, sizes):
+        layout = HilbertLayout(nb, nd)
+        a = HermitianGenerator(small_params(lam=1.0), layout).a
+        assert list(a.sizes) == sizes
+        # every order below the top level is a level of its own; the top
+        # level holds no more slots than the order below it, and would
+        # with that order hold more than the one below that
+        counts = np.bincount(coherence_order(layout))
+        top = len(sizes) - 1
+        assert list(counts[:top]) == sizes[:top]
+        assert counts[top:].sum() == sizes[top] <= counts[top - 1]
+        assert counts[top - 1:].sum() > counts[top - 2]
+        # i*m of each pair, in block order
+        m = coherence_order(layout)[a.perm[a.sizes[0]::2]]
+        assert np.array_equal(a.im, 1j * m)
+        assert np.all(np.diff(m) >= 0) and m[0] == 1
 
     def test_generator_holds_only_its_nonzeros(self):
         # at 4x8 the dense blocks took 50.5 MB for about 0.27 MB of nonzeros
@@ -600,20 +650,37 @@ def per_point_excitation(gen, omegas, check_unique=False):
 
 
 class TestReducedModel:
-    def test_reduced_solutions_do_not_depend_on_the_chunk(self,
-                                                          monkeypatch):
-        # the (chunk, k, k) stack bounds memory; it must not change a bit
-        rng = np.random.default_rng(5)
-        k = 40
-        hess = np.triu(rng.normal(size=(k + 1, k)), -1)
-        sigmas = np.linspace(-0.3, 0.4, 161)
-        results = []
-        for chunk in (1, 8, len(sigmas)):
-            monkeypatch.setattr(master_eq, "_CHUNK", chunk)
-            results.append(master_eq._reduced(hess, 2.5, sigmas))
-        for y, estimate in results[1:]:
-            assert np.array_equal(y, results[0][0])
-            assert np.array_equal(estimate, results[0][1])
+    @pytest.mark.parametrize("k,h_last", [(1, 0.5), (2, 0.5), (40, 0.5),
+                                          (160, 0.5), (40, 0.0)])
+    def test_rotations_match_the_dense_solve(self, k, h_last):
+        # an Arnoldi matrix: upper Hessenberg, its subdiagonal positive but
+        # h_{k+1,k}, 0 on an invariant subspace; entries of order 1/sqrt(k)
+        # keep every I + sigma H well conditioned
+        rng = np.random.default_rng(k)
+        hess = np.triu(rng.normal(size=(k + 1, k)), -1) / np.sqrt(k)
+        hess[np.arange(1, k + 1), np.arange(k)] = rng.uniform(0.1, 2, k)
+        hess[k, k - 1] = h_last
+        sigmas = np.concatenate([np.linspace(-0.3, 0.4, 21), [0.0]])
+        beta = -2.5
+        y, estimate = master_eq._reduced(hess, beta, sigmas)
+        assert y.shape == (len(sigmas), k)
+        for row, sigma, est in zip(y, sigmas, estimate):
+            t = np.eye(k) + sigma * hess[:k]
+            dense = np.linalg.solve(t, beta * np.eye(k)[0])
+            assert np.max(np.abs(row - dense)) <= 1e-13 * np.max(np.abs(dense))
+            norm = np.linalg.norm(dense)
+            expected = abs(sigma) * h_last * abs(dense[-1]) / norm
+            assert est == pytest.approx(expected, rel=1e-12, abs=1e-300)
+            # T = R Q with Q orthogonal: |y| |r_11| = |beta|, r_11 read off
+            # the QR factorization of T reversed and transposed
+            r_11 = np.linalg.qr(t[::-1].T, mode="r")[-1, -1]
+            assert np.linalg.norm(row) * abs(r_11) == pytest.approx(
+                abs(beta), rel=1e-12)
+        # sigma = 0 gives beta e_1 and estimate 0, bit for bit, as does every
+        # shift on an invariant subspace
+        assert np.array_equal(y[-1], beta * np.eye(k)[0])
+        assert estimate[-1] == 0.0
+        assert np.all(estimate == 0.0) == (h_last == 0.0)
 
     def test_run_report_reads_the_returned_states(self):
         layout = HilbertLayout(3, 4)
@@ -663,6 +730,25 @@ class TestReducedModel:
             assert not report["krylov_dims"]
             assert np.array_equal(rho, gen._density_matrices(x[None])[0])
             assert gen.excitation([w])[0] == qubit_excitation(rho, layout)
+
+    # the spectra of the benchmark's ME workload: criterion 6's drives on
+    # 21 points, and the weak-drive spectrum on 161
+    BENCHMARK_SPECTRA = [(lam, 4.5, 21, (4, 4)) for lam in (1.0, 5.0, 10.0,
+                                                            20.0)]
+    BENCHMARK_SPECTRA += [(0.1, 20.0, 161, (3, 3))]
+
+    @pytest.mark.parametrize("lam,half,n,layout", BENCHMARK_SPECTRA)
+    def test_rotations_keep_the_dense_krylov_dimensions(self, monkeypatch,
+                                                        lam, half, n, layout):
+        grid = FrequencyGrid(OMEGA_NV - half, OMEGA_NV + half, n)
+        params = REFERENCE_PARAMS.with_(lam=lam)
+        spec = me_spectrum(params, grid, HilbertLayout(*layout))
+        monkeypatch.setattr(master_eq, "_reduced", master_eq._reduced_dense)
+        dense = me_spectrum(params, grid, HilbertLayout(*layout))
+        for key in ("krylov_dims", "rejected_models"):
+            assert spec.metadata[key] == dense.metadata[key]
+        scale = np.max(np.abs(dense.values))
+        assert np.max(np.abs(spec.values - dense.values)) <= 1e-13 * scale
 
     def test_two_points_are_one_model(self):
         report = {}
