@@ -398,6 +398,10 @@ def cmd_eigen(args) -> int:
     if args.n_deltas < 1:
         raise ConfigError(f"--n-deltas must be >= 1, got {args.n_deltas}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.n_deltas)
+    if not np.all(np.isfinite(deltas)):  # a span that overflows
+        raise ConfigError(f"invalid --delta-min, --delta-max: the detuning "
+                          f"axis from {args.delta_min} to {args.delta_max} "
+                          f"is not finite")
     r = eigen_numeric(params, deltas)
     # judged like model values: an eigenvalue that overflows is a solver error
     columns = [_finite(np.asarray, c) for c in (r.values, r.qubit_weights)]
@@ -507,6 +511,11 @@ def cmd_sweep_power(args) -> int:
             f"drive amplitudes must be finite and > 0, got {lambdas}")
     grid = _build(cfg, "grid")
     excitation_at, params, _ = _excitation(cfg, model, args)
+    guess = max(params.gamma_d, grid.step)
+    # middle_peak_fwhm's first window, omega_nv +- 3 * guess: a step that
+    # puts it beyond the arithmetic is the grid's fault
+    _record("grid: the first window of sweep-power", FrequencyGrid,
+            params.omega_nv - 3.0 * guess, params.omega_nv + 3.0 * guess, 2)
     report, solver = {}, []
 
     def drive(lam):
@@ -514,8 +523,7 @@ def cmd_sweep_power(args) -> int:
         solver.append({"lambda": lam, "windows": []})
         return excitation_at(_changed(params, lam=lam), solver[-1]["windows"])
 
-    rows = fwhm_vs_power(drive, lambdas, params.omega_nv,
-                         max(params.gamma_d, grid.step), report)
+    rows = fwhm_vs_power(drive, lambdas, params.omega_nv, guess, report)
     out = args.out or "."
     # a failed fit has no FWHM: written as nan
     _write_csv(os.path.join(out, "fwhm.csv"), "lambda,fwhm,converged", (

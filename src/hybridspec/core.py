@@ -82,6 +82,7 @@ class FrequencyGrid:
     def __post_init__(self):
         _require_finite("start", self.start)
         _require_finite("stop", self.stop)
+        _require_finite("stop - start", self.stop - self.start)
         _require_int("n_points", self.n_points, 2)
         if not self.start < self.stop:
             raise ValueError("grid requires start < stop")

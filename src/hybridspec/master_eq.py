@@ -6,18 +6,20 @@ decay at Gamma and population decay at 2*Gamma, matching the linewidths of
 the oscillator models.  Column-stacking convention throughout:
 vec(A rho B) = (B^T kron A) vec(rho).
 
-Spectra are solved with ``HermitianGenerator``: the generator written in a
-unitary basis of Hermitian matrices, where it is real, in blocks of
-coherence order (the sparse top orders merged into one level), where it is
-block tridiagonal.  The blocks are read once per (params, layout) off the
-summed column-stacked entries of the Hamiltonian and the collapse
-operators: between orders >= 1 they are those entries, acting on u + iv,
-and only the blocks that touch order 0 go through the basis change.  The
-drive frequency enters only through the rotating frame, so L(omega) = A +
-(omega - omega_nv) * D with D diagonal on u + iv; a block factorization
-per frequency interval and a certified Krylov reduced model give every
-point of it.  ``build_liouvillian`` and
-``steady_state`` are the direct complex construction it is tested against.
+Spectra are solved on the generator written in a unitary basis of
+Hermitian matrices, where it is real, in blocks of coherence order (the
+sparse top orders merged into one level), where it is block tridiagonal.
+The blocks are read once per (params, layout) off the summed
+column-stacked entries of the Hamiltonian and the collapse operators:
+between orders >= 1 they are those entries, acting on u + iv, and only
+the blocks that touch order 0 go through the basis change.  The drive
+frequency enters only through the rotating frame, so L(omega) = A +
+(omega - omega_nv) * D with D diagonal on u + iv.  The solver has three
+layers: the operator A + s*D (``CoherenceBlocks``), a block
+factorization per frequency interval with its certified Krylov reduced
+model (``_BlockFactor``), and the choice of intervals
+(``HermitianGenerator``).  ``build_liouvillian`` and ``steady_state`` are
+the direct complex construction it is tested against.
 """
 
 from __future__ import annotations
@@ -377,6 +379,13 @@ class CoherenceBlocks:
     With z = sqrt2 rho_ij where N_i > N_j, C is the column-stacked L on
     those rows and columns (the rows where N_i < N_j are its conjugates);
     only entries in a row or a column of order 0 are transformed by T.
+
+    The blocks hold A and ``im`` holds D: this is the whole operator
+    A + s*D.  ``diag_block`` and ``apply_d`` give it to the factorization,
+    ``residuals`` certifies states against it, and ``density_matrices``
+    maps them back to rho.  ``trace0`` is the trace functional on level 0,
+    and ``rows`` the two level-0 rows it may replace, rho_00's and
+    rho_last's: D is zero on level 0, so they hold it at every s.
     """
 
     def __init__(self, number: np.ndarray, rows: np.ndarray,
@@ -397,10 +406,15 @@ class CoherenceBlocks:
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         self.im = 1j * order[self.perm[self.sizes[0]::2]]
         gu, gv = self.pos[u_slot], self.pos[v_slot]
-        self.basis = gu, gv, cu, cv.conj()
-        # ||L||_F^2 (= ||R||_F^2), and <L, D> for D = i(N_i - N_j) on rho_ij
-        self.norm2 = float(np.vdot(vals, vals).real)
-        self.cross = float(signed[rows] @ (vals.imag * (rows == cols)))
+        self.n, self.basis = n, (gu, gv, cu, cv.conj())
+        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2]: ||L||_F^2
+        # (= ||R||_F^2), 2 <L, D> for D = i(N_i - N_j) on rho_ij, ||D||_F^2
+        self.norm2 = (float(np.vdot(vals, vals).real),
+                      2.0 * float(signed[rows] @ (vals.imag * (rows == cols))),
+                      2.0 * float(np.vdot(self.im, self.im).real))
+        self.trace0 = np.bincount(self.pos[:: n + 1],
+                                  minlength=self.sizes[0]) * 1.0
+        self.rows = (self.pos[0], self.pos[n * n - 1])  # rho_00, rho_last
 
         # where each slot is read, as row p or column q of the key
         # ((a k + b) dim + p) dim + q of block (a, b) of levels: on order 0
@@ -457,6 +471,43 @@ class CoherenceBlocks:
                 part += up if m else up.real
         return out
 
+    def diag_block(self, level: int, s: float) -> np.ndarray:
+        """Diagonal block ``level`` of A + s*D, a fresh dense array: real on
+        level 0, and above it complex, acting on z."""
+        cols, vals = self.diag[level]
+        out = np.zeros((cols.shape[1],) * 2, vals.dtype)
+        np.add.at(out, (np.arange(len(out)), cols), vals)  # padding adds 0
+        if level:
+            lo, hi = (self.offsets[level: level + 2] - self.sizes[0]) // 2
+            out[np.diag_indices(len(out))] += s * self.im[lo: hi]  # D is i*m
+        return out
+
+    def apply_d(self, x: np.ndarray) -> np.ndarray:
+        """D x along the last axis of x (block order): zero on level 0, and
+        on each z above it its i*m (``im``)."""
+        out = np.zeros_like(x)
+        n0 = self.sizes[0]
+        np.multiply(x[..., n0:].view(complex), self.im,
+                    out=out[..., n0:].view(complex))
+        return out
+
+    def residuals(self, x: np.ndarray, s) -> np.ndarray:
+        """||L x|| / ||L||_F of each row of x (block order), row p against
+        the generator at shift s[p].  A norm that overflows would make every
+        residual read 0, so it is a solver failure."""
+        r = self.matvec(x) + self.apply_d(x) * np.reshape(s, (-1, 1))
+        a2, ad, d2 = self.norm2
+        norm = np.sqrt(a2 + s * (ad + s * d2))
+        if not np.all(np.isfinite(norm)):
+            raise SolverFailure("generator norm is not finite")
+        return np.linalg.norm(r, axis=1) / norm
+
+    def density_matrices(self, x: np.ndarray) -> np.ndarray:
+        # one rho per row of x (block order): vec(rho) = T' x, T unitary
+        gu, gv, cu, cv = self.basis
+        vecs = cu * x[:, gu] + cv * x[:, gv]
+        return vecs.reshape(-1, self.n, self.n).swapaxes(1, 2)
+
 
 def _inverse(block: np.ndarray) -> np.ndarray:
     try:
@@ -474,21 +525,22 @@ class _BlockFactor:
     D is block diagonal and zero on level 0, and the trace row couples to
     no other level, so only the level-0 Schur complement depends on which
     row holds the trace: both rows share the higher levels' inverses.
+    ``krylov`` runs the reduced model of an interval on the solves of B =
+    M(s) and the operator's D.
     """
 
-    def __init__(self, gen: "HermitianGenerator", s: float):
-        a = gen.a
+    def __init__(self, a: CoherenceBlocks, s: float):
         k = len(a.sizes)
-        self.gen = gen
+        self.a = a
         self.inv = [None] * k
-        schur = gen.diag_block(k - 1, s)
+        schur = a.diag_block(k - 1, s)
         for m in range(k - 1, 0, -1):
             self.inv[m] = _inverse(schur)
             # w = U inv, w^T by U along the last axis of inv^T, and w L by
             # L^T along the last axis of w; at m = 1 only its real part
             w = _ell_dot(a.upper[m], self.inv[m].T).T
             cols, vals = a.lower_t[m]
-            schur = gen.diag_block(m - 1, s) - (
+            schur = a.diag_block(m - 1, s) - (
                 _ell_dot(a.lower_t[m], w) if m > 1 else
                 _ell_dot((cols, vals.real), w.real)
                 - _ell_dot((cols, vals.imag), w.imag))
@@ -498,13 +550,13 @@ class _BlockFactor:
     def _inverse0(self, row: int) -> np.ndarray:
         if row not in self._inv0:
             s0 = self._schur0.copy()
-            s0[row] = self.gen.trace0
+            s0[row] = self.a.trace0
             self._inv0[row] = _inverse(s0)
         return self._inv0[row]
 
     def solve(self, rhs: np.ndarray, row: int) -> np.ndarray:
         """M(s)^-1 rhs with the trace functional in ``row`` of level 0."""
-        a = self.gen.a
+        a = self.a
         x = rhs.copy()
         y = a.parts(x)  # views of x: each level is solved in place
         for m in range(len(y) - 1, 0, -1):
@@ -516,6 +568,54 @@ class _BlockFactor:
         for m in range(1, len(y)):
             y[m] -= self.inv[m] @ _ell_dot(a.lower[m], y[m - 1])
         return x
+
+    def krylov(self, row: int, sigmas: np.ndarray) -> tuple:
+        """Shift-invert Arnoldi on K = B^-1 D from b = B^-1 e_row, for the
+        sorted shifts sigmas from B's expansion point.
+
+        (I + sigma K) x = b holds for x = V_k y up to sigma h_{k+1,k} y_k
+        v_{k+1}, with (I + sigma H_k) y = |b| e_1.  Every ``_KRYLOV_CHECK``
+        steps that estimate is checked at the two end shifts (one dense
+        solve, ``_reduced_dense``), and when both are below ``KRYLOV_TOL``
+        |y|, at every shift (``_reduced``); the run returns the
+        x(sigma), one row each, and k once all are, and raises at
+        ``KRYLOV_MAX`` steps.  With every shift zero, x is b itself (k = 0).
+        """
+        b = np.zeros(self.a.offsets[-1])
+        b[row] = 1.0
+        b = self.solve(b, row)
+        if not sigmas.any():
+            return b[None].repeat(len(sigmas), axis=0), 0
+        basis = np.empty((KRYLOV_MAX + 1, len(b)))  # one vector per row
+        hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
+        beta = np.linalg.norm(b)
+        basis[0] = b / beta
+        ends = sigmas[[0, -1]]
+        for k in range(1, KRYLOV_MAX + 1):
+            w = self.solve(self.a.apply_d(basis[k - 1]), row)
+            size = np.linalg.norm(w)
+            for _ in range(2):  # full reorthogonalization, twice
+                c = basis[:k] @ w
+                w -= c @ basis[:k]
+                hess[:k, k - 1] += c
+            hess[k, k - 1] = np.linalg.norm(w)
+            # an invariant subspace: the model is exact
+            if hess[k, k - 1] <= 1e-12 * size:
+                hess[k, k - 1] = 0.0
+            elif k < KRYLOV_MAX and (k % _KRYLOV_CHECK or np.any(
+                    _reduced_dense(hess[:k + 1, :k], beta, ends)[1]
+                    > KRYLOV_TOL)):
+                basis[k] = w / hess[k, k - 1]
+                continue
+            y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
+            if np.all(estimate <= KRYLOV_TOL):  # 0 on an invariant subspace
+                # V_k y, then one row per shift: the states keep the
+                # rounding of that product
+                return np.ascontiguousarray((basis[:k].T @ y.T).T), k
+            if k == KRYLOV_MAX or hess[k, k - 1] == 0.0:
+                raise SolverFailure(f"reduced-model estimate "
+                                    f"{np.max(estimate):.3e} too large")
+            basis[k] = w / hess[k, k - 1]
 
 
 def _reduced(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
@@ -555,8 +655,8 @@ def _reduced(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
 
 def _reduced_dense(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
     """``_reduced`` by one dense (len(sigmas), k, k) solve: cheaper than the
-    rotations at a few shifts, as at the two end shifts of ``_krylov``'s
-    early checks."""
+    rotations at a few shifts, as at the two end shifts of
+    ``_BlockFactor.krylov``'s early checks."""
     k = hess.shape[1]
     rhs = np.zeros((len(sigmas), k, 1))
     rhs[:, 0] = beta
@@ -570,15 +670,13 @@ def _reduced_dense(hess: np.ndarray, beta: float, sigmas: np.ndarray) -> tuple:
 
 
 class HermitianGenerator:
-    """The real generator L(omega) = A + (omega - omega_nv) * D of one
-    (params, layout), with the validated steady state at any drive.
+    """The validated steady states of one (params, layout) at any drive,
+    from its real generator L(omega) = A + (omega - omega_nv) * D, the
+    operator ``a`` (``CoherenceBlocks``).
 
     In the rotating frame H(omega) = H(omega_nv) - (omega - omega_nv) * N
     with N = sigma_z/2 + n_b + n_d diagonal, so D only rotates each (u, v)
     pair of order m: du/dt = -m v, dv/dt = +m u, so D is i*m on z = u + iv.
-    A is held as coherence-level blocks (``CoherenceBlocks``); D is block
-    diagonal and zero on order 0, so the trace functional can replace the
-    rho_00 row (or the last diagonal row) at every frequency.
 
     A spectrum is solved interval by interval: B = M(omega_c) is factored
     once by block elimination (``_BlockFactor``) and shift-invert Arnoldi
@@ -593,105 +691,11 @@ class HermitianGenerator:
         self.layout = layout
         self.omega_ref = params.omega_nv
         h = build_rotating_hamiltonian(params, self.omega_ref, layout, o)
-        n = layout.dim
         q, nb, nd = np.indices((2, layout.n_max_bright, layout.n_max_dark))
         number = (q - 0.5 + nb + nd).ravel()  # N's diagonal, exactly
-        self.a = a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
-                                          (params.gamma_b, o.b),
-                                          (params.gamma_d, o.d)], number)
-        # ||A + s D||_F^2 = norm2[0] + s norm2[1] + s^2 norm2[2], D = i*m
-        self._norm2 = (a.norm2, 2.0 * a.cross,
-                       2.0 * float(np.vdot(a.im, a.im).real))
-        self.trace0 = np.bincount(a.pos[:: n + 1], minlength=a.sizes[0]) * 1.0
-        self.rows = (a.pos[0], a.pos[n * n - 1])  # rho_00 and rho_last
-
-    def diag_block(self, level: int, s: float) -> np.ndarray:
-        """Diagonal block ``level`` of A + s*D, a fresh dense array: real on
-        level 0, and above it complex, acting on z."""
-        a = self.a
-        cols, vals = a.diag[level]
-        out = np.zeros((cols.shape[1],) * 2, vals.dtype)
-        np.add.at(out, (np.arange(len(out)), cols), vals)  # padding adds 0
-        if level:
-            lo, hi = (a.offsets[level: level + 2] - a.sizes[0]) // 2
-            out[np.diag_indices(len(out))] += s * a.im[lo: hi]  # D is i*m
-        return out
-
-    def apply_d(self, x: np.ndarray) -> np.ndarray:
-        """D x along the last axis of x (block order): zero on level 0, and
-        on each z above it its i*m (``CoherenceBlocks.im``)."""
-        out = np.zeros_like(x)
-        n0 = self.a.sizes[0]
-        np.multiply(x[..., n0:].view(complex), self.a.im,
-                    out=out[..., n0:].view(complex))
-        return out
-
-    def _residuals(self, x: np.ndarray, s) -> np.ndarray:
-        """||L x|| / ||L||_F of each row of x (block order), row p against
-        the generator at shift s[p].  A norm that overflows would make every
-        residual read 0, so it is a solver failure."""
-        r = self.a.matvec(x) + self.apply_d(x) * np.reshape(s, (-1, 1))
-        a2, ad, d2 = self._norm2
-        norm = np.sqrt(a2 + s * (ad + s * d2))
-        if not np.all(np.isfinite(norm)):
-            raise SolverFailure("generator norm is not finite")
-        return np.linalg.norm(r, axis=1) / norm
-
-    def _density_matrices(self, x: np.ndarray) -> np.ndarray:
-        # one rho per row of x (block order): vec(rho) = T' x, T unitary
-        gu, gv, cu, cv = self.a.basis
-        n = self.layout.dim
-        vecs = cu * x[:, gu] + cv * x[:, gv]
-        return vecs.reshape(-1, n, n).swapaxes(1, 2)
-
-    def _krylov(self, factor: _BlockFactor, row: int,
-                sigmas: np.ndarray) -> tuple:
-        """Shift-invert Arnoldi on K = B^-1 D from b = B^-1 e_row, for the
-        sorted shifts sigmas from B's expansion point.
-
-        (I + sigma K) x = b holds for x = V_k y up to sigma h_{k+1,k} y_k
-        v_{k+1}, with (I + sigma H_k) y = |b| e_1.  Every ``_KRYLOV_CHECK``
-        steps that estimate is checked at the two end shifts (one dense
-        solve, ``_reduced_dense``), and when both are below ``KRYLOV_TOL``
-        |y|, at every shift (``_reduced``); the run returns the
-        x(sigma), one row each, and k once all are, and raises at
-        ``KRYLOV_MAX`` steps.  With every shift zero, x is b itself (k = 0).
-        """
-        b = np.zeros(self.a.offsets[-1])
-        b[row] = 1.0
-        b = factor.solve(b, row)
-        if not sigmas.any():
-            return b[None].repeat(len(sigmas), axis=0), 0
-        basis = np.empty((KRYLOV_MAX + 1, len(b)))  # one vector per row
-        hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
-        beta = np.linalg.norm(b)
-        basis[0] = b / beta
-        ends = sigmas[[0, -1]]
-        for k in range(1, KRYLOV_MAX + 1):
-            w = factor.solve(self.apply_d(basis[k - 1]), row)
-            size = np.linalg.norm(w)
-            for _ in range(2):  # full reorthogonalization, twice
-                c = basis[:k] @ w
-                w -= c @ basis[:k]
-                hess[:k, k - 1] += c
-            hess[k, k - 1] = np.linalg.norm(w)
-            # an invariant subspace: the model is exact
-            if hess[k, k - 1] <= 1e-12 * size:
-                hess[k, k - 1] = 0.0
-            elif k < KRYLOV_MAX and (k % _KRYLOV_CHECK or np.any(
-                    _reduced_dense(hess[:k + 1, :k], beta, ends)[1]
-                    > KRYLOV_TOL)):
-                basis[k] = w / hess[k, k - 1]
-                continue
-            y, estimate = _reduced(hess[:k + 1, :k], beta, sigmas)
-            if np.all(estimate <= KRYLOV_TOL):  # 0 on an invariant subspace
-                # V_k y, then one row per shift: the states keep the
-                # rounding of that product
-                return np.ascontiguousarray((basis[:k].T @ y.T).T), k
-            if k == KRYLOV_MAX or hess[k, k - 1] == 0.0:
-                raise SolverFailure(f"reduced-model estimate "
-                                    f"{np.max(estimate):.3e} too large")
-            basis[k] = w / hess[k, k - 1]
+        self.a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
+                                      (params.gamma_b, o.b),
+                                      (params.gamma_d, o.d)], number)
 
     def _interval(self, omegas: np.ndarray, check_unique: bool,
                   built: list) -> tuple:
@@ -703,21 +707,21 @@ class HermitianGenerator:
         ``check_unique`` (and only then built) the last-row model's
         estimate, its agreement with the first state and its residual.
         ``built`` receives the trace row of each model as it is begun."""
-        s = omegas - self.omega_ref
+        a, s = self.a, omegas - self.omega_ref
         centre = 0.5 * (s[0] + s[-1])
-        built.append(self.rows[0])  # its factorization may raise already
-        factor = _BlockFactor(self, centre)
-        x, k = self._krylov(factor, self.rows[0], s - centre)
-        residuals = self._residuals(x, s)
+        built.append(a.rows[0])  # its factorization may raise already
+        factor = _BlockFactor(a, centre)
+        x, k = factor.krylov(a.rows[0], s - centre)
+        residuals = a.residuals(x, s)
         _check_residual(residuals)
-        rhos = self._density_matrices(x)
+        rhos = a.density_matrices(x)
         low = _validate_density_matrix(rhos)
         dims = [k]
         if check_unique:
-            built.append(self.rows[1])
-            x, k = self._krylov(factor, self.rows[1], s - centre)
-            _check_unique(rhos, self._density_matrices(x))
-            _check_residual(self._residuals(x, s))
+            built.append(a.rows[1])
+            x, k = factor.krylov(a.rows[1], s - centre)
+            _check_unique(rhos, a.density_matrices(x))
+            _check_residual(a.residuals(x, s))
             dims.append(k)
         return rhos, float(residuals.max()), float(low.min()), dims
 
@@ -747,7 +751,7 @@ class HermitianGenerator:
                       worst_residual=0.0, worst_negativity=0.0)
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         states = np.empty((len(omegas),) + 2 * (self.layout.dim,), complex)
-        pending = [np.argsort(omegas, kind="stable")]
+        pending = [np.argsort(omegas, kind="stable")] if len(omegas) else []
         while pending:
             idx = pending.pop()
             built = []
@@ -780,11 +784,14 @@ class HermitianGenerator:
 
     def excitation(self, omegas, check_unique: bool = False,
                    report: dict = None):
-        """<sigma+ sigma-> in the steady state at each drive frequency; a
-        scalar omega gives a float, from a one-point solve."""
-        values = qubit_excitation(self.states(omegas, check_unique, report),
-                                  self.layout)
-        return float(values[0]) if np.ndim(omegas) == 0 else values
+        """<sigma+ sigma-> in the steady state at each drive frequency, in
+        the shape of omegas (solved flattened); a scalar omega gives a
+        float, from a one-point solve."""
+        omegas = np.asarray(omegas, dtype=float)
+        values = qubit_excitation(
+            self.states(omegas.ravel(), check_unique, report), self.layout)
+        return float(values[0]) if omegas.ndim == 0 else values.reshape(
+            omegas.shape)
 
 
 def me_spectrum(params: SystemParams, grid: FrequencyGrid,

@@ -390,6 +390,20 @@ class TestEigen:
                      "--n-deltas", count]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["1", "21"])
+    def test_detuning_axis_that_overflows_exits_2(self, tmp_path, capsys,
+                                                  count):
+        # both ends are finite, but their span is not: np.linspace fills
+        # the axis with nan, one point included
+        cfg = write_config(tmp_path, system=SYSTEM)
+        out = tmp_path / "run"
+        assert main(["eigen", "--config", cfg, "--out", str(out),
+                     "--delta-min=-1e308", "--delta-max", "1e308",
+                     "--n-deltas", count]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid --delta-min, --delta-max: ")
+
 
 class TestEstimate:
     def test_json_round_trip_small_ensemble(self, tmp_path):
@@ -662,6 +676,18 @@ class TestSweepPower:
                 {"lambda": lam,
                  "reason": "maximum sits on the window boundary"}
                 for lam in (2.0, 0.5)]
+
+    def test_first_window_that_overflows_exits_2(self, tmp_path, capsys):
+        # two points from 0 to 1e308: a finite step of 1e308, but the first
+        # window, omega_nv +- 3 * step, is not finite
+        cfg = write_config(tmp_path, **_with(THOM, "grid", start_mhz=0.0,
+                                             stop_mhz=1e308, n_points=2))
+        out = tmp_path / "run"
+        assert main(["sweep-power", "--config", cfg, "--out", str(out),
+                     "--lambdas", "1"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid grid: the first window of sweep-power: ")
 
     @pytest.mark.parametrize("lambdas", ["0,1", "1,-2", "1,nan"])
     def test_non_positive_drive_exits_2(self, tmp_path, lambdas):
@@ -937,6 +963,23 @@ class TestInvalidInput:
                      *argv[1:]]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: invalid ")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["sweep", "--axis", "power", "--values", "1,2"],
+        ["sweep-power", "--lambdas", "1"], ["convergence"]],
+        ids=lambda argv: argv[0])
+    def test_grid_span_that_overflows_exits_2(self, tmp_path, capsys, argv):
+        # both ends are finite, but stop - start is not: the points were nan
+        # and the step inf
+        cfg = write_config(tmp_path, **_with(THOM, "grid", start_mhz=-1e308,
+                                             stop_mhz=1e308))
+        out = tmp_path / "run"
+        assert main([argv[0], "--config", cfg, "--out", str(out),
+                     *argv[1:]]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: invalid grid: stop - start must be finite, "
+            "got inf\n")
 
     @pytest.mark.parametrize("command", ["eigen", "convergence"])
     def test_seed_flag_is_not_taken(self, tmp_path, capsys, command):

@@ -55,6 +55,11 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(0.0, 1.0, 1)
 
+    def test_rejects_a_span_that_overflows(self):
+        # finite ends 2e308 apart: the points would be nan, the step inf
+        with pytest.raises(ValueError, match="stop - start must be finite"):
+            FrequencyGrid(-1e308, 1e308, 5)
+
 
 class TestSpectrum:
     def test_rejects_length_mismatch(self):

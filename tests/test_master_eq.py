@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hybridspec import (
     FrequencyGrid,
     HilbertLayout,
     NonUniqueSteadyState,
+    SelfEnergy,
     SolverFailure,
     SystemParams,
     build_h1,
@@ -15,7 +17,9 @@ from hybridspec import (
     build_operators,
     build_rotating_hamiltonian,
     me_spectrum,
+    mhom_response,
     qubit_excitation,
+    sample_ensemble,
     steady_state,
     thom_excitation,
     truncation_convergence,
@@ -27,7 +31,8 @@ from hybridspec.master_eq import (
     real_liouvillian,
 )
 
-from conftest import OMEGA_NV, REFERENCE_PARAMS, traced
+from conftest import (OMEGA_NV, REFERENCE_ENSEMBLE, REFERENCE_MHOM_PARAMS,
+                      REFERENCE_PARAMS, traced)
 
 LAYOUT = HilbertLayout(3, 3)
 
@@ -276,7 +281,7 @@ def dense_generator(gen, omega):
     column by column from its block matvecs."""
     eye = np.eye(gen.a.offsets[-1])
     s = omega - gen.omega_ref
-    block = (gen.a.matvec(eye) + s * gen.apply_d(eye)).T
+    block = (gen.a.matvec(eye) + s * gen.a.apply_d(eye)).T
     return block[np.ix_(gen.a.pos, gen.a.pos)]
 
 
@@ -311,7 +316,7 @@ class TestHermitianGenerator:
                                  - expected.real)) < 1e-12
             # the certified residual, with its closed-form ||L(omega)||_F
             x = np.linspace(-1.0, 1.0, layout.dim ** 2)  # block order
-            residual = gen._residuals(x[None], w - gen.omega_ref)[0]
+            residual = gen.a.residuals(x[None], w - gen.omega_ref)[0]
             assert residual == pytest.approx(
                 np.linalg.norm(expected.real @ x[gen.a.pos])
                 / np.linalg.norm(expected), rel=1e-12)
@@ -349,7 +354,7 @@ class TestHermitianGenerator:
         solve = master_eq._BlockFactor.solve
 
         def counting(factor, rhs, row):
-            calls.append(factor.gen.a.perm[row])  # the replaced slot
+            calls.append(factor.a.perm[row])  # the replaced slot
             return solve(factor, rhs, row)
 
         monkeypatch.setattr(master_eq._BlockFactor, "solve", counting)
@@ -370,7 +375,7 @@ class TestHermitianGenerator:
 
         def disagreeing(factor, rhs, row):
             x = solve(factor, rhs, row)
-            return x + 1e-3 if row == factor.gen.rows[1] else x
+            return x + 1e-3 if row == factor.a.rows[1] else x
 
         monkeypatch.setattr(master_eq._BlockFactor, "solve", disagreeing)
         p = small_params(lam=1.0)
@@ -388,18 +393,18 @@ class TestHermitianGenerator:
         # the first state fails its trace check; the last-row model would
         # raise an error of its own, but it is never built
         solve = master_eq._BlockFactor.solve
-        density = HermitianGenerator._density_matrices
+        density = master_eq.CoherenceBlocks.density_matrices
         last_rows = []
 
         def last_row_fails(factor, rhs, row):
-            if row == factor.gen.rows[1]:
+            if row == factor.a.rows[1]:
                 last_rows.append(row)
                 raise SolverFailure("last-row model built")
             return solve(factor, rhs, row)
 
         monkeypatch.setattr(master_eq._BlockFactor, "solve", last_row_fails)
-        monkeypatch.setattr(HermitianGenerator, "_density_matrices",
-                            lambda gen, x: 1.1 * density(gen, x))
+        monkeypatch.setattr(master_eq.CoherenceBlocks, "density_matrices",
+                            lambda a, x: 1.1 * density(a, x))
         grid = FrequencyGrid(OMEGA_NV - 2.0, OMEGA_NV + 2.0, 9)
         report = {}
         with pytest.raises(SolverFailure,
@@ -425,6 +430,32 @@ class TestHermitianGenerator:
         [(cols, vals)] = blocks.diag
         assert np.isrealobj(vals) and np.any(vals)
         assert np.issubdtype(cols.dtype, np.integer)
+
+    def test_block_factor_needs_only_the_operator(self):
+        # a driven, damped two-level system, built by real_liouvillian
+        # alone: H = (delta/2) sigma_z + (lam/2) sigma_x, decay gamma on
+        # sigma_-, N = -1/2, +1/2; its excited population is known in
+        # closed form at every detuning delta - s
+        delta, lam, gamma = 0.7, 1.3, 0.4
+        h = np.array([[-delta, lam], [lam, delta]]) / 2
+        c = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
+        blocks = real_liouvillian(h, [(gamma, c)], np.array([-0.5, 0.5]))
+
+        def excited(d):
+            return (lam / 2) ** 2 / (d ** 2 + gamma ** 2 + lam ** 2 / 2)
+
+        factor = master_eq._BlockFactor(blocks, 0.0)
+        row = blocks.rows[0]
+        e = np.zeros(blocks.offsets[-1])
+        e[row] = 1.0
+        [rho] = blocks.density_matrices(factor.solve(e, row)[None])
+        assert rho[1, 1].real == pytest.approx(excited(delta), rel=0,
+                                               abs=1e-14)
+        sigmas = np.array([-2.0, 0.0, 0.5, 3.0])
+        x, _ = factor.krylov(row, sigmas)
+        rhos = blocks.density_matrices(x)
+        assert np.max(np.abs(rhos[:, 1, 1] - excited(delta - sigmas))) \
+            <= 1e-14
 
     def test_generator_without_nonzero_entry_is_a_solver_error(self):
         with pytest.raises(SolverFailure, match="no nonzero entry"):
@@ -589,7 +620,7 @@ class TestCoherenceOrder:
         assert len(v) == 68
         e = np.zeros((len(v), a.offsets[-1]))
         e[np.arange(len(v)), v] = 1.0
-        rhos = gen._density_matrices(e)
+        rhos = gen.a.density_matrices(e)
         assert np.all(rhos[np.arange(len(v)), j[v], i[v]]
                       == 1j * np.sqrt(0.5))
 
@@ -613,15 +644,15 @@ class TestCoherenceOrder:
             # generator the checks use
             e = np.zeros((size, a.offsets[-1]))
             e[np.arange(size), off + np.arange(size)] = 1.0
-            block = (a.matvec(e) + s * gen.apply_d(e))[:, off: off + size].T
+            block = (a.matvec(e) + s * gen.a.apply_d(e))[:, off: off + size].T
             p, q = block[::2, ::2], block[1::2, ::2]
             scale = np.max(np.abs(block))
             assert np.max(np.abs(block[1::2, 1::2] - p)) <= 1e-13 * scale
             assert np.max(np.abs(block[::2, 1::2] + q)) <= 1e-13 * scale
-            assert np.max(np.abs(gen.diag_block(m, s) - (p + 1j * q))
+            assert np.max(np.abs(gen.a.diag_block(m, s) - (p + 1j * q))
                           ) <= 1e-13 * scale
             # v = 1 alone is rho_ij = i/sqrt2 where N_i > N_j
-            rhos = gen._density_matrices(e[1::2])
+            rhos = gen.a.density_matrices(e[1::2])
             hi = np.where(number[i[::2]] > number[j[::2]], i[::2], j[::2])
             lo = i[::2] + j[::2] - hi
             pairs = np.arange(size // 2)
@@ -632,10 +663,10 @@ class TestCoherenceOrder:
         # at 4x8 the real inverses and upper @ inverse took 34 MiB
         gen = HermitianGenerator(REFERENCE_PARAMS.with_(lam=20.0),
                                  HilbertLayout(4, 8))
-        master_eq._BlockFactor(gen, 0.0)  # warm up
+        master_eq._BlockFactor(gen.a, 0.0)  # warm up
         tracemalloc.start()
         try:
-            factor = master_eq._BlockFactor(gen, 0.0)
+            factor = master_eq._BlockFactor(gen.a, 0.0)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -716,19 +747,45 @@ class TestReducedModel:
         assert type(value) is float
         assert value == gen.excitation([omega])[0]
 
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 3)])
+    def test_every_model_takes_any_frequency_shape(self, shape):
+        # each model's callable returns the shape of its frequencies (a
+        # float for a scalar), with the bits of the flattened call
+        omegas = OMEGA_NV + np.linspace(-3.0, 3.0, int(np.prod(shape)))
+        omegas = omegas.reshape(shape)
+        packets = sample_ensemble(REFERENCE_ENSEMBLE.with_(n_packets=200))
+        models = {
+            "THOM": partial(thom_excitation, REFERENCE_PARAMS),
+            "MHOM": partial(mhom_response, SelfEnergy(packets, 0.2, 0.2),
+                            REFERENCE_MHOM_PARAMS),
+            "ME": HermitianGenerator(REFERENCE_PARAMS,
+                                     HilbertLayout(2, 2)).excitation}
+        for name, model in models.items():
+            values, flat = model(omegas), model(omegas.ravel())
+            if shape:
+                assert type(values) is np.ndarray, name
+                assert values.shape == shape, name
+            else:
+                assert type(values) is float, name
+            assert np.asarray(values).tobytes() == flat.tobytes(), name
+        if not omegas.size:  # nothing solved, nothing rejected
+            report = {}
+            models["ME"](omegas, report=report)
+            assert report["krylov_dims"] == report["rejection_reasons"] == []
+
     def test_one_point_model_is_one_block_elimination(self):
         layout = HilbertLayout(4, 4)
         gen = HermitianGenerator(small_params(lam=10.0), layout)
-        row = gen.rows[0]
+        row = gen.a.rows[0]
         for w in (OMEGA_NV - 13.4, OMEGA_NV + 0.7, OMEGA_NV + 25.0):
             e = np.zeros(gen.a.offsets[-1])
             e[row] = 1.0
-            x = master_eq._BlockFactor(gen, w - gen.omega_ref).solve(e, row)
+            x = master_eq._BlockFactor(gen.a, w - gen.omega_ref).solve(e, row)
             report = {}
             [rho] = gen.states([w], check_unique=True, report=report)
             assert report["points_solved_per_point"] == 1
             assert not report["krylov_dims"]
-            assert np.array_equal(rho, gen._density_matrices(x[None])[0])
+            assert np.array_equal(rho, gen.a.density_matrices(x[None])[0])
             assert gen.excitation([w])[0] == qubit_excitation(rho, layout)
 
     # the spectra of the benchmark's ME workload: criterion 6's drives on
@@ -879,7 +936,7 @@ class TestReducedModel:
         report = {}
         gen.states(np.linspace(OMEGA_NV - 25.0, OMEGA_NV + 25.0, 31),
                    check_unique=True, report=report)
-        last = gen.rows[1]
+        last = gen.a.rows[1]
         for log in intervals:
             if last in log:  # after the first state's residual passed
                 assert "residual" in log[: log.index(last)]
