@@ -51,7 +51,9 @@ CONVERGENCE_REL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class HilbertLayout:
-    """Truncated product space: qubit (slowest index) x bright x dark."""
+    """Truncated space of the qubit and the bright and dark modes.
+    ``states`` is its basis and the only code that decides the basis
+    order: every other reader looks states up in it."""
 
     n_max_bright: int
     n_max_dark: int
@@ -61,12 +63,24 @@ class HilbertLayout:
         _require_int("n_max_dark", self.n_max_dark, 1)
 
     @property
+    def states(self) -> np.ndarray:
+        """(q, n_b, n_d) of each basis state, one row per state, in basis
+        order (q = 0 ground, q = 1 excited): the product basis, qubit
+        slowest and dark mode fastest."""
+        return np.indices((2, self.n_max_bright, self.n_max_dark)).reshape(
+            3, -1).T
+
+    @property
     def dim(self) -> int:
-        return 2 * self.n_max_bright * self.n_max_dark
+        return len(self.states)
 
     def index(self, q: int, nb: int, nd: int) -> int:
-        """Flat index of |q, nb, nd> (q=0 ground, q=1 excited)."""
-        return (q * self.n_max_bright + nb) * self.n_max_dark + nd
+        """Row of |q, nb, nd> in ``states``; ValueError for a state the
+        layout does not hold."""
+        row = np.flatnonzero(np.all(self.states == (q, nb, nd), axis=1))
+        if not len(row):
+            raise ValueError(f"state ({q}, {nb}, {nd}) is not in {self}")
+        return int(row[0])
 
 
 @dataclass(frozen=True)
@@ -79,28 +93,17 @@ class ModeOperators:
     d: np.ndarray
 
 
-def _annihilator(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1).astype(complex)
-
-
 def build_operators(layout: HilbertLayout) -> ModeOperators:
-    """Dense mode operators on the full product space."""
-    i2 = np.eye(2, dtype=complex)
-    ib = np.eye(layout.n_max_bright, dtype=complex)
-    idk = np.eye(layout.n_max_dark, dtype=complex)
-    sz = np.diag([-1.0, 1.0]).astype(complex)       # ground first
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    kron3 = lambda a, b_, c: np.einsum(  # np.kron(np.kron(a, b_), c)
-        "il,jm,kn->ijklmn", a, b_, c).reshape((layout.dim,) * 2)
-    return ModeOperators(
-        sigma_z=kron3(sz, ib, idk),
-        sigma_plus=kron3(sm.conj().T, ib, idk),
-        sigma_minus=kron3(sm, ib, idk),
-        sigma_x=kron3(sx, ib, idk),
-        b=kron3(i2, _annihilator(layout.n_max_bright), idk),
-        d=kron3(i2, ib, _annihilator(layout.n_max_dark)),
-    )
+    """Dense mode operators on the layout's ``states``.  Each lowering
+    operator (sigma_-, b, d) maps a state to the state one lower in its
+    part, with weight sqrt(n) of the part's level n."""
+    s = layout.states
+    sm, b, d = (np.all(s[:, None] + step == s, axis=2)
+                * np.sqrt(s[:, part]).astype(complex)
+                for part, step in enumerate(np.eye(3, dtype=int)))
+    return ModeOperators(sigma_z=np.diag(2.0 * s[:, 0] - 1.0).astype(complex),
+                         sigma_plus=sm.T, sigma_minus=sm,
+                         sigma_x=sm + sm.T, b=b, d=d)
 
 
 def build_rotating_hamiltonian(params: SystemParams, omega: float,
@@ -216,11 +219,10 @@ def _validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 def qubit_excitation(rho: np.ndarray, layout: HilbertLayout):
     """<sigma+ sigma-> in one state (a float) or in each state of a stack
-    (an array): the populations from ``layout.index(1, 0, 0)`` on, as the
-    qubit is the slowest index."""
-    # the whole diagonal, ground half zeroed: summed as np.trace sums it
+    (an array): the sum of the populations of the states with q = 1."""
+    # the whole diagonal, q = 0 zeroed: summed as np.trace sums it
     diag = np.diagonal(rho, axis1=-2, axis2=-1).copy()
-    diag[..., : layout.index(1, 0, 0)] = 0.0
+    diag[..., layout.states[:, 0] == 0] = 0.0
     val = diag.sum(axis=-1)
     imag = np.extract(np.abs(val.imag) > 1e-10, val.imag)
     if imag.size:
@@ -244,7 +246,9 @@ def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple:
     a + (b + c + ...), but no key of a generator has more than two
     entries (2x2 to 6x10)."""
     bits = len(keys).bit_length()
-    assert np.max(keys, initial=0) < 1 << (63 - bits), "keys exceed 63 bits"
+    if np.max(keys, initial=0) >= 1 << (63 - bits):
+        raise SolverFailure(f"generator keys exceed 63 bits with {bits} bits "
+                            "of entry index: the layout is too large")
     packed = np.sort(keys << bits | np.arange(len(keys)))
     keys = packed >> bits
     start = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -691,8 +695,8 @@ class HermitianGenerator:
         self.layout = layout
         self.omega_ref = params.omega_nv
         h = build_rotating_hamiltonian(params, self.omega_ref, layout, o)
-        q, nb, nd = np.indices((2, layout.n_max_bright, layout.n_max_dark))
-        number = (q - 0.5 + nb + nd).ravel()  # N's diagonal, exactly
+        q, nb, nd = layout.states.T
+        number = q - 0.5 + nb + nd  # N's diagonal, exactly
         self.a = real_liouvillian(h, [(params.gamma_fq, o.sigma_minus),
                                       (params.gamma_b, o.b),
                                       (params.gamma_d, o.d)], number)
@@ -727,10 +731,11 @@ class HermitianGenerator:
 
     def states(self, omegas, check_unique: bool = False,
                report: dict = None) -> np.ndarray:
-        """The validated steady states at the drive frequencies, as one
-        (len(omegas), n, n) stack in the order of omegas.  Every interval,
-        of any length, is one reduced model at its centre; an interval that
-        fails a check is halved, and a single point raises.
+        """The validated steady states at the drive frequencies, solved
+        flattened, as one (omegas.size, n, n) stack in the order of the
+        flattened omegas.  Every interval, of any length, is one reduced
+        model at its centre; an interval that fails a check is halved, and
+        a single point raises.
 
         ``report``, a dict updated in place, receives ``krylov_dims`` (the
         Krylov dimension of every reduced model whose points were
@@ -749,7 +754,7 @@ class HermitianGenerator:
         report.update(krylov_dims=[], rejected_models=0,
                       rejection_reasons=[], points_solved_per_point=0,
                       worst_residual=0.0, worst_negativity=0.0)
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        omegas = np.ravel(np.asarray(omegas, dtype=float))
         states = np.empty((len(omegas),) + 2 * (self.layout.dim,), complex)
         pending = [np.argsort(omegas, kind="stable")] if len(omegas) else []
         while pending:
@@ -775,11 +780,11 @@ class HermitianGenerator:
             report["worst_residual"] = max(report["worst_residual"], residual)
             report["worst_negativity"] = max(report["worst_negativity"], -low)
             states[idx] = rhos
-        pops = np.diagonal(states, axis1=1, axis2=2).real.reshape(
-            len(omegas), 2, self.layout.n_max_bright, self.layout.n_max_dark)
+        pops = np.diagonal(states, axis1=1, axis2=2).real
         report["top_level_population"] = {  # the largest over the points
-            mode: float(np.max(top.sum(axis=(1, 2)), initial=0)) for mode, top
-            in (("bright", pops[:, :, -1]), ("dark", pops[..., -1]))}
+            mode: float(np.max(pops[:, top == top.max()].sum(axis=1),
+                               initial=0))
+            for mode, top in zip(("bright", "dark"), self.layout.states.T[1:])}
         return states
 
     def excitation(self, omegas, check_unique: bool = False,
@@ -788,8 +793,8 @@ class HermitianGenerator:
         the shape of omegas (solved flattened); a scalar omega gives a
         float, from a one-point solve."""
         omegas = np.asarray(omegas, dtype=float)
-        values = qubit_excitation(
-            self.states(omegas.ravel(), check_unique, report), self.layout)
+        values = qubit_excitation(self.states(omegas, check_unique, report),
+                                  self.layout)
         return float(values[0]) if omegas.ndim == 0 else values.reshape(
             omegas.shape)
 

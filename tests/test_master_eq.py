@@ -44,7 +44,56 @@ def small_params(**over):
     return SystemParams(**base)
 
 
+def kronecker_operators(layout):
+    """Oracle: the mode operators as Kronecker products of the qubit's and
+    each mode's own operators, qubit slowest and dark mode fastest."""
+    def lowering(n):
+        return np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1)
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c).astype(complex)
+
+    i2, ib, idk = (np.eye(n) for n in (2, layout.n_max_bright,
+                                        layout.n_max_dark))
+    sm = lowering(2)  # |g><e|
+    return dict(sigma_z=kron3(np.diag([-1.0, 1.0]), ib, idk),
+                sigma_plus=kron3(sm.T, ib, idk),
+                sigma_minus=kron3(sm, ib, idk),
+                sigma_x=kron3(sm + sm.T, ib, idk),
+                b=kron3(i2, lowering(layout.n_max_bright), idk),
+                d=kron3(i2, ib, lowering(layout.n_max_dark)))
+
+
 class TestOperators:
+    @pytest.mark.parametrize("nb,nd", [(1, 1), (1, 3), (3, 1), (2, 5),
+                                       (4, 4), (6, 10)])
+    def test_operators_match_the_kronecker_products(self, nb, nd):
+        # built from the state table: the nonzeros of the Kronecker
+        # products, bit for bit, and their zero pattern
+        layout = HilbertLayout(nb, nd)
+        ops = build_operators(layout)
+        for name, oracle in kronecker_operators(layout).items():
+            got = getattr(ops, name)
+            assert got.dtype == oracle.dtype, name
+            assert np.array_equal(got == 0, oracle == 0), name
+            assert got[got != 0].tobytes() == oracle[oracle != 0].tobytes(), \
+                name
+
+    @pytest.mark.parametrize("nb,nd", [(1, 1), (3, 1), (2, 5), (4, 4)])
+    def test_index_finds_each_state(self, nb, nd):
+        layout = HilbertLayout(nb, nd)
+        states = layout.states
+        assert states.shape == (layout.dim, 3)
+        for state in states:
+            assert tuple(states[layout.index(*state)]) == tuple(state)
+
+    @pytest.mark.parametrize("state", [(0, 4, 0), (2, 0, 0), (0, 0, 4),
+                                       (0, -1, 0)])
+    def test_index_rejects_a_state_outside_the_layout(self, state):
+        # (0, 4, 0) read as (0 * 4 + 4) * 4 + 0 = 16, the row of |1, 0, 0>
+        with pytest.raises(ValueError, match="not in"):
+            HilbertLayout(4, 4).index(*state)
+
     def test_bosonic_commutator_on_truncated_space(self):
         ops = build_operators(LAYOUT)
         n = LAYOUT.n_max_bright
@@ -532,6 +581,15 @@ class TestCoherenceOrder:
             real_liouvillian(np.diag([0.0, 1.0]).astype(complex),
                              [(1.0, sx)], np.array([0.0, 1.0]))
 
+    def test_summed_keys_beyond_the_bit_budget_raise(self):
+        # two entries take two low bits: a key of 2^61 does not fit in 63
+        # bits, whether or not Python runs its asserts
+        with pytest.raises(SolverFailure, match="exceed 63 bits"):
+            master_eq._summed(np.array([0, 1 << 61]), np.ones(2))
+        keys, vals = master_eq._summed(np.array([(1 << 61) - 1, 0]),
+                                       np.ones(2))
+        assert keys.tolist() == [0, (1 << 61) - 1]
+
     @pytest.mark.parametrize("nb,nd", [(2, 2), (4, 4), (4, 8)])
     def test_summed_entries_match_unique_and_bincount(self, monkeypatch, nb,
                                                       nd):
@@ -746,6 +804,13 @@ class TestReducedModel:
         value = gen.excitation(omega)
         assert type(value) is float
         assert value == gen.excitation([omega])[0]
+
+    def test_states_of_a_2d_call_have_the_bits_of_the_flat_call(self):
+        gen = HermitianGenerator(small_params(lam=1.0), HilbertLayout(2, 2))
+        omegas = OMEGA_NV + np.array([[-1.0, 1.0], [2.0, -3.0]])
+        flat = gen.states(omegas.ravel())
+        assert flat.shape == (4, gen.layout.dim, gen.layout.dim)
+        assert gen.states(omegas).tobytes() == flat.tobytes()
 
     @pytest.mark.parametrize("shape", [(), (0,), (2, 3)])
     def test_every_model_takes_any_frequency_shape(self, shape):
